@@ -32,6 +32,18 @@ cargo run --release --quiet -p lowpower-bench --bin tables23 -- \
     --circuits cm42a,x2 --threads 2 > "$TMP/t23_par.txt" 2> /dev/null
 cmp "$TMP/t23_serial.txt" "$TMP/t23_par.txt"
 
+echo "==> paper-result byte-identity (full-suite tables23 and ablation vs results/)"
+cargo run --release --quiet -p lowpower-bench --bin tables23 -- --threads 2 \
+    > "$TMP/t23_full.txt" 2> /dev/null
+cmp "$TMP/t23_full.txt" results/tables23.txt
+cargo run --release --quiet -p lowpower-bench --bin ablation -- --threads 2 \
+    > "$TMP/ablation.txt" 2> /dev/null
+# The last ablation column is wall time; compare everything else.
+strip_time='s/ +[0-9.]+(ns|µs|ms|s)$//'
+sed -E "$strip_time" "$TMP/ablation.txt" > "$TMP/ablation.stripped"
+sed -E "$strip_time" results/ablation.txt > "$TMP/ablation_ref.stripped"
+cmp "$TMP/ablation.stripped" "$TMP/ablation_ref.stripped"
+
 echo "==> lint gate (examples/blif, --lint=deny)"
 for f in examples/blif/*.blif; do
     echo "    lint $f"

@@ -86,33 +86,50 @@ impl Curve {
     /// increasing arrival / strictly decreasing cost at all times, so
     /// [`Curve::finalize`] no longer needs to sort or Pareto-prune.
     pub fn push(&mut self, p: Point) {
-        // First index whose (arrival, cost) is lexicographically >= p's:
-        // everything before it is strictly earlier-or-cheaper.
-        let pos = self
-            .points
-            .partition_point(|q| (q.arrival, q.cost) < (p.arrival, p.cost));
-        // Dominated by a predecessor (no-later arrival, no-cheaper cost
-        // within the dedup margin): drop. The predecessor check suffices —
-        // costs before `pos` decrease, so its cost is the minimum so far.
-        if let Some(prev) = pos.checked_sub(1).map(|i| &self.points[i]) {
-            if p.cost >= prev.cost - 1e-12 {
-                obs::counter!("map.curve.dominated_drops");
-                return;
+        match self.insert_slot(p.arrival, p.cost) {
+            None => obs::counter!("map.curve.dominated_drops"),
+            Some(slot) => {
+                obs::counter!("map.curve.pushes");
+                self.insert_at(slot, p);
             }
         }
-        // Remove the successors the candidate dominates: they arrive no
-        // earlier and cost at least `p.cost - 1e-12`. Costs decrease with
-        // index, so the dominated points form a prefix of the suffix.
-        let mut end = pos;
+    }
+
+    /// Where [`Curve::push`] would insert a point with this arrival and
+    /// cost, or `None` when `push` would drop it as dominated. Lets a
+    /// caller skip building a `Point` that would only be dropped.
+    pub(crate) fn insert_slot(&self, arrival: f64, cost: f64) -> Option<usize> {
+        // First index whose (arrival, cost) is lexicographically >= the
+        // candidate's: everything before it is strictly earlier-or-cheaper.
+        let slot = self
+            .points
+            .partition_point(|q| (q.arrival, q.cost) < (arrival, cost));
+        // Dominated by a predecessor (no-later arrival, no-cheaper cost
+        // within the dedup margin): drop. The predecessor check suffices —
+        // costs before `slot` decrease, so its cost is the minimum so far.
+        match slot.checked_sub(1).map(|i| &self.points[i]) {
+            Some(prev) if cost >= prev.cost - 1e-12 => None,
+            _ => Some(slot),
+        }
+    }
+
+    /// Insert `p` at a slot [`Curve::insert_slot`] returned for it (with
+    /// no mutation in between), removing the successors it dominates.
+    /// Counts nothing: `push` counts for its callers, and the mapper's
+    /// match sweep tallies its own.
+    pub(crate) fn insert_at(&mut self, slot: usize, p: Point) {
+        // The dominated successors arrive no earlier and cost at least
+        // `p.cost - 1e-12`. Costs decrease with index, so they form a
+        // prefix of the suffix.
+        let mut end = slot;
         while end < self.points.len() && self.points[end].cost >= p.cost - 1e-12 {
             end += 1;
         }
-        obs::counter!("map.curve.pushes");
-        if end == pos {
-            self.points.insert(pos, p);
+        if end == slot {
+            self.points.insert(slot, p);
         } else {
-            self.points[pos] = p;
-            self.points.drain(pos + 1..end);
+            self.points[slot] = p;
+            self.points.drain(slot + 1..end);
         }
     }
 
@@ -240,21 +257,6 @@ impl Curve {
         })
     }
 
-    /// Best (cheapest) point whose arrival at the given pin load meets
-    /// `required`; `None` when no point qualifies.
-    pub fn best_within(
-        &self,
-        required: f64,
-        load: f64,
-        default_load: f64,
-    ) -> Option<(usize, &Point)> {
-        self.points
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.arrival_at_load(load, default_load) <= required + 1e-9)
-            .min_by(|a, b| a.1.cost.partial_cmp(&b.1.cost).expect("finite"))
-    }
-
     /// The fastest point (minimum arrival at the given load).
     pub fn fastest(&self, load: f64, default_load: f64) -> Option<(usize, &Point)> {
         self.points.iter().enumerate().min_by(|a, b| {
@@ -270,6 +272,68 @@ impl Curve {
             .iter()
             .enumerate()
             .min_by(|a, b| a.1.cost.partial_cmp(&b.1.cost).expect("finite"))
+    }
+}
+
+/// A curve's points ordered by their arrival as seen through one gate
+/// pin, with a running cheapest point, so "the cheapest point whose
+/// arrival at this load meets `required`" is a binary search plus a
+/// lookup instead of a scan.
+///
+/// The order is by arrival at the pin's load (`Point::arrival_at_load`),
+/// ties broken by point index; drives differ between points, so this can
+/// differ from the curve's own order. Nothing assumes the curve is
+/// monotone, so curves holding a prune-exempt point
+/// ([`Curve::insert_exempt`]) index correctly. The buffers are reused
+/// across [`LoadIndex::rebuild`] calls.
+#[derive(Debug, Default)]
+pub(crate) struct LoadIndex {
+    /// `(arrival at the load, point index)`, sorted.
+    order: Vec<(f64, u32)>,
+    /// `cheapest[n]`: index of the cheapest point among `order[..=n]`,
+    /// the lowest index on cost ties.
+    cheapest: Vec<u32>,
+}
+
+impl LoadIndex {
+    /// Index `curve` as seen through a pin of capacitance `load`, the
+    /// curve having been computed at `default_load`.
+    pub(crate) fn rebuild(&mut self, curve: &Curve, load: f64, default_load: f64) {
+        let points = curve.points();
+        self.order.clear();
+        self.order.extend(
+            points
+                .iter()
+                .enumerate()
+                .map(|(i, p)| (p.arrival_at_load(load, default_load), i as u32)),
+        );
+        self.order
+            .sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).expect("finite").then(a.1.cmp(&b.1)));
+        self.cheapest.clear();
+        let mut best = self.order.first().map_or(0, |&(_, i)| i);
+        for &(_, i) in &self.order {
+            let (c, cb) = (points[i as usize].cost, points[best as usize].cost);
+            if c < cb || (c == cb && i < best) {
+                best = i;
+            }
+            self.cheapest.push(best);
+        }
+    }
+
+    /// How many points meet `required` at the indexed load (`arrival <=
+    /// required + 1e-9`); they are the first ones in load order. `known`
+    /// is a count already established for a no-larger `required` (0 when
+    /// there is none), and the search starts past it.
+    pub(crate) fn admitted(&self, required: f64, known: usize) -> usize {
+        let limit = required + 1e-9;
+        known + self.order[known..].partition_point(|&(arrival, _)| arrival <= limit)
+    }
+
+    /// Index into [`Curve::points`] of the cheapest of the first `n`
+    /// points in load order (lowest index on cost ties); `None` for
+    /// `n == 0`.
+    pub(crate) fn cheapest_of(&self, n: usize) -> Option<usize> {
+        n.checked_sub(1).map(|last| self.cheapest[last] as usize)
     }
 }
 
@@ -324,15 +388,23 @@ mod tests {
         c.push(fast);
         c.push(slow);
         c.finalize(0.0);
+        let mut idx = LoadIndex::default();
+        let best_within = |idx: &LoadIndex, required: f64| {
+            idx.cheapest_of(idx.admitted(required, 0))
+                .map(|i| c.points()[i].cost)
+        };
         // at default load: cheapest within 2.0 is the slow point
-        let (_, p) = c.best_within(2.0, 1.0, 1.0).unwrap();
-        assert_eq!(p.cost, 5.0);
+        idx.rebuild(&c, 1.0, 1.0);
+        assert_eq!(best_within(&idx, 2.0), Some(5.0));
         // heavy load (Δ=2): fast point shifts to 1+2·2=5, slow to 2+0.2=2.2;
         // requirement 2.3 still admits the slow point only.
-        let (_, p) = c.best_within(2.3, 3.0, 1.0).unwrap();
-        assert_eq!(p.cost, 5.0);
+        idx.rebuild(&c, 3.0, 1.0);
+        assert_eq!(best_within(&idx, 2.3), Some(5.0));
         // requirement 2.0 at heavy load admits nothing.
-        assert!(c.best_within(2.0, 3.0, 1.0).is_none());
+        assert_eq!(best_within(&idx, 2.0), None);
+        // the order flips at heavy load: slow (2.2) before fast (5.0).
+        assert_eq!(idx.admitted(2.3, 0), 1);
+        assert_eq!(idx.admitted(5.0, 1), 2);
     }
 
     #[test]

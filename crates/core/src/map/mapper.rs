@@ -1,7 +1,7 @@
 //! The mapping engine: postorder curve computation, preorder selection,
 //! mapped-netlist construction (§3.2–3.3).
 
-use crate::map::curve::{Curve, Point};
+use crate::map::curve::{Curve, LoadIndex, Point};
 use crate::map::matcher::Matcher;
 use crate::map::pattern::PatternSet;
 use crate::map::subject::{AigNode, MapError, Signal, SubjectAig};
@@ -184,7 +184,7 @@ pub fn map_network(
     let c_def = lib.default_load();
     let mut curves: Vec<[Curve; 2]> = Vec::with_capacity(aig.len());
     let mut matcher = Matcher::new();
-    let mut cands: Vec<f64> = Vec::new();
+    let mut sweep = SweepScratch::default();
 
     // ---- postorder: curve computation -------------------------------
     let postorder_span = obs::span!("map.postorder");
@@ -214,7 +214,7 @@ pub fn map_network(
                         m.gate,
                         &m.pin_bindings,
                         target,
-                        &mut cands,
+                        &mut sweep,
                     );
                 }
             }
@@ -448,9 +448,67 @@ fn select_point(curve: &Curve, demands: &[Demand], c_def: f64) -> Option<usize> 
     best.or(fallback).map(|(i, _)| i)
 }
 
-/// Compute and push the curve points of one match. `cands` is caller-owned
-/// scratch for the candidate arrival times, reused across every match of a
-/// mapping run.
+/// Per-pin state of the match sweep in [`add_match_points`].
+#[derive(Debug, Default)]
+struct PinSweep {
+    /// The pin's fanin curve in order of arrival at the pin's load.
+    index: LoadIndex,
+    /// Pin delay at the default output load, `intrinsic + drive · c_def`.
+    delay: f64,
+    /// §3.3 fanout divisor of the fanin's accumulated cost.
+    div: f64,
+    /// Power of the pin's input net (Power objective only).
+    load_pw: f64,
+    /// Points meeting the current candidate's requirement, a prefix of
+    /// `index`.
+    admitted: usize,
+    /// Selected point: the cheapest admitted one.
+    sel: Option<usize>,
+    /// Output arrival through this pin from the selected point.
+    out_t: f64,
+    /// Cost contribution of the selected point.
+    term: f64,
+}
+
+impl PinSweep {
+    /// The cost this pin adds when its fanin point costs `point_cost`.
+    /// Non-decreasing in `point_cost`: each form only adds to it or
+    /// divides it by a positive divisor, and rounding keeps the order.
+    fn cost_term(&self, opts: &MapOptions, point_cost: f64) -> f64 {
+        match opts.objective {
+            MapObjective::Area => point_cost / self.div,
+            MapObjective::Power => match opts.power_method {
+                // Method 1: the input-net load belongs to this gate
+                // alone — only the accumulated cone power is shared.
+                PowerMethod::InputLoads => self.load_pw + point_cost / self.div,
+                // Method 2: everything downstream was already
+                // charged; share the whole contribution.
+                PowerMethod::OutputLoad => (self.load_pw + point_cost) / self.div,
+            },
+        }
+    }
+}
+
+/// Scratch of [`add_match_points`], reused across every match of a
+/// mapping run so the sweep allocates nothing per match.
+#[derive(Debug, Default)]
+struct SweepScratch {
+    /// Candidate output arrivals.
+    cands: Vec<f64>,
+    /// One entry per gate pin (grown to the widest gate seen).
+    pins: Vec<PinSweep>,
+}
+
+/// Compute and push the curve points of one match.
+///
+/// Every output arrival some fanin point can produce is a candidate `t`;
+/// for each, every pin takes its cheapest fanin point meeting the pin's
+/// requirement `t - delay`, and the resulting point is pushed. The
+/// candidates are swept in increasing order, so each pin's requirement
+/// only rises: its admitted points grow as a prefix of its [`LoadIndex`]
+/// and its selection only moves to a later, cheaper point. Candidates
+/// that select the same points as the previous one would re-push an
+/// identical point, which changes nothing, and are skipped.
 #[allow(clippy::too_many_arguments)]
 fn add_match_points(
     aig: &SubjectAig,
@@ -462,7 +520,7 @@ fn add_match_points(
     gate_idx: usize,
     bindings: &[Signal],
     out: &mut Curve,
-    cands: &mut Vec<f64>,
+    scratch: &mut SweepScratch,
 ) {
     let gate = &lib.gates()[gate_idx];
     // Leaf curves must exist and be below this node (guaranteed: bindings
@@ -472,7 +530,64 @@ fn add_match_points(
     if bindings.iter().any(|s| pin_curve(s).is_empty()) {
         return;
     }
+    let drive = gate.pins().iter().map(|p| p.drive).fold(0.0, f64::max);
+    let base = match opts.objective {
+        MapObjective::Area => gate.area(),
+        MapObjective::Power => match opts.power_method {
+            PowerMethod::InputLoads => 0.0,
+            PowerMethod::OutputLoad => {
+                // Method 2: charge own output at default load.
+                let p_out = aig.p_one(node);
+                opts.env
+                    .average_power_uw(c_def, opts.model.switching(p_out))
+            }
+        },
+    };
+    if scratch.pins.len() < bindings.len() {
+        scratch.pins.resize_with(bindings.len(), PinSweep::default);
+    }
+    let pins = &mut scratch.pins[..bindings.len()];
+    // `c_min`: the cost of selecting every pin's cheapest point, summed in
+    // the same order as a candidate's cost, so no candidate costs less.
+    let mut c_min = base;
+    // `a_lo`: no candidate arrives before every pin's fastest point does.
+    let mut a_lo = 0.0f64;
+    for (pin_idx, (s, ps)) in bindings.iter().zip(pins.iter_mut()).enumerate() {
+        let pin = gate.pin(pin_idx);
+        let curve = pin_curve(s);
+        ps.delay = pin.intrinsic + pin.drive * c_def;
+        ps.div = if opts.dag_fanout_division {
+            aig.fanout_count(s.node).max(1) as f64
+        } else {
+            1.0
+        };
+        ps.load_pw = match opts.objective {
+            MapObjective::Area => 0.0,
+            MapObjective::Power => {
+                let e_in = opts.model.switching(aig.p_signal(*s));
+                opts.env.average_power_uw(pin.input_cap, e_in)
+            }
+        };
+        let (_, cheapest) = curve.cheapest().expect("non-empty");
+        c_min += ps.cost_term(opts, cheapest.cost);
+        let (_, fastest) = curve.fastest(pin.input_cap, c_def).expect("non-empty");
+        a_lo = a_lo
+            .max(fastest.arrival_at_load(pin.input_cap, c_def) + pin.intrinsic + pin.drive * c_def);
+    }
+    // The early exit below, taken before any candidate: when `out`
+    // rejects (a_lo, c_min), it rejects every candidate of this match.
+    if out.insert_slot(a_lo, c_min).is_none() {
+        obs::counter!("map.sweep.early_exits");
+        return;
+    }
+    for (pin_idx, (s, ps)) in bindings.iter().zip(pins.iter_mut()).enumerate() {
+        ps.index
+            .rebuild(pin_curve(s), gate.pin(pin_idx).input_cap, c_def);
+        ps.admitted = 0;
+        ps.sel = None;
+    }
     // Candidate output arrivals.
+    let cands = &mut scratch.cands;
     cands.clear();
     for (pin_idx, s) in bindings.iter().enumerate() {
         let pin = gate.pin(pin_idx);
@@ -483,63 +598,71 @@ fn add_match_points(
     cands.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     cands.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
 
-    let drive = gate.pins().iter().map(|p| p.drive).fold(0.0, f64::max);
+    let (mut pushes, mut drops) = (0u64, 0u64);
     for &t in cands.iter() {
-        let mut cost = match opts.objective {
-            MapObjective::Area => gate.area(),
-            MapObjective::Power => match opts.power_method {
-                PowerMethod::InputLoads => 0.0,
-                PowerMethod::OutputLoad => {
-                    // Method 2: charge own output at default load.
-                    let p_out = aig.p_one(node);
-                    opts.env
-                        .average_power_uw(c_def, opts.model.switching(p_out))
-                }
-            },
-        };
-        let mut actual_t = 0.0f64;
+        let mut changed = false;
         let mut ok = true;
-        for (pin_idx, s) in bindings.iter().enumerate() {
-            let pin = gate.pin(pin_idx);
-            let s = *s;
-            let req = t - (pin.intrinsic + pin.drive * c_def);
-            let Some((_, p)) = pin_curve(&s).best_within(req, pin.input_cap, c_def) else {
-                ok = false;
-                break;
-            };
-            actual_t = actual_t
-                .max(p.arrival_at_load(pin.input_cap, c_def) + pin.intrinsic + pin.drive * c_def);
-            let div = if opts.dag_fanout_division {
-                aig.fanout_count(s.node).max(1) as f64
-            } else {
-                1.0
-            };
-            cost += match opts.objective {
-                MapObjective::Area => p.cost / div,
-                MapObjective::Power => {
-                    let e_in = opts.model.switching(aig.p_signal(s));
-                    let load_pw = opts.env.average_power_uw(pin.input_cap, e_in);
-                    match opts.power_method {
-                        // Method 1: the input-net load belongs to this gate
-                        // alone — only the accumulated cone power is shared.
-                        PowerMethod::InputLoads => load_pw + p.cost / div,
-                        // Method 2: everything downstream was already
-                        // charged; share the whole contribution.
-                        PowerMethod::OutputLoad => (load_pw + p.cost) / div,
-                    }
+        for (pin_idx, (s, ps)) in bindings.iter().zip(pins.iter_mut()).enumerate() {
+            ps.admitted = ps.index.admitted(t - ps.delay, ps.admitted);
+            let sel = ps.index.cheapest_of(ps.admitted);
+            if sel != ps.sel {
+                changed = true;
+                ps.sel = sel;
+                if let Some(i) = sel {
+                    let pin = gate.pin(pin_idx);
+                    let p = &pin_curve(s).points()[i];
+                    ps.out_t =
+                        p.arrival_at_load(pin.input_cap, c_def) + pin.intrinsic + pin.drive * c_def;
+                    ps.term = ps.cost_term(opts, p.cost);
                 }
-            };
+            }
+            ok &= sel.is_some();
         }
-        if !ok {
+        if !ok || !changed {
             continue;
         }
-        out.push(Point {
-            arrival: actual_t,
-            cost,
-            drive,
-            gate: Some(gate_idx),
-            inputs: bindings.to_vec(),
-        });
+        let mut cost = base;
+        let mut actual_t = 0.0f64;
+        for ps in pins.iter() {
+            actual_t = actual_t.max(ps.out_t);
+            cost += ps.term;
+        }
+        if let Some(slot) = out.insert_slot(actual_t, cost) {
+            pushes += 1;
+            out.insert_at(
+                slot,
+                Point {
+                    arrival: actual_t,
+                    cost,
+                    drive,
+                    gate: Some(gate_idx),
+                    inputs: bindings.to_vec(),
+                },
+            );
+            continue;
+        }
+        drops += 1;
+        // Exact early exit. Every later candidate selects the same or
+        // later points in each pin's load order, so its `actual_t` is no
+        // smaller than this one; its cost is a sum of non-decreasing
+        // per-pin terms in the same order as `c_min`, so it is no smaller
+        // than `c_min`. While matches are added, `out` holds only pushed
+        // points (prune-exempt inserts come after the second `finalize`),
+        // so it is strictly monotone and the point `push` compares against
+        // is the cheapest no-later one: if it rejects (actual_t, c_min),
+        // it rejects every (arrival, cost) at least as late and as costly.
+        // A rejected candidate leaves `out` unchanged, so by induction
+        // every remaining candidate of this match would be dropped.
+        if out.insert_slot(actual_t, c_min).is_none() {
+            obs::counter!("map.sweep.early_exits");
+            break;
+        }
+    }
+    if pushes > 0 {
+        obs::counter!("map.curve.pushes", pushes);
+    }
+    if drops > 0 {
+        obs::counter!("map.curve.dominated_drops", drops);
     }
 }
 
@@ -761,6 +884,263 @@ mod tests {
             pr.power_uw,
             ar.power_uw
         );
+    }
+
+    /// The cross-scan `add_match_points` the sweep replaced: every
+    /// candidate re-scans every pin's curve and pushes its point. Kept as
+    /// the oracle for the sweep.
+    #[allow(clippy::too_many_arguments)]
+    fn add_match_points_reference(
+        aig: &SubjectAig,
+        lib: &Library,
+        opts: &MapOptions,
+        c_def: f64,
+        curves: &[[Curve; 2]],
+        node: u32,
+        gate_idx: usize,
+        bindings: &[Signal],
+        out: &mut Curve,
+    ) {
+        fn best_within(c: &Curve, required: f64, load: f64, c_def: f64) -> Option<&Point> {
+            c.points()
+                .iter()
+                .filter(|p| p.arrival_at_load(load, c_def) <= required + 1e-9)
+                .min_by(|a, b| a.cost.partial_cmp(&b.cost).expect("finite"))
+        }
+        let gate = &lib.gates()[gate_idx];
+        let pin_curve = |s: &Signal| &curves[s.node as usize][s.compl as usize];
+        if bindings.iter().any(|s| pin_curve(s).is_empty()) {
+            return;
+        }
+        let mut cands = Vec::new();
+        for (pin_idx, s) in bindings.iter().enumerate() {
+            let pin = gate.pin(pin_idx);
+            for p in pin_curve(s).points() {
+                cands.push(
+                    p.arrival_at_load(pin.input_cap, c_def) + pin.intrinsic + pin.drive * c_def,
+                );
+            }
+        }
+        cands.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        cands.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
+        let drive = gate.pins().iter().map(|p| p.drive).fold(0.0, f64::max);
+        for &t in cands.iter() {
+            let mut cost = match opts.objective {
+                MapObjective::Area => gate.area(),
+                MapObjective::Power => match opts.power_method {
+                    PowerMethod::InputLoads => 0.0,
+                    PowerMethod::OutputLoad => {
+                        let p_out = aig.p_one(node);
+                        opts.env
+                            .average_power_uw(c_def, opts.model.switching(p_out))
+                    }
+                },
+            };
+            let mut actual_t = 0.0f64;
+            let mut ok = true;
+            for (pin_idx, s) in bindings.iter().enumerate() {
+                let pin = gate.pin(pin_idx);
+                let s = *s;
+                let req = t - (pin.intrinsic + pin.drive * c_def);
+                let Some(p) = best_within(pin_curve(&s), req, pin.input_cap, c_def) else {
+                    ok = false;
+                    break;
+                };
+                actual_t = actual_t.max(
+                    p.arrival_at_load(pin.input_cap, c_def) + pin.intrinsic + pin.drive * c_def,
+                );
+                let div = if opts.dag_fanout_division {
+                    aig.fanout_count(s.node).max(1) as f64
+                } else {
+                    1.0
+                };
+                cost += match opts.objective {
+                    MapObjective::Area => p.cost / div,
+                    MapObjective::Power => {
+                        let e_in = opts.model.switching(aig.p_signal(s));
+                        let load_pw = opts.env.average_power_uw(pin.input_cap, e_in);
+                        match opts.power_method {
+                            PowerMethod::InputLoads => load_pw + p.cost / div,
+                            PowerMethod::OutputLoad => (load_pw + p.cost) / div,
+                        }
+                    }
+                };
+            }
+            if !ok {
+                continue;
+            }
+            out.push(Point {
+                arrival: actual_t,
+                cost,
+                drive,
+                gate: Some(gate_idx),
+                inputs: bindings.to_vec(),
+            });
+        }
+    }
+
+    /// A random fanin curve. Coarse grids make equal arrivals, costs and
+    /// drives common; about every third curve also holds a prune-exempt
+    /// point, which breaks monotonicity and may tie an ordinary point's
+    /// cost.
+    fn random_curve(rng: &mut rand::rngs::StdRng, epsilon: f64) -> Curve {
+        use rand::Rng;
+        let coarse = rng.gen_bool(0.5);
+        let mut c = Curve::new();
+        for _ in 0..rng.gen_range(1usize..16) {
+            let (arrival, cost, drive) = if coarse {
+                (
+                    rng.gen_range(0..24) as f64 * 0.25,
+                    rng.gen_range(0..10) as f64,
+                    rng.gen_range(0..4) as f64 * 0.5,
+                )
+            } else {
+                (
+                    rng.gen_range(0.0..6.0),
+                    rng.gen_range(0.0..20.0),
+                    rng.gen_range(0.0..2.0),
+                )
+            };
+            c.push(Point {
+                arrival,
+                cost,
+                drive,
+                gate: None,
+                inputs: Vec::new(),
+            });
+        }
+        c.finalize(epsilon);
+        if rng.gen_range(0..3) == 0 {
+            let q = c.points()[rng.gen_range(0..c.points().len())].clone();
+            let mut exempt = q.clone();
+            exempt.arrival += rng.gen_range(0..3) as f64 * 0.25;
+            if rng.gen_bool(0.5) {
+                exempt.cost += 1.0;
+            }
+            c.insert_exempt(exempt);
+        }
+        c
+    }
+
+    #[test]
+    fn match_sweep_matches_cross_scan_reference() {
+        use rand::{Rng, SeedableRng};
+        // Reconvergent fanout, so fanout counts (the §3.3 divisor) differ.
+        let blif = ".model t\n.inputs a b c d e\n.outputs f g\n\
+                    .names a b x\n11 1\n.names x c y\n1- 1\n-1 1\n\
+                    .names x d z\n11 1\n.names y z w\n11 1\n\
+                    .names w e f\n11 1\n.names y z g\n1- 1\n-1 1\n.end\n";
+        let (_, aig) = subject(blif, &[0.5, 0.3, 0.8, 0.5, 0.1]);
+        let lib = lib2_like();
+        let c_def = lib.default_load();
+        let node = aig.len() as u32 - 1;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EE9);
+        let mut scratch = SweepScratch::default();
+        let session = obs::Session::start();
+        let mut pushed = 0;
+        for case in 0..400 {
+            let epsilon = [0.0, 0.05, 0.5][case % 3];
+            let opts = MapOptions {
+                objective: [MapObjective::Power, MapObjective::Area][case % 2],
+                power_method: [PowerMethod::InputLoads, PowerMethod::OutputLoad][case / 2 % 2],
+                dag_fanout_division: case / 4 % 2 == 0,
+                epsilon,
+                ..MapOptions::power()
+            };
+            let mut curves: Vec<[Curve; 2]> = (0..node)
+                .map(|_| {
+                    [
+                        random_curve(&mut rng, epsilon),
+                        random_curve(&mut rng, epsilon),
+                    ]
+                })
+                .collect();
+            // The target curve starts with points of earlier matches.
+            let mut seeded = Curve::new();
+            for _ in 0..rng.gen_range(0..6) {
+                seeded.push(Point {
+                    arrival: rng.gen_range(2.0..12.0),
+                    cost: rng.gen_range(0.0..40.0),
+                    drive: 1.0,
+                    gate: Some(0),
+                    inputs: Vec::new(),
+                });
+            }
+            let (mut want, mut got) = (seeded.clone(), seeded);
+            for _ in 0..rng.gen_range(1..4) {
+                let gate_idx = rng.gen_range(0..lib.gates().len());
+                let gate = &lib.gates()[gate_idx];
+                let k = gate.pins().len();
+                // Repeated signals are allowed: two pins may share a curve.
+                let bindings: Vec<Signal> = (0..k)
+                    .map(|_| Signal {
+                        node: rng.gen_range(0..node),
+                        compl: rng.gen_bool(0.5),
+                    })
+                    .collect();
+                if k > 1 && rng.gen_bool(0.5) {
+                    // Put a point of pin `a` within ±2e-9 of the
+                    // requirement a candidate from pin `b` sets for it.
+                    let (a, b) = (rng.gen_range(0..k), rng.gen_range(0..k));
+                    let (pa, pb) = (gate.pin(a), gate.pin(b));
+                    let sb = bindings[b];
+                    let cb = &curves[sb.node as usize][sb.compl as usize];
+                    let q = &cb.points()[rng.gen_range(0..cb.points().len())];
+                    let t =
+                        q.arrival_at_load(pb.input_cap, c_def) + pb.intrinsic + pb.drive * c_def;
+                    let req = t - (pa.intrinsic + pa.drive * c_def);
+                    let delta =
+                        [-2e-9, -1e-9, -5e-10, 0.0, 5e-10, 1e-9, 2e-9][rng.gen_range(0..7usize)];
+                    let drive = rng.gen_range(0..4) as f64 * 0.5;
+                    let p = Point {
+                        arrival: req + delta - drive * (pa.input_cap - c_def),
+                        cost: rng.gen_range(0..10) as f64,
+                        drive,
+                        gate: None,
+                        inputs: Vec::new(),
+                    };
+                    let sa = bindings[a];
+                    let ca = &mut curves[sa.node as usize][sa.compl as usize];
+                    if rng.gen_bool(0.5) {
+                        ca.push(p);
+                    } else {
+                        ca.insert_exempt(p);
+                    }
+                }
+                add_match_points_reference(
+                    &aig, &lib, &opts, c_def, &curves, node, gate_idx, &bindings, &mut want,
+                );
+                add_match_points(
+                    &aig,
+                    &lib,
+                    &opts,
+                    c_def,
+                    &curves,
+                    node,
+                    gate_idx,
+                    &bindings,
+                    &mut got,
+                    &mut scratch,
+                );
+            }
+            // Bit patterns, so even a sign-of-zero difference fails.
+            let bits = |c: &Curve| -> Vec<String> {
+                c.points()
+                    .iter()
+                    .map(|p| {
+                        let (a, c, d) = (p.arrival.to_bits(), p.cost.to_bits(), p.drive.to_bits());
+                        format!("{a:x} {c:x} {d:x} {:?} {:?}", p.gate, p.inputs)
+                    })
+                    .collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "case {case}");
+            pushed += got.points().len();
+        }
+        let report = session.finish();
+        // The cases reach the early exit, not just the plain sweep.
+        let exits = report.metrics.counters.get("map.sweep.early_exits");
+        assert!(exits.is_some_and(|&n| n > 0), "no early exit taken");
+        assert!(pushed > 0);
     }
 
     #[test]
