@@ -39,5 +39,5 @@ pub use correlation::CorrelationMatrix;
 pub use env::PowerEnv;
 pub use prob::{analyze, ActivityMap, NetworkBdds};
 pub use propagate::{propagate_independent, transition_density};
-pub use sim::{simulate_activity, simulate_activity_seeded, SimActivity};
+pub use sim::{simulate_activity_seeded, SimActivity};
 pub use transition::{TransProbs, TransitionModel};

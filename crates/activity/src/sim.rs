@@ -64,69 +64,6 @@ impl SimActivity {
     }
 }
 
-/// Simulate `vectors` random input vectors and estimate per-node activity.
-///
-/// The vector sequence is packed 64 per word (bit `k` of word `w` is vector
-/// `64·w + k`); transition counting follows that order, including across
-/// word boundaries.
-///
-/// # Panics
-/// Panics if `pi_probs.len()` differs from the input count, or if
-/// `vectors < 2` (at least one vector pair is needed for transitions).
-pub fn simulate_activity<R: Rng>(
-    net: &Network,
-    pi_probs: &[f64],
-    vectors: usize,
-    rng: &mut R,
-) -> SimActivity {
-    assert_eq!(
-        pi_probs.len(),
-        net.inputs().len(),
-        "PI probability count mismatch"
-    );
-    assert!(vectors >= 2, "need at least two vectors");
-    let arena = net.arena_len();
-    let mut ones = vec![0u64; arena];
-    let mut transitions = vec![0u64; arena];
-    let mut last_bits = vec![0u64; arena];
-    let words = vectors.div_ceil(64);
-    let mut pi_words = vec![0u64; pi_probs.len()];
-    for w in 0..words {
-        for (word, &p) in pi_words.iter_mut().zip(pi_probs) {
-            *word = bernoulli_word(rng, p.clamp(0.0, 1.0));
-        }
-        let values = net.eval_words(&pi_words);
-        let lanes = if w + 1 == words { vectors - w * 64 } else { 64 };
-        let mask = if lanes == 64 {
-            !0u64
-        } else {
-            (1u64 << lanes) - 1
-        };
-        for id in net.node_ids() {
-            let v = values[id.index()] & mask;
-            ones[id.index()] += v.count_ones() as u64;
-            // Transitions between adjacent lanes inside this word…
-            let adjacent = (v ^ (v >> 1)) & (mask >> 1);
-            transitions[id.index()] += adjacent.count_ones() as u64;
-            // …and across the boundary from the previous word's last lane.
-            if w > 0 && last_bits[id.index()] != (v & 1) {
-                transitions[id.index()] += 1;
-            }
-            last_bits[id.index()] = v >> (lanes - 1) & 1;
-        }
-    }
-    let p_one = ones.iter().map(|&c| c as f64 / vectors as f64).collect();
-    let switching = transitions
-        .iter()
-        .map(|&c| c as f64 / (vectors - 1) as f64)
-        .collect();
-    SimActivity {
-        p_one,
-        switching,
-        vectors,
-    }
-}
-
 /// Per-node statistics of one contiguous word range of the seeded
 /// simulation: enough to stitch ranges back together exactly.
 struct WordRangeStats {
@@ -192,10 +129,13 @@ fn simulate_word_range(
     stats
 }
 
-/// Chunked, seed-split variant of [`simulate_activity`]: the `vectors`-long
-/// stream is cut into 64-lane words, each word's inputs are drawn from a
-/// generator seeded by `par::split_seed(master_seed, word_index)`, and word
-/// ranges are simulated on up to `threads` workers. Per-range `ones` /
+/// Simulate `vectors` random input vectors and estimate per-node activity.
+///
+/// The `vectors`-long stream is cut into 64-lane words (bit `k` of word `w`
+/// is vector `64·w + k`; transition counting follows that order, including
+/// across word boundaries), each word's inputs are drawn from a generator
+/// seeded by `par::split_seed(master_seed, word_index)`, and word ranges
+/// are simulated on up to `threads` workers. Per-range `ones` /
 /// `transitions` tallies are stitched in range order (adding the boundary
 /// transition between one range's last lane and the next range's first),
 /// so the estimate is **bit-identical at every thread count** — including
@@ -269,8 +209,7 @@ mod tests {
         .network;
         let probs = [0.3, 0.6, 0.5, 0.8];
         let act = analyze(&net, &probs, TransitionModel::StaticCmos);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        let sim = simulate_activity(&net, &probs, 60_000, &mut rng);
+        let sim = simulate_activity_seeded(&net, &probs, 60_000, 42, 1);
         for id in net.node_ids() {
             let dp = (act.p_one(id) - sim.p_one(id)).abs();
             let ds = (act.switching(id) - sim.switching(id)).abs();
@@ -290,8 +229,7 @@ mod tests {
         let net = parse_blif(".model t\n.inputs a\n.outputs f\n.names a f\n1 1\n.end\n")
             .unwrap()
             .network;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let sim = simulate_activity(&net, &[0.5], 100_001, &mut rng);
+        let sim = simulate_activity_seeded(&net, &[0.5], 100_001, 5, 1);
         let f = net.find("f").unwrap();
         assert!((sim.p_one(f) - 0.5).abs() < 0.01, "p_one {}", sim.p_one(f));
         assert!(
@@ -306,8 +244,7 @@ mod tests {
         let net = parse_blif(".model t\n.inputs a b\n.outputs f\n.names a b f\n11 1\n.end\n")
             .unwrap()
             .network;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let sim = simulate_activity(&net, &[1.0, 1.0], 100, &mut rng);
+        let sim = simulate_activity_seeded(&net, &[1.0, 1.0], 100, 1, 1);
         let f = net.find("f").unwrap();
         assert_eq!(sim.p_one(f), 1.0);
         assert_eq!(sim.switching(f), 0.0);
@@ -375,7 +312,6 @@ mod tests {
         let net = parse_blif(".model t\n.inputs a\n.outputs f\n.names a f\n1 1\n.end\n")
             .unwrap()
             .network;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        simulate_activity(&net, &[0.5], 1, &mut rng);
+        simulate_activity_seeded(&net, &[0.5], 1, 1, 1);
     }
 }

@@ -1,15 +1,14 @@
 //! Micro-benchmarks of the hot-path kernels the perf work targets:
-//! seeded activity simulation (serial vs chunked), structural matching
+//! seeded activity simulation (1, 2 and 4 threads), structural matching
 //! with a reused scratch [`Matcher`], incremental curve
 //! insertion + finalize, and technology decomposition.
 
-use activity::sim::{simulate_activity, simulate_activity_seeded};
+use activity::sim::simulate_activity_seeded;
 use activity::{analyze, TransitionModel};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lowpower::flow::optimize;
 use lowpower_core::decomp::{decompose_network, DecompOptions, DecompStyle};
 use lowpower_core::map::{Curve, Matcher, PatternSet, Point, SubjectAig};
-use rand::SeedableRng;
 use std::hint::black_box;
 
 fn decomposed(name: &str) -> netlist::Network {
@@ -22,12 +21,6 @@ fn bench_activity_sim(c: &mut Criterion) {
     let net = decomposed("s344");
     let probs = vec![0.5; net.inputs().len()];
     let mut g = c.benchmark_group("simulate_activity_s344_4096v");
-    g.bench_function("rng_stream", |b| {
-        b.iter(|| {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-            black_box(simulate_activity(&net, &probs, 4096, &mut rng))
-        })
-    });
     for threads in [1usize, 2, 4] {
         g.bench_with_input(
             BenchmarkId::new("seeded", threads),

@@ -11,23 +11,21 @@
 //!   cargo run --release -p lowpower-bench --bin tables23 [-- options]
 //! Options:
 //!   --circuits a,b,c     subset of suite circuits
-//!   --power-method 2     use Method 2 bookkeeping (ablation, §3.1)
-//!   --no-fanout-division disable the §3.3 DAG heuristic (ablation)
 //!   --threads N          worker threads for the (circuit × method) cells
 //!                        (default: PAR_THREADS or the machine's cores);
 //!                        the output is byte-identical at any setting
+//!
+//! The §3.1 power bookkeeping and §3.3 fanout-division switches are
+//! measured by the `ablation` bin.
 
 use benchgen::{paper_suite, suite_circuit};
 use genlib::builtin::lib2_like;
 use lowpower::flow::{optimize, run_method, FlowConfig, Method};
 use lowpower_bench::{summarize, SuiteRow};
-use lowpower_core::map::PowerMethod;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut circuits: Option<Vec<String>> = None;
-    let mut power_method = PowerMethod::InputLoads;
-    let mut fanout_division = true;
     let mut threads: Option<usize> = None;
     let mut i = 0;
     while i < args.len() {
@@ -40,13 +38,6 @@ fn main() {
                 i += 1;
                 threads = Some(args[i].parse().expect("--threads takes a number"));
             }
-            "--power-method" => {
-                i += 1;
-                if args[i] == "2" {
-                    power_method = PowerMethod::OutputLoad;
-                }
-            }
-            "--no-fanout-division" => fanout_division = false,
             other => {
                 eprintln!("unknown option `{other}`");
                 std::process::exit(2);
@@ -76,12 +67,8 @@ fn main() {
         .collect();
     let results: Vec<(f64, f64, f64)> = par::scope_map(threads, &cells, |_, &(ci, m)| {
         let name = selected[ci];
-        let mut r = run_method(&optimized[ci], &lib, m, &cfg)
+        let r = run_method(&optimized[ci], &lib, m, &cfg)
             .unwrap_or_else(|e| panic!("method {m} failed on {name}: {e}"));
-        // apply ablation switches by re-running with modified options
-        if power_method == PowerMethod::OutputLoad || !fanout_division {
-            r = rerun_with(&optimized[ci], &lib, m, &cfg, power_method, fanout_division);
-        }
         (r.report.area, r.report.delay, r.glitch_power_uw)
     });
     let rows: Vec<SuiteRow> = selected
@@ -133,66 +120,6 @@ fn main() {
         "  pd-map delay (IV-VI vs I-III):                 {:>7.1} %   -1.1 %",
         s.pdmap_delay_pct
     );
-}
-
-fn rerun_with(
-    optimized: &netlist::Network,
-    lib: &genlib::Library,
-    method: Method,
-    cfg: &FlowConfig,
-    power_method: PowerMethod,
-    fanout_division: bool,
-) -> lowpower::flow::MethodResult {
-    use activity::analyze;
-    use lowpower_core::decomp::{decompose_network, DecompOptions};
-    use lowpower_core::map::{map_network, MapOptions, SubjectAig};
-    use lowpower_core::power::evaluate;
-    let pi_probs = vec![0.5; optimized.inputs().len()];
-    let dopts = DecompOptions {
-        style: method.decomp_style(),
-        model: cfg.model,
-        pi_probs: Some(pi_probs.clone()),
-        required_time: None,
-        use_correlations: false,
-    };
-    let d = decompose_network(optimized, &dopts);
-    let act = analyze(&d.network, &pi_probs, cfg.model);
-    let sw = act.total_switching(d.network.logic_ids());
-    let aig = SubjectAig::from_network(&d.network, &act).expect("subject");
-    let mopts = MapOptions {
-        objective: method.map_objective(),
-        power_method,
-        dag_fanout_division: fanout_division,
-        epsilon: cfg.epsilon,
-        model: cfg.model,
-        env: cfg.env,
-        po_load: cfg.po_load,
-        required_time: None,
-    };
-    let mapped = map_network(&aig, lib, &mopts).expect("map");
-    let report = evaluate(&mapped, lib, &cfg.env, cfg.model, cfg.po_load);
-    let glitch = lowpower_core::power::simulate_glitch_power(
-        &mapped,
-        lib,
-        &cfg.env,
-        &pi_probs,
-        cfg.sim_vectors,
-        cfg.sim_seed,
-        cfg.po_load,
-        cfg.sim_threads,
-    );
-    let provenance = qor::Provenance::from_decomposed(&d);
-    lowpower::flow::MethodResult {
-        report,
-        glitch_power_uw: glitch.power_uw,
-        decomp_depth: d.depth,
-        decomp_switching: sw,
-        mapped,
-        lint_findings: Vec::new(),
-        obs: None,
-        qor: None,
-        provenance,
-    }
 }
 
 fn print_table(title: &str, rows: &[SuiteRow], cols: &[(usize, &str)]) {

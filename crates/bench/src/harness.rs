@@ -1,8 +1,4 @@
-//! Table 2/3 harness: run all six methods per circuit, compute summaries.
-
-use genlib::Library;
-use lowpower::flow::{optimize, run_method, FlowConfig, Method};
-use netlist::Network;
+//! Table 2/3 harness: per-circuit result rows and the Section 4 summaries.
 
 /// The six (area, delay, power) triples of one circuit, in method order.
 #[derive(Debug, Clone)]
@@ -11,48 +7,6 @@ pub struct SuiteRow {
     pub name: String,
     /// Per-method `(gate area, delay ns, average power µW)`.
     pub methods: Vec<(f64, f64, f64)>,
-}
-
-/// Run all six methods (or a subset) on one circuit.
-///
-/// # Panics
-/// Panics when a method fails end-to-end — the suite circuits are
-/// guaranteed mappable.
-pub fn run_suite_row(
-    net: &Network,
-    lib: &Library,
-    cfg: &FlowConfig,
-    methods: &[Method],
-) -> SuiteRow {
-    let optimized = optimize(net);
-    // Common timing target for every method: the delay achieved by the
-    // conventional ad-map flow (method I) when pushed to its fastest — the
-    // paper's "no performance degradation" comparison point.
-    let cfg = match cfg.required_time {
-        Some(_) => cfg.clone(),
-        None => {
-            let probe = run_method(&optimized, lib, Method::I, cfg)
-                .unwrap_or_else(|e| panic!("method I failed on {}: {e}", net.name()));
-            // 10 % slack over the conventional flow's fastest estimate gives
-            // every method room to trade speed for area/power, like the
-            // paper's "given timing constraints".
-            let target = probe.mapped.estimated_fastest * 1.10;
-            FlowConfig {
-                required_time: Some(target),
-                ..cfg.clone()
-            }
-        }
-    };
-    let mut rows = Vec::with_capacity(methods.len());
-    for &m in methods {
-        let r = run_method(&optimized, lib, m, &cfg)
-            .unwrap_or_else(|e| panic!("method {m} failed on {}: {e}", net.name()));
-        rows.push((r.report.area, r.report.delay, r.glitch_power_uw));
-    }
-    SuiteRow {
-        name: net.name().to_string(),
-        methods: rows,
-    }
 }
 
 /// The Section 4 summary claims, as geometric-mean ratios in percent.
@@ -141,28 +95,6 @@ pub fn summarize(rows: &[SuiteRow]) -> Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use genlib::builtin::lib2_like;
-
-    #[test]
-    fn one_small_circuit_all_methods() {
-        let net = benchgen::suite_circuit("cm42a");
-        let lib = lib2_like();
-        let cfg = FlowConfig::default();
-        let row = run_suite_row(&net, &lib, &cfg, &Method::ALL);
-        assert_eq!(row.methods.len(), 6);
-        for &(a, d, p) in &row.methods {
-            assert!(a > 0.0 && d > 0.0 && p > 0.0);
-        }
-        // pd-map (IV) must not dissipate meaningfully more power than
-        // ad-map (I); the glitch simulation is stochastic, so allow a 10 %
-        // band (cm42a's covers are nearly identical under both objectives).
-        assert!(
-            row.methods[3].2 <= row.methods[0].2 * 1.10,
-            "pd-map power {} vs ad-map {}",
-            row.methods[3].2,
-            row.methods[0].2
-        );
-    }
 
     #[test]
     fn summary_math() {

@@ -5,10 +5,12 @@
 //! * `tables23` — methods I–VI over the benchmark suite (paper Tables 2–3)
 //!   plus the summary claims of Section 4.
 //! * `figure1`  — the worked 4-input AND example of Figure 1.
+//! * `ablation` — the design choices of §3.1 and §3.3 (power bookkeeping,
+//!   fanout-count cost division, ε-pruning) switched one at a time.
 //!
 //! Criterion benches (in `benches/`) measure runtime scaling of the
 //! decomposition algorithms, the BDD probability engine and the mapper.
 
 pub mod harness;
 
-pub use harness::{run_suite_row, summarize, SuiteRow, Summary};
+pub use harness::{summarize, SuiteRow, Summary};

@@ -1,19 +1,29 @@
 //! Debug-build pass certifier.
 //!
 //! [`certified_pass`] wraps a network transformation with a lint run
-//! before and after. In debug builds (tests, development) a pass that
-//! *introduces* an `Error`-severity finding panics at its source with the
-//! rendered report — instead of corrupting state that only fails three
-//! stages later in the mapper. In release builds the wrappers compile to
-//! plain calls with zero overhead.
-//!
-//! Drop-in wrappers are provided for every `logicopt` pass and for
-//! network decomposition; `flow` routes through them.
+//! before and after, and [`certified_decomposition`] does the same for
+//! network decomposition (adding the `DEC*` rules on its result). In debug
+//! builds (tests, development) a pass that *introduces* an `Error`-severity
+//! finding panics at its source with the rendered report — instead of
+//! corrupting state that only fails three stages later in the mapper. In
+//! release builds both compile to plain calls with zero overhead.
 
 #[cfg(debug_assertions)]
 use crate::{lint_decomposed, lint_network, LintConfig};
-use lowpower_core::decomp::{DecompOptions, DecomposedNetwork};
+use lowpower_core::decomp::DecomposedNetwork;
 use netlist::Network;
+
+/// Panic when `net` already carries `Error`-severity findings before
+/// `what` runs.
+#[cfg(debug_assertions)]
+fn assert_clean_input(what: &str, net: &Network) {
+    let before = lint_network(net, &LintConfig::new());
+    assert!(
+        !before.has_errors(),
+        "lint: input to {what} already violates invariants\n{}",
+        before.render_text()
+    );
+}
 
 /// Run `pass` over `net`, linting before and after in debug builds.
 ///
@@ -23,21 +33,12 @@ use netlist::Network;
 /// network) or if the pass introduces any (the pass is buggy). Release
 /// builds never lint and never panic.
 pub fn certified_pass<R>(
-    label: &'static str,
+    label: &str,
     net: &mut Network,
     pass: impl FnOnce(&mut Network) -> R,
 ) -> R {
-    let _span = obs::span!(label);
-    obs::counter!("logicopt.pass.runs");
     #[cfg(debug_assertions)]
-    {
-        let before = lint_network(net, &LintConfig::new());
-        assert!(
-            !before.has_errors(),
-            "lint: input to pass `{label}` already violates invariants\n{}",
-            before.render_text()
-        );
-    }
+    assert_clean_input(&format!("pass `{label}`"), net);
     let result = pass(net);
     #[cfg(debug_assertions)]
     {
@@ -48,76 +49,34 @@ pub fn certified_pass<R>(
             after.render_text()
         );
     }
+    #[cfg(not(debug_assertions))]
+    let _ = label;
     result
 }
 
-/// Certified [`logicopt::sweep`].
-pub fn sweep(net: &mut Network) -> logicopt::sweep::SweepReport {
-    certified_pass("sweep", net, logicopt::sweep::sweep)
-}
-
-/// Certified [`logicopt::simplify_network`].
-pub fn simplify_network(net: &mut Network) -> logicopt::simplify::SimplifyReport {
-    certified_pass("simplify", net, logicopt::simplify::simplify_network)
-}
-
-/// Certified [`logicopt::eliminate::eliminate`].
-pub fn eliminate(net: &mut Network, threshold: i64) -> logicopt::eliminate::EliminateReport {
-    certified_pass("eliminate", net, |n| {
-        logicopt::eliminate::eliminate(n, threshold)
-    })
-}
-
-/// Certified [`logicopt::extract`].
-pub fn extract(net: &mut Network, max_rounds: usize) -> logicopt::ExtractReport {
-    certified_pass("extract", net, |n| logicopt::extract(n, max_rounds))
-}
-
-/// Certified [`logicopt::rugged_like`] (the whole script as one unit; the
-/// constituent passes re-lint individually when called through the
-/// wrappers above). When a [`qor::Session`] is live on this thread, a QoR
-/// snapshot is recorded after every constituent pass
-/// ([`logicopt::rugged_like_with`]'s hook), labelled
-/// `optimize.<round>.<pass>`, so each pass's power/area delta lands in the
-/// ledger individually.
-pub fn rugged_like(net: &mut Network) -> logicopt::ScriptReport {
-    certified_pass("rugged_like", net, |n| {
-        logicopt::rugged_like_with(n, &mut |label, after| {
-            qor::snapshot_network(&format!("optimize.{label}"), after);
-        })
-    })
-}
-
-/// Certified [`lowpower_core::decomp::decompose_network`]: in debug
-/// builds the input network is linted first and the full decomposition
-/// result (network rules plus `DEC*` rules) afterwards.
+/// Run `decompose` on `net`, linting the input network first and the full
+/// decomposition result (network rules plus `DEC*` rules) afterwards in
+/// debug builds.
 ///
 /// # Panics
 /// In debug builds, panics when either side carries `Error`-severity
 /// findings; see [`certified_pass`].
-pub fn decompose_network(net: &Network, opts: &DecompOptions) -> DecomposedNetwork {
-    let _span = obs::span!("decompose");
+pub fn certified_decomposition(
+    net: &Network,
+    decompose: impl FnOnce(&Network) -> DecomposedNetwork,
+) -> DecomposedNetwork {
     #[cfg(debug_assertions)]
-    {
-        let before = lint_network(net, &LintConfig::new());
-        assert!(
-            !before.has_errors(),
-            "lint: input to decomposition already violates invariants\n{}",
-            before.render_text()
-        );
-    }
-    let decomposed = lowpower_core::decomp::decompose_network(net, opts);
+    assert_clean_input("decomposition", net);
+    let decomposed = decompose(net);
     #[cfg(debug_assertions)]
     {
         let after = lint_decomposed(&decomposed, &LintConfig::new());
         assert!(
             !after.has_errors(),
-            "lint: decomposition ({:?}) introduced invariant violations\n{}",
-            opts.style,
+            "lint: decomposition introduced invariant violations\n{}",
             after.render_text()
         );
     }
-    qor::snapshot_decomposed("decompose", &decomposed);
     decomposed
 }
 
@@ -140,12 +99,21 @@ mod tests {
     #[test]
     fn certified_passes_run_clean() {
         let mut n = net();
-        rugged_like(&mut n);
+        certified_pass("rugged_like", &mut n, logicopt::rugged_like);
         let mut n = net();
-        sweep(&mut n);
-        simplify_network(&mut n);
-        eliminate(&mut n, -1);
-        extract(&mut n, 0);
+        certified_pass("sweep", &mut n, logicopt::sweep::sweep);
+        certified_pass("simplify", &mut n, logicopt::simplify::simplify_network);
+        certified_pass("eliminate", &mut n, |n| {
+            logicopt::eliminate::eliminate(n, -1)
+        });
+        certified_pass("extract", &mut n, |n| logicopt::extract(n, 0));
+        let style = lowpower_core::decomp::DecompStyle::MinPower;
+        certified_decomposition(&n, |n| {
+            lowpower_core::decomp::decompose_network(
+                n,
+                &lowpower_core::decomp::DecompOptions::new(style),
+            )
+        });
     }
 
     #[test]

@@ -29,10 +29,9 @@
 //!   [0, 1] and switching within the transition-model bound
 //!   0 ≤ E ≤ 2p(1−p) for static CMOS (paper eqs. 10–11).
 //!
-//! The [`certify`] module wraps `logicopt` passes and network
-//! decomposition with before/after lint runs in debug builds, so a pass
-//! that corrupts an invariant fails loudly at its source instead of three
-//! stages later.
+//! The [`certify`] module wraps a network pass or a decomposition with
+//! before/after lint runs in debug builds, so a pass that corrupts an
+//! invariant fails loudly at its source instead of three stages later.
 
 #![warn(missing_docs)]
 

@@ -7,13 +7,12 @@
 //!
 //! Run with: `cargo run --release --example power_estimation`
 
-use activity::{analyze, simulate_activity, PowerEnv, TransitionModel};
+use activity::{analyze, simulate_activity_seeded, PowerEnv, TransitionModel};
 use benchgen::structured::ripple_adder;
 use genlib::builtin::lib2_like;
 use lowpower::core::decomp::{decompose_network, DecompOptions, DecompStyle};
 use lowpower::core::map::{map_network, MapOptions, SubjectAig};
 use lowpower::core::power::{evaluate, simulate_glitch_power};
-use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let net = ripple_adder(8);
@@ -21,8 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Zero-delay analytic vs Monte-Carlo on the unmapped network.
     let act = analyze(&net, &pi_probs, TransitionModel::StaticCmos);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(2024);
-    let sim = simulate_activity(&net, &pi_probs, 20_000, &mut rng);
+    let sim = simulate_activity_seeded(&net, &pi_probs, 20_000, 2024, 1);
     let mut worst = 0.0f64;
     for id in net.node_ids() {
         worst = worst.max((act.switching(id) - sim.switching(id)).abs());

@@ -13,7 +13,7 @@ use activity::{analyze, PowerEnv, TransitionModel};
 use genlib::Library;
 use lint::{lint_activity, lint_decomposed, lint_library, lint_mapped, lint_network};
 use lint::{LintConfig, LintLevel, LintReport};
-use lowpower_core::decomp::{DecompOptions, DecompStyle};
+use lowpower_core::decomp::{decompose_network, DecompOptions, DecompStyle};
 use lowpower_core::map::{map_network, MapObjective, MapOptions, SubjectAig};
 use lowpower_core::power::{evaluate, MappedReport};
 use netlist::Network;
@@ -156,14 +156,16 @@ impl Default for FlowConfig {
     }
 }
 
-/// The QoR measurement context matching this flow configuration, so
-/// ledger numbers agree exactly with the flow's own evaluation.
-fn qor_ctx(cfg: &FlowConfig) -> qor::Ctx {
-    qor::Ctx {
-        pi_probs: cfg.pi_probs.clone(),
-        model: cfg.model,
-        env: cfg.env,
-        po_load: cfg.po_load,
+impl FlowConfig {
+    /// The QoR measurement context matching this flow configuration, so
+    /// ledger numbers agree exactly with the flow's own evaluation.
+    pub fn qor_ctx(&self) -> qor::Ctx {
+        qor::Ctx {
+            pi_probs: self.pi_probs.clone(),
+            model: self.model,
+            env: self.env,
+            po_load: self.po_load,
+        }
     }
 }
 
@@ -232,27 +234,6 @@ impl From<lowpower_core::map::MapError> for FlowError {
     }
 }
 
-/// Run one verification checkpoint: compare `before` and `after` at
-/// `cfg.verify` level, turning any disagreement into a [`FlowError`].
-fn checkpoint(
-    stage: &'static str,
-    before: &Network,
-    after: &Network,
-    outputs: OutputPolicy,
-    cfg: &FlowConfig,
-) -> Result<(), FlowError> {
-    let _span = obs::span!("verify", "{stage}");
-    let opts = VerifyOptions::at_level(cfg.verify).with_outputs(outputs);
-    match check_equiv(before, after, &opts) {
-        Ok(Verdict::NotEquivalent(counterexample)) => Err(FlowError::Verify {
-            stage,
-            counterexample,
-        }),
-        Ok(_) => Ok(()),
-        Err(error) => Err(FlowError::VerifySetup { stage, error }),
-    }
-}
-
 /// Lint findings of one flow stage.
 #[derive(Debug, Clone)]
 pub struct StageLint {
@@ -263,37 +244,115 @@ pub struct StageLint {
     pub report: LintReport,
 }
 
-/// Run one lint checkpoint: at [`LintLevel::Deny`], `Error`-severity
-/// findings abort the flow; otherwise non-empty reports accumulate in
-/// `findings`. The caller guards on `cfg.lint != Off` so reports are never
-/// computed when linting is disabled.
-fn lint_checkpoint(
-    stage: &'static str,
-    report: LintReport,
-    cfg: &FlowConfig,
-    findings: &mut Vec<StageLint>,
-) -> Result<(), FlowError> {
-    if cfg.lint == LintLevel::Deny && report.has_errors() {
-        return Err(FlowError::Lint {
-            stage,
-            report: Box::new(report),
-        });
+/// An equivalence check of one stage's result against its input, run at
+/// the given options.
+type EquivCheck<'a> = &'a dyn Fn(&VerifyOptions) -> Result<Verdict, verify::VerifyError>;
+
+/// The cross-cutting checks of one run, applied the same way after every
+/// stage, plus the lint findings gathered so far.
+struct Checkpoints<'c> {
+    cfg: &'c FlowConfig,
+    lint_cfg: LintConfig,
+    findings: Vec<StageLint>,
+}
+
+impl<'c> Checkpoints<'c> {
+    fn new(cfg: &'c FlowConfig) -> Self {
+        Checkpoints {
+            cfg,
+            lint_cfg: LintConfig::new(),
+            findings: Vec::new(),
+        }
     }
-    if !report.is_clean() {
-        findings.push(StageLint { stage, report });
+
+    /// The checkpoint after `stage`. When `cfg.verify` is not
+    /// [`VerifyLevel::Off`], `equiv` (if the stage transforms a network)
+    /// runs under a `verify` span and any disagreement aborts the flow.
+    /// When `cfg.lint` is not [`LintLevel::Off`], `lint` runs under a
+    /// `lint` span: at [`LintLevel::Deny`] `Error`-severity findings abort
+    /// the flow; otherwise a non-empty report is kept.
+    fn check(
+        &mut self,
+        stage: &'static str,
+        equiv: Option<EquivCheck<'_>>,
+        lint: impl FnOnce(&LintConfig) -> LintReport,
+    ) -> Result<(), FlowError> {
+        if let Some(equiv) = equiv.filter(|_| self.cfg.verify != VerifyLevel::Off) {
+            let _span = obs::span!("verify", "{stage}");
+            let opts = VerifyOptions::at_level(self.cfg.verify).with_outputs(OutputPolicy::Exact);
+            match equiv(&opts) {
+                Ok(Verdict::NotEquivalent(counterexample)) => {
+                    return Err(FlowError::Verify {
+                        stage,
+                        counterexample,
+                    })
+                }
+                Ok(_) => {}
+                Err(error) => return Err(FlowError::VerifySetup { stage, error }),
+            }
+        }
+        if self.cfg.lint == LintLevel::Off {
+            return Ok(());
+        }
+        let report = {
+            let _span = obs::span!("lint", "{stage}");
+            lint(&self.lint_cfg)
+        };
+        if self.cfg.lint == LintLevel::Deny && report.has_errors() {
+            return Err(FlowError::Lint {
+                stage,
+                report: Box::new(report),
+            });
+        }
+        if !report.is_clean() {
+            self.findings.push(StageLint { stage, report });
+        }
+        Ok(())
     }
-    Ok(())
+
+    /// The optimize stage and its checkpoint.
+    fn optimize(&mut self, net: &Network) -> Result<Network, FlowError> {
+        let optimized = optimize(net);
+        self.check(
+            "optimize",
+            Some(&|o| check_equiv(net, &optimized, o)),
+            |c| lint_network(&optimized, c),
+        )?;
+        Ok(optimized)
+    }
 }
 
 /// Optimize a network with the rugged-like script (shared starting point of
-/// all methods, as in the paper's Section 4). In debug builds the script
+/// all methods, as in the paper's Section 4). When a [`qor::Session`] is
+/// live on this thread, a QoR snapshot is recorded after every pass of the
+/// script, labelled `optimize.<round>.<pass>`. In debug builds the script
 /// runs under the lint certifier and panics if it corrupts a structural
 /// invariant.
 pub fn optimize(net: &Network) -> Network {
     let _span = obs::span!("optimize");
     let mut n = net.clone();
-    lint::certify::rugged_like(&mut n);
+    lint::certify::certified_pass("rugged_like", &mut n, |n| {
+        logicopt::rugged_like_with(n, &mut |label, after| {
+            qor::snapshot_network(&format!("optimize.{label}"), after);
+        })
+    });
     n
+}
+
+/// [`optimize`] followed by the flow's optimize checkpoint: verification
+/// against `net` and lint at the levels of `cfg`. Returns the optimized
+/// network and the checkpoint's lint findings, so a caller running several
+/// methods on one optimized network checks it once.
+///
+/// # Errors
+/// Returns [`FlowError`] when the checkpoint fails.
+pub fn optimize_checked(
+    net: &Network,
+    cfg: &FlowConfig,
+) -> Result<(Network, Vec<StageLint>), FlowError> {
+    let mut checks = Checkpoints::new(cfg);
+    let optimized = checks.optimize(net)?;
+    Ok((optimized, checks.findings))
 }
 
 /// Split constant-driven primary outputs from a decomposed network: the
@@ -398,68 +457,81 @@ pub struct MethodResult {
 ///
 /// # Errors
 /// Returns [`FlowError`] when the network cannot be mapped (e.g. constant
-/// outputs survive optimization).
+/// outputs survive optimization) or a checkpoint fails.
 pub fn run_method(
     optimized: &Network,
     lib: &Library,
     method: Method,
     cfg: &FlowConfig,
 ) -> Result<MethodResult, FlowError> {
-    if cfg.obs != obs::ObsMode::Off && !obs::active() {
-        let session = obs::Session::start();
-        let result = run_method_qor(optimized, lib, method, cfg);
-        let report = session.finish();
-        return result.map(|mut r| {
-            r.obs = Some(report);
-            r
-        });
-    }
-    run_method_qor(optimized, lib, method, cfg)
+    with_sessions(optimized, "optimized", method, cfg, || {
+        let mut checks = Checkpoints::new(cfg);
+        checks.check("library", None, |c| lint_library(lib, c))?;
+        method_stages(optimized, lib, method, checks)
+    })
 }
 
-/// QoR-session ownership layer of [`run_method`]: starts a ledger session
-/// (initial snapshot = the optimized input) unless the caller already has
-/// one live on this thread.
-fn run_method_qor(
-    optimized: &Network,
+/// Optimize, then run a single method from raw BLIF-level input.
+///
+/// # Errors
+/// See [`run_method`].
+pub fn run_flow(
+    net: &Network,
     lib: &Library,
     method: Method,
     cfg: &FlowConfig,
 ) -> Result<MethodResult, FlowError> {
-    if cfg.qor && !qor::active() {
-        let session = qor::Session::start(optimized.name(), &method.to_string(), qor_ctx(cfg));
-        qor::snapshot_network("optimized", optimized);
-        let result = run_method_inner(optimized, lib, method, cfg);
-        let report = session.finish();
-        return result.map(|mut r| {
-            r.qor = Some(report);
-            r
-        });
-    }
-    run_method_inner(optimized, lib, method, cfg)
+    with_sessions(net, "initial", method, cfg, || {
+        let mut checks = Checkpoints::new(cfg);
+        checks.check("library", None, |c| lint_library(lib, c))?;
+        let optimized = checks.optimize(net)?;
+        method_stages(&optimized, lib, method, checks)
+    })
 }
 
-fn run_method_inner(
+/// Run `body` under the recording sessions `cfg` asks for. An obs session
+/// starts when [`FlowConfig::obs`] is not [`obs::ObsMode::Off`] and a QoR
+/// ledger when [`FlowConfig::qor`] is set, each only if the caller has none
+/// live on this thread (otherwise events flow into the caller's session).
+/// The ledger opens with a snapshot of `input` labelled `opening`; the
+/// reports of the sessions started here land in the result.
+fn with_sessions(
+    input: &Network,
+    opening: &str,
+    method: Method,
+    cfg: &FlowConfig,
+    body: impl FnOnce() -> Result<MethodResult, FlowError>,
+) -> Result<MethodResult, FlowError> {
+    let obs_session = (cfg.obs != obs::ObsMode::Off && !obs::active()).then(obs::Session::start);
+    let qor_session = (cfg.qor && !qor::active()).then(|| {
+        let session = qor::Session::start(input.name(), &method.to_string(), cfg.qor_ctx());
+        qor::snapshot_network(opening, input);
+        session
+    });
+    let result = body();
+    let qor = qor_session.map(qor::Session::finish);
+    let obs = obs_session.map(obs::Session::finish);
+    let mut result = result?;
+    result.qor = qor;
+    result.obs = obs;
+    Ok(result)
+}
+
+/// The stages of one method after optimization: decompose, activity, map,
+/// evaluate, each followed by its checkpoint.
+fn method_stages(
     optimized: &Network,
     lib: &Library,
     method: Method,
-    cfg: &FlowConfig,
+    mut checks: Checkpoints<'_>,
 ) -> Result<MethodResult, FlowError> {
+    let cfg = checks.cfg;
     let _method_span = obs::span!("method", "{method}");
     obs::counter!("flow.methods");
     let pi_probs = cfg
         .pi_probs
         .clone()
         .unwrap_or_else(|| vec![0.5; optimized.inputs().len()]);
-    let mut lint_findings = Vec::new();
-    let lint_cfg = LintConfig::new();
-    if cfg.lint != LintLevel::Off {
-        let report = {
-            let _s = obs::span!("lint", "library");
-            lint_library(lib, &lint_cfg)
-        };
-        lint_checkpoint("library", report, cfg, &mut lint_findings)?;
-    }
     let dopts = DecompOptions {
         style: method.decomp_style(),
         model: cfg.model,
@@ -467,21 +539,17 @@ fn run_method_inner(
         required_time: None,
         use_correlations: cfg.use_correlations,
     };
-    let decomposed = lint::certify::decompose_network(optimized, &dopts);
-    checkpoint(
+    let decomposed = {
+        let _s = obs::span!("decompose");
+        let d = lint::certify::certified_decomposition(optimized, |n| decompose_network(n, &dopts));
+        qor::snapshot_decomposed("decompose", &d);
+        d
+    };
+    checks.check(
         "decompose",
-        optimized,
-        &decomposed.network,
-        OutputPolicy::Exact,
-        cfg,
+        Some(&|o| check_equiv(optimized, &decomposed.network, o)),
+        |c| lint_decomposed(&decomposed, c),
     )?;
-    if cfg.lint != LintLevel::Off {
-        let report = {
-            let _s = obs::span!("lint", "decompose");
-            lint_decomposed(&decomposed, &lint_cfg)
-        };
-        lint_checkpoint("decompose", report, cfg, &mut lint_findings)?;
-    }
     let provenance = qor::Provenance::from_decomposed(&decomposed);
     let (mappable, _const_outputs) = strip_constant_outputs(&decomposed.network);
     qor::snapshot_network("strip_const", &mappable);
@@ -489,13 +557,7 @@ fn run_method_inner(
         let _s = obs::span!("activity");
         analyze(&mappable, &pi_probs, cfg.model)
     };
-    if cfg.lint != LintLevel::Off {
-        let report = {
-            let _s = obs::span!("lint", "activity");
-            lint_activity(&mappable, &act, &lint_cfg)
-        };
-        lint_checkpoint("activity", report, cfg, &mut lint_findings)?;
-    }
+    checks.check("activity", None, |c| lint_activity(&mappable, &act, c))?;
     let decomp_switching = act.total_switching(mappable.logic_ids());
     let aig = SubjectAig::from_network(&mappable, &act)?;
     let mopts = MapOptions {
@@ -512,17 +574,11 @@ fn run_method_inner(
         map_network(&aig, lib, &mopts)?
     };
     qor::snapshot_mapped("map", &mapped, lib);
-    if cfg.verify != VerifyLevel::Off {
-        let view = mapped.to_network(lib, mappable.name());
-        checkpoint("map", &mappable, &view, OutputPolicy::Exact, cfg)?;
-    }
-    if cfg.lint != LintLevel::Off {
-        let report = {
-            let _s = obs::span!("lint", "map");
-            lint_mapped(&mapped, lib, cfg.po_load, &lint_cfg)
-        };
-        lint_checkpoint("map", report, cfg, &mut lint_findings)?;
-    }
+    checks.check(
+        "map",
+        Some(&|o| check_equiv(&mappable, &mapped.to_network(lib, mappable.name()), o)),
+        |c| lint_mapped(&mapped, lib, cfg.po_load, c),
+    )?;
     let report = {
         let _s = obs::span!("evaluate");
         evaluate(&mapped, lib, &cfg.env, cfg.model, cfg.po_load)
@@ -546,75 +602,9 @@ fn run_method_inner(
         decomp_depth: decomposed.depth,
         decomp_switching,
         mapped,
-        lint_findings,
+        lint_findings: checks.findings,
         obs: None,
         qor: None,
         provenance,
     })
-}
-
-/// Convenience: optimize then run a single method from raw BLIF-level input.
-///
-/// # Errors
-/// See [`run_method`].
-pub fn run_flow(
-    net: &Network,
-    lib: &Library,
-    method: Method,
-    cfg: &FlowConfig,
-) -> Result<MethodResult, FlowError> {
-    if cfg.obs != obs::ObsMode::Off && !obs::active() {
-        let session = obs::Session::start();
-        let result = run_flow_qor(net, lib, method, cfg);
-        let report = session.finish();
-        return result.map(|mut r| {
-            r.obs = Some(report);
-            r
-        });
-    }
-    run_flow_qor(net, lib, method, cfg)
-}
-
-/// QoR-session ownership layer of [`run_flow`]: the ledger opens on the
-/// raw input network (`"initial"` snapshot), so the optimization passes'
-/// deltas are attributed too.
-fn run_flow_qor(
-    net: &Network,
-    lib: &Library,
-    method: Method,
-    cfg: &FlowConfig,
-) -> Result<MethodResult, FlowError> {
-    if cfg.qor && !qor::active() {
-        let session = qor::Session::start(net.name(), &method.to_string(), qor_ctx(cfg));
-        qor::snapshot_network("initial", net);
-        let result = run_flow_inner(net, lib, method, cfg);
-        let report = session.finish();
-        return result.map(|mut r| {
-            r.qor = Some(report);
-            r
-        });
-    }
-    run_flow_inner(net, lib, method, cfg)
-}
-
-fn run_flow_inner(
-    net: &Network,
-    lib: &Library,
-    method: Method,
-    cfg: &FlowConfig,
-) -> Result<MethodResult, FlowError> {
-    let optimized = optimize(net);
-    checkpoint("optimize", net, &optimized, OutputPolicy::Exact, cfg)?;
-    let mut pre_findings = Vec::new();
-    if cfg.lint != LintLevel::Off {
-        let report = {
-            let _s = obs::span!("lint", "optimize");
-            lint_network(&optimized, &LintConfig::new())
-        };
-        lint_checkpoint("optimize", report, cfg, &mut pre_findings)?;
-    }
-    let mut result = run_method(&optimized, lib, method, cfg)?;
-    pre_findings.append(&mut result.lint_findings);
-    result.lint_findings = pre_findings;
-    Ok(result)
 }

@@ -62,7 +62,9 @@
 //! mapped gates — with power shares — that trace back to it.
 
 use genlib::{builtin::lib2_like, Library};
-use lowpower::flow::{optimize, run_method, FlowConfig, Method, StageLint};
+use lowpower::flow::{
+    optimize, optimize_checked, run_flow, run_method, FlowConfig, Method, StageLint,
+};
 use lowpower::lint::LintLevel;
 use lowpower::obs::ObsMode;
 use lowpower::verify::VerifyLevel;
@@ -399,22 +401,6 @@ fn print_findings(findings: &[StageLint], json: bool, obs_owns_stdout: bool) {
     }
 }
 
-/// Check the stand-alone optimize step (the in-flow checkpoints cover
-/// decompose and map) at the requested level.
-fn check_optimize(
-    net: &netlist::Network,
-    optimized: &netlist::Network,
-    level: VerifyLevel,
-) -> Result<(), String> {
-    use lowpower::verify::{check_equiv, Verdict, VerifyOptions};
-    match check_equiv(net, optimized, &VerifyOptions::at_level(level))
-        .map_err(|e| format!("optimize verification impossible: {e}"))?
-    {
-        Verdict::NotEquivalent(cex) => Err(format!("optimize is not function-preserving: {cex}")),
-        _ => Ok(()),
-    }
-}
-
 fn synth(o: &Opts) -> Result<(), String> {
     let say = |line: String| {
         if stdout_owned_by_obs(o) {
@@ -433,23 +419,11 @@ fn synth(o: &Opts) -> Result<(), String> {
         qor: o.qor != QorMode::Off,
         ..FlowConfig::default()
     };
-    // The CLI owns the qor session (like the obs one) so the ledger opens
-    // on the raw input network and covers the stand-alone optimize step
-    // below; `run_method` sees it active and rides along.
-    let qsession = (o.qor != QorMode::Off).then(|| {
-        lowpower::qor::Session::start(net.name(), &o.method.to_string(), qor_cli_ctx(&cfg))
-    });
-    if qsession.is_some() {
-        lowpower::qor::snapshot_network("initial", &net);
-    }
-    let optimized = optimize(&net);
-    check_optimize(&net, &optimized, o.verify)?;
-    let r = run_method(&optimized, &lib, o.method, &cfg).map_err(|e| e.to_string())?;
-    if let Some(session) = qsession {
-        let ledger = session.finish();
-        write_qor_ledger(o, &ledger)?;
+    let r = run_flow(&net, &lib, o.method, &cfg).map_err(|e| e.to_string())?;
+    if let Some(ledger) = &r.qor {
+        write_qor_ledger(o, ledger)?;
         if o.qor == QorMode::Gate {
-            qor_gate(o, &ledger)?;
+            qor_gate(o, ledger)?;
         }
     }
     print_findings(&r.lint_findings, false, stdout_owned_by_obs(o));
@@ -489,19 +463,19 @@ fn report(o: &Opts) -> Result<(), String> {
         }
     };
     let (net, lib) = load_inputs(o)?;
-    let optimized = optimize(&net);
-    check_optimize(&net, &optimized, o.verify)?;
-    // Shared timing target as in the paper harness.
-    let probe = run_method(&optimized, &lib, Method::I, &FlowConfig::default())
-        .map_err(|e| e.to_string())?;
-    let cfg = FlowConfig {
-        required_time: Some(o.required.unwrap_or(probe.mapped.estimated_fastest * 1.10)),
+    let mut cfg = FlowConfig {
         use_correlations: o.correlations,
         verify: o.verify,
         lint: o.lint,
         obs: o.obs,
         ..FlowConfig::default()
     };
+    let (optimized, findings) = optimize_checked(&net, &cfg).map_err(|e| e.to_string())?;
+    print_findings(&findings, false, stdout_owned_by_obs(o));
+    // Shared timing target: the conventional ad-map flow's fastest + 10 %.
+    let probe = run_method(&optimized, &lib, Method::I, &FlowConfig::default())
+        .map_err(|e| e.to_string())?;
+    cfg.required_time = Some(o.required.unwrap_or(probe.mapped.estimated_fastest * 1.10));
     say(format!(
         "{:<7} {:>8} {:>9} {:>12} {:>12}",
         "method", "area", "delay", "power µW", "glitch µW"
@@ -560,66 +534,39 @@ fn decomp(o: &Opts) -> Result<(), String> {
 
 /// The `lint` subcommand: run the whole pipeline purely for diagnostics.
 ///
-/// Lints the raw input network, the library, the optimized network, the
-/// decomposition (per `--style` via `--method`'s decomposition when
-/// given), the activity annotations, and the mapped netlist. Findings are
-/// printed as text (default) or JSON (`--json`). Exit is non-zero when
-/// `--lint=deny` (the default for this subcommand is `check`) and an
-/// `Error`-severity finding exists.
+/// Lints the raw input network, then runs the flow for `--method` at
+/// [`LintLevel::Check`], which lints the library, the optimized network,
+/// the decomposition, the activity annotations, and the mapped netlist.
+/// Findings are printed as text (default) or JSON (`--json`). Exit is
+/// non-zero when `--lint=deny` (the default for this subcommand is
+/// `check`) and an `Error`-severity finding exists.
 fn lint_cmd(o: &Opts) -> Result<(), String> {
-    use lowpower::lint::{
-        lint_activity, lint_decomposed, lint_library, lint_mapped, lint_network, LintConfig,
-    };
+    use lowpower::lint::{lint_network, LintConfig};
+    // The raw input plus the flow's five checkpoints.
+    const STAGES: usize = 6;
     let (net, lib) = load_inputs(o)?;
-    let lint_cfg = LintConfig::new();
-    let mut findings: Vec<StageLint> = Vec::new();
-    let mut stages = 0usize;
-    let mut keep = |stage: &'static str, report: lowpower::lint::LintReport| {
-        stages += 1;
-        if !report.is_clean() {
-            findings.push(StageLint { stage, report });
-        }
-    };
-
-    keep("input", lint_network(&net, &lint_cfg));
-    keep("library", lint_library(&lib, &lint_cfg));
-
-    let optimized = optimize(&net);
-    keep("optimize", lint_network(&optimized, &lint_cfg));
-
-    let dopts = lowpower::core::decomp::DecompOptions {
+    let cfg = FlowConfig {
         use_correlations: o.correlations,
-        ..lowpower::core::decomp::DecompOptions::new(o.method.decomp_style())
+        lint: LintLevel::Check,
+        ..FlowConfig::default()
     };
-    let decomposed = lowpower::core::decomp::decompose_network(&optimized, &dopts);
-    keep("decompose", lint_decomposed(&decomposed, &lint_cfg));
-
-    let (mappable, _) = lowpower::flow::strip_constant_outputs(&decomposed.network);
-    let probs = vec![0.5; mappable.inputs().len()];
-    let act = lowpower::activity::analyze(
-        &mappable,
-        &probs,
-        lowpower::activity::TransitionModel::StaticCmos,
-    );
-    keep("activity", lint_activity(&mappable, &act, &lint_cfg));
-
-    let cfg = FlowConfig::default();
-    let aig = lowpower::core::map::SubjectAig::from_network(&mappable, &act)
-        .map_err(|e| format!("building subject graph: {e}"))?;
-    let mopts = lowpower::core::map::MapOptions {
-        objective: o.method.map_objective(),
-        ..lowpower::core::map::MapOptions::power()
-    };
-    let mapped = lowpower::core::map::map_network(&aig, &lib, &mopts)
-        .map_err(|e| format!("mapping: {e}"))?;
-    keep("map", lint_mapped(&mapped, &lib, cfg.po_load, &lint_cfg));
+    let mut findings = Vec::new();
+    let input = lint_network(&net, &LintConfig::new());
+    if !input.is_clean() {
+        findings.push(StageLint {
+            stage: "input",
+            report: input,
+        });
+    }
+    let r = run_flow(&net, &lib, o.method, &cfg).map_err(|e| e.to_string())?;
+    findings.extend(r.lint_findings);
 
     print_findings(&findings, o.json, stdout_owned_by_obs(o));
     let errors: usize = findings.iter().map(|f| f.report.error_count()).sum();
     let warnings: usize = findings.iter().map(|f| f.report.warn_count()).sum();
     if !o.json {
         let line =
-            format!("lint: {stages} stage(s) checked, {errors} error(s), {warnings} warning(s)");
+            format!("lint: {STAGES} stage(s) checked, {errors} error(s), {warnings} warning(s)");
         if stdout_owned_by_obs(o) {
             eprintln!("{line}");
         } else {
@@ -630,16 +577,6 @@ fn lint_cmd(o: &Opts) -> Result<(), String> {
         return Err(format!("lint found {errors} error-severity finding(s)"));
     }
     Ok(())
-}
-
-/// The QoR measurement context matching a flow configuration.
-fn qor_cli_ctx(cfg: &FlowConfig) -> lowpower::qor::Ctx {
-    lowpower::qor::Ctx {
-        pi_probs: cfg.pi_probs.clone(),
-        model: cfg.model,
-        env: cfg.env,
-        po_load: cfg.po_load,
-    }
 }
 
 /// Write the finished ledger per `--qor` / `--qor-out`: the text waterfall
@@ -707,7 +644,7 @@ fn qor_baseline(o: &Opts) -> Result<(), String> {
         use_correlations: o.correlations,
         ..FlowConfig::default()
     };
-    let ctx = qor_cli_ctx(&cfg);
+    let ctx = cfg.qor_ctx();
     let mut baseline = Baseline::new();
     for path in &o.blifs {
         let net = load_blif(path)?;
@@ -793,7 +730,7 @@ fn explain(o: &Opts) -> Result<(), String> {
 
     let r = run_method(&optimized, &lib, o.method, &cfg).map_err(|e| e.to_string())?;
     let prov = &r.provenance;
-    let shares = prov.gate_shares(&r.mapped, &lib, &qor_cli_ctx(&cfg));
+    let shares = prov.gate_shares(&r.mapped, &lib, &cfg.qor_ctx());
     let total_power: f64 = shares.iter().map(|s| s.power_uw).sum();
     let mine: Vec<_> = shares.iter().filter(|s| s.origin == node).collect();
     let mine_power: f64 = mine.iter().map(|s| s.power_uw).sum();

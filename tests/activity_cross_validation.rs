@@ -2,10 +2,9 @@
 //! Monte-Carlo simulation, correlation heuristics vs exact joints, and the
 //! decomposition's probability bookkeeping vs the re-analyzed network.
 
-use activity::{analyze, simulate_activity, NetworkBdds, TransitionModel};
+use activity::{analyze, simulate_activity_seeded, NetworkBdds, TransitionModel};
 use benchgen::{random_network, RandomNetConfig};
 use lowpower::core::decomp::{decompose_network, DecompOptions, DecompStyle};
-use rand::SeedableRng;
 
 #[test]
 fn bdd_matches_simulation_on_random_networks() {
@@ -19,8 +18,7 @@ fn bdd_matches_simulation_on_random_networks() {
         });
         let probs: Vec<f64> = (0..8).map(|i| 0.2 + 0.08 * i as f64).collect();
         let act = analyze(&net, &probs, TransitionModel::StaticCmos);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed + 1);
-        let sim = simulate_activity(&net, &probs, 40_000, &mut rng);
+        let sim = simulate_activity_seeded(&net, &probs, 40_000, seed + 1, 1);
         for id in net.node_ids() {
             let dp = (act.p_one(id) - sim.p_one(id)).abs();
             let ds = (act.switching(id) - sim.switching(id)).abs();

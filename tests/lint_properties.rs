@@ -10,8 +10,9 @@
 //!   Error-severity finding.
 
 use genlib::builtin::lib2_like;
-use lowpower::core::decomp::{DecompOptions, DecompStyle};
+use lowpower::core::decomp::{decompose_network, DecompOptions, DecompStyle};
 use lowpower::flow::{optimize, run_method, FlowConfig, Method};
+use lowpower::lint::certify::{certified_decomposition, certified_pass};
 use lowpower::lint::{lint_decomposed, lint_network, LintConfig, LintLevel};
 use proptest::prelude::*;
 
@@ -47,15 +48,15 @@ proptest! {
         let mut net = gen_net(inputs, outputs, nodes, 3, seed);
         prop_assert!(!lint_network(&net, &cfg).has_errors());
 
-        lint::certify::sweep(&mut net);
+        certified_pass("sweep", &mut net, logicopt::sweep::sweep);
         prop_assert!(!lint_network(&net, &cfg).has_errors(), "sweep broke invariants");
-        lint::certify::simplify_network(&mut net);
+        certified_pass("simplify", &mut net, logicopt::simplify::simplify_network);
         prop_assert!(!lint_network(&net, &cfg).has_errors(), "simplify broke invariants");
-        lint::certify::eliminate(&mut net, 0);
+        certified_pass("eliminate", &mut net, |n| logicopt::eliminate::eliminate(n, 0));
         prop_assert!(!lint_network(&net, &cfg).has_errors(), "eliminate broke invariants");
-        lint::certify::extract(&mut net, 4);
+        certified_pass("extract", &mut net, |n| logicopt::extract(n, 4));
         prop_assert!(!lint_network(&net, &cfg).has_errors(), "extract broke invariants");
-        lint::certify::rugged_like(&mut net);
+        certified_pass("rugged_like", &mut net, logicopt::rugged_like);
         prop_assert!(!lint_network(&net, &cfg).has_errors(), "rugged broke invariants");
     }
 
@@ -76,7 +77,9 @@ proptest! {
             DecompStyle::BoundedMinPower,
         ][style_ix];
         let net = gen_net(inputs, outputs, nodes, 4, seed);
-        let decomposed = lint::certify::decompose_network(&net, &DecompOptions::new(style));
+        let decomposed = certified_decomposition(&net, |n| {
+            decompose_network(n, &DecompOptions::new(style))
+        });
         let report = lint_decomposed(&decomposed, &LintConfig::new());
         prop_assert!(
             !report.has_errors(),

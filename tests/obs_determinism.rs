@@ -12,15 +12,20 @@
 //! * a full flow run's JSONL stream and Chrome trace pass the strict
 //!   checkers in `obs::check`, and the stream's stripped snapshot equals
 //!   the report's own timing-free snapshot;
+//! * `run_flow` and `run_method` record exactly one `verify` span per
+//!   transforming stage and one `lint` span per stage, in stage order, and
+//!   none when both checks are off;
 //! * spans opened inside `par::scope_map` workers always splice back into
 //!   a well-formed tree under the span open at the fork point, for
 //!   arbitrary item counts and thread counts (proptest).
 
 use genlib::builtin::lib2_like;
-use lowpower::flow::{optimize, run_method, FlowConfig, Method};
+use lowpower::flow::{optimize, run_flow, run_method, FlowConfig, Method};
+use lowpower::lint::LintLevel;
 use lowpower::obs;
 use lowpower::obs::check::{check_chrome, check_jsonl, parse_json, strip_timing};
-use lowpower::obs::SpanNode;
+use lowpower::obs::{ObsMode, SpanNode};
+use lowpower::verify::VerifyLevel;
 use proptest::prelude::*;
 
 /// Run one method under a recording session and return the
@@ -82,6 +87,77 @@ fn full_flow_sinks_pass_strict_checkers() {
     );
 
     check_chrome(&report.render_chrome()).expect("Chrome trace is well-formed");
+}
+
+/// `(name, label)` of every `verify` and `lint` span, in preorder.
+fn checkpoint_spans(nodes: &[SpanNode], out: &mut Vec<(String, String)>) {
+    for n in nodes {
+        if n.name == "verify" || n.name == "lint" {
+            let label = n.label.clone().unwrap_or_default();
+            out.push((n.name.to_string(), label));
+        }
+        checkpoint_spans(&n.children, out);
+    }
+}
+
+#[test]
+fn checkpoints_are_uniform_across_stages() {
+    let lib = lib2_like();
+    let net = benchgen::suite_circuit("cm42a");
+    let optimized = optimize(&net);
+    let spans = |from_raw: bool, verify: VerifyLevel, lint: LintLevel| {
+        let cfg = FlowConfig {
+            sim_vectors: 64,
+            verify,
+            lint,
+            obs: ObsMode::Summary,
+            ..FlowConfig::default()
+        };
+        let r = if from_raw {
+            run_flow(&net, &lib, Method::VI, &cfg)
+        } else {
+            run_method(&optimized, &lib, Method::VI, &cfg)
+        };
+        let report = r
+            .expect("flow runs")
+            .obs
+            .expect("the flow owns the session");
+        let mut out = Vec::new();
+        checkpoint_spans(&report.tree().expect("balanced spans"), &mut out);
+        out
+    };
+    let pairs = |want: &[(&str, &str)]| -> Vec<(String, String)> {
+        want.iter()
+            .map(|(n, l)| (n.to_string(), l.to_string()))
+            .collect()
+    };
+    for from_raw in [true, false] {
+        assert_eq!(spans(from_raw, VerifyLevel::Off, LintLevel::Off), []);
+    }
+    assert_eq!(
+        spans(true, VerifyLevel::Full, LintLevel::Check),
+        pairs(&[
+            ("lint", "library"),
+            ("verify", "optimize"),
+            ("lint", "optimize"),
+            ("verify", "decompose"),
+            ("lint", "decompose"),
+            ("lint", "activity"),
+            ("verify", "map"),
+            ("lint", "map"),
+        ])
+    );
+    assert_eq!(
+        spans(false, VerifyLevel::Full, LintLevel::Check),
+        pairs(&[
+            ("lint", "library"),
+            ("verify", "decompose"),
+            ("lint", "decompose"),
+            ("lint", "activity"),
+            ("verify", "map"),
+            ("lint", "map"),
+        ])
+    );
 }
 
 fn count_spans(nodes: &[SpanNode], name: &str) -> usize {
