@@ -16,8 +16,8 @@ cargo build --release
 echo "==> cargo test (tier-1: root package)"
 cargo test -q
 
-echo "==> cargo test --workspace"
-cargo test --workspace -q
+echo "==> cargo test (every other workspace crate; the root package ran above)"
+cargo test --workspace --exclude lowpower -q
 
 echo "==> cargo test (benchmark crate: flowbench builds against the flow API)"
 cargo test -q --manifest-path flowbench/Cargo.toml

@@ -78,9 +78,16 @@ pub fn evaluate(
     // nets are excluded — their charge is dissipated in the external
     // drivers, as in the paper's estimator, which reports the power of the
     // synthesized gates.
-    let power_uw = per_instance_power(m, lib, env, model, po_load).iter().sum();
+    // Both totals fold from +0.0: `f64`'s empty `sum` is -0.0, which a
+    // gate-free mapping would print as `-0.0`.
+    let power_uw = per_instance_power(m, lib, env, model, po_load)
+        .iter()
+        .fold(0.0, |acc, p| acc + p);
 
-    let area = m.instances.iter().map(|i| lib.gates()[i.gate].area()).sum();
+    let area = m
+        .instances
+        .iter()
+        .fold(0.0, |acc, i| acc + lib.gates()[i.gate].area());
     MappedReport {
         area,
         delay,
@@ -357,6 +364,18 @@ mod tests {
         assert!(rep.delay > 0.0);
         assert!(rep.power_uw > 0.0);
         assert_eq!(rep.gate_count, m.instances.len());
+    }
+
+    #[test]
+    fn gate_free_mapping_totals_are_positive_zero() {
+        // A buffer maps to a wire: no gates, and the empty sums must be
+        // +0.0 (f64's `Iterator::sum` of nothing is -0.0).
+        let buffer = ".model t\n.inputs a\n.outputs y\n.names a y\n1 1\n.end\n";
+        let (m, lib) = mapped(buffer, &[0.5], &MapOptions::power());
+        let rep = evaluate(&m, &lib, &PowerEnv::new(), TransitionModel::StaticCmos, 1.0);
+        assert_eq!(rep.gate_count, 0);
+        assert_eq!(rep.area.to_bits(), 0.0f64.to_bits());
+        assert_eq!(rep.power_uw.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! BLIF reading and writing.
 //!
 //! Supports the combinational subset: `.model`, `.inputs`, `.outputs`,
-//! `.names` (with PLA cover rows), `.end`, comments (`#`) and line
-//! continuations (`\`). `.latch` lines are accepted by treating the latch
-//! output as a primary input and the latch input as a primary output (the
-//! usual combinational-core extraction for ISCAS-89 style circuits); the
-//! conversion is reported in the parse result.
+//! `.names` (with PLA cover rows, all of one output phase), `.end`,
+//! comments (`#`) and line continuations (`\`). `.latch` lines are
+//! accepted by treating the latch output as a primary input and the latch
+//! input as a primary output (the usual combinational-core extraction for
+//! ISCAS-89 style circuits); the conversion is reported in the parse
+//! result.
 
 use crate::cube::Cube;
 use crate::network::{Network, NetworkError, NodeId};
@@ -177,6 +178,15 @@ pub fn parse_blif(text: &str) -> Result<BlifModel, ParseBlifError> {
                     "0" => false,
                     _ => return Err(err(line_no, format!("bad output value `{out_part}`"))),
                 };
+                if block.rows.first().is_some_and(|&(_, p)| p != phase) {
+                    return Err(err(
+                        block.line,
+                        format!(
+                            ".names {} mixes on-set and off-set rows",
+                            block.signals.join(" ")
+                        ),
+                    ));
+                }
                 block.rows.push((cube, phase));
             }
         }
@@ -211,25 +221,12 @@ pub fn parse_blif(text: &str) -> Result<BlifModel, ParseBlifError> {
             }
             let fanins: Vec<NodeId> = fanin_names.iter().map(|n| ids[n]).collect();
             let width = fanins.len();
-            // Off-set rows mean the cover lists the complement; complement it.
-            let on_rows: Vec<Cube> = b
-                .rows
-                .iter()
-                .filter(|(_, p)| *p)
-                .map(|(c, _)| c.clone())
-                .collect();
-            let off_rows: Vec<Cube> = b
-                .rows
-                .iter()
-                .filter(|(_, p)| !*p)
-                .map(|(c, _)| c.clone())
-                .collect();
-            let sop = if !on_rows.is_empty() {
-                Sop::from_cubes(width, on_rows)
-            } else if !off_rows.is_empty() {
-                Sop::from_cubes(width, off_rows).complement()
-            } else {
-                Sop::zero(width) // `.names x` with no rows is constant 0
+            // All rows share one phase (mixed covers are rejected above).
+            // Off-set rows list the complement; no rows is constant 0.
+            let cover = Sop::from_cubes(width, b.rows.iter().map(|(c, _)| c.clone()).collect());
+            let sop = match b.rows.first() {
+                Some((_, false)) => cover.complement(),
+                _ => cover,
             };
             match net.add_logic(out.clone(), fanins, sop) {
                 Ok(id) => {
@@ -357,6 +354,23 @@ mod tests {
         // f = !(a & b)
         assert_eq!(net.eval_outputs(&[true, true]), vec![false]);
         assert_eq!(net.eval_outputs(&[true, false]), vec![true]);
+    }
+
+    #[test]
+    fn mixed_on_and_off_set_rows_are_rejected() {
+        let text = "\
+.model t
+.inputs a b
+.outputs y
+.names a b y
+1- 1
+-1 0
+.end
+";
+        let e = parse_blif(text).unwrap_err();
+        assert_eq!(e.line, 4, "the error points at the `.names` line");
+        assert!(e.message.contains("a b y"), "{}", e.message);
+        assert!(e.message.contains("on-set and off-set"), "{}", e.message);
     }
 
     #[test]

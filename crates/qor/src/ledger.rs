@@ -177,6 +177,29 @@ pub struct LedgerReport {
 }
 
 impl LedgerReport {
+    /// An empty ledger for one `circuit × method` run.
+    pub fn new(circuit: &str, method: &str) -> LedgerReport {
+        LedgerReport {
+            circuit: circuit.to_string(),
+            method: method.to_string(),
+            snapshots: Vec::new(),
+        }
+    }
+
+    /// Append the snapshot taken right after `stage`. Counts it
+    /// (`qor.snapshots`) and, when an obs session is live, records its
+    /// JSON line as a silent note event.
+    pub fn record(&mut self, stage: &str, kind: SnapKind, metrics: Metrics) {
+        let snap = Snapshot {
+            stage: stage.to_string(),
+            kind,
+            metrics,
+        };
+        obs::counter!("qor.snapshots");
+        obs::note_event!("{}", snap.render_json(&self.circuit, &self.method));
+        self.snapshots.push(snap);
+    }
+
     /// Per-stage deltas: for each snapshot after the first, `(stage,
     /// metrics − previous metrics)`. Deltas telescope by construction, so
     /// their sum equals [`LedgerReport::end_to_end`] exactly.
@@ -298,27 +321,11 @@ mod tests {
     }
 
     fn report() -> LedgerReport {
-        LedgerReport {
-            circuit: "c".to_string(),
-            method: "V".to_string(),
-            snapshots: vec![
-                Snapshot {
-                    stage: "initial".to_string(),
-                    kind: SnapKind::Network,
-                    metrics: m(1000, 9000, 3000, 9, 9),
-                },
-                Snapshot {
-                    stage: "optimize".to_string(),
-                    kind: SnapKind::Network,
-                    metrics: m(800, 7000, 3000, 7, 7),
-                },
-                Snapshot {
-                    stage: "map".to_string(),
-                    kind: SnapKind::Mapped,
-                    metrics: m(650, 12000, 2500, 5, 11),
-                },
-            ],
-        }
+        let mut r = LedgerReport::new("c", "V");
+        r.record("initial", SnapKind::Network, m(1000, 9000, 3000, 9, 9));
+        r.record("optimize", SnapKind::Network, m(800, 7000, 3000, 7, 7));
+        r.record("map", SnapKind::Mapped, m(650, 12000, 2500, 5, 11));
+        r
     }
 
     #[test]

@@ -3,16 +3,16 @@
 //!
 //! Three concerns, one crate:
 //!
-//! * **Ledger** ([`Session`], [`LedgerReport`]) — a thread-local recording
-//!   session mirroring `obs::Session`. While a session is live, every call
-//!   to [`snapshot_network`] / [`snapshot_decomposed`] / [`snapshot_mapped`]
-//!   appends one deterministic [`Snapshot`] of quality-of-results metrics,
-//!   so each optimization pass, the decomposition, and the mapping get
-//!   their QoR delta attributed by name. All metrics are **fixed-point
-//!   integers** ([`Metrics`]): per-stage deltas are consecutive integer
-//!   differences, so they telescope — the sum of all deltas equals
-//!   `final − initial` *exactly*, and reports render byte-identically on
-//!   every run and thread count.
+//! * **Ledger** ([`LedgerReport`]) — a plain value owned by one
+//!   `circuit × method` run: the flow driver measures its artifact after
+//!   each optimization pass, the decomposition, and the mapping
+//!   ([`measure_network`], [`measure_mapped`]) and appends one
+//!   deterministic [`Snapshot`] per stage ([`LedgerReport::record`]), so
+//!   every stage gets its QoR delta attributed by name. All metrics are
+//!   **fixed-point integers** ([`Metrics`]): per-stage deltas are
+//!   consecutive integer differences, so they telescope — the sum of all
+//!   deltas equals `final − initial` *exactly*, and reports render
+//!   byte-identically on every run and thread count.
 //! * **Provenance** ([`Provenance`]) — resolves every mapped gate instance
 //!   back to the node of the optimized source network whose decomposition
 //!   produced it, and attributes per-gate power shares to those origins.
@@ -20,9 +20,9 @@
 //!   snapshots per `circuit × method`, serialized as strict JSON, diffed
 //!   with per-metric relative tolerances so CI can fail on QoR drift.
 //!
-//! When an `obs` session is also live, every snapshot rides the obs JSONL
-//! sink as a silent note event ([`obs::note_event`]), so one trace file
-//! carries both timing spans and QoR waterfalls.
+//! When an `obs` session is live, every recorded snapshot also rides the
+//! obs JSONL sink as a silent note event ([`obs::note_event`]), so one
+//! trace file carries both timing spans and QoR waterfalls.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,12 +37,9 @@ pub use ledger::{fmt_milli, milli, LedgerReport, Metrics, SnapKind, Snapshot};
 pub use provenance::{cone_powers, GateShare, Provenance};
 
 use genlib::Library;
-use lowpower_core::decomp::DecomposedNetwork;
 use lowpower_core::map::MappedNetwork;
 use lowpower_core::power::evaluate;
 use netlist::Network;
-use std::cell::RefCell;
-use std::marker::PhantomData;
 
 use activity::{PowerEnv, TransitionModel};
 
@@ -118,111 +115,6 @@ pub fn measure_mapped(m: &MappedNetwork, lib: &Library, ctx: &Ctx) -> Metrics {
     }
 }
 
-struct State {
-    ctx: Ctx,
-    circuit: String,
-    method: String,
-    snapshots: Vec<Snapshot>,
-}
-
-thread_local! {
-    static LEDGER: RefCell<Option<State>> = const { RefCell::new(None) };
-}
-
-/// `true` while a [`Session`] is recording on this thread.
-pub fn active() -> bool {
-    LEDGER.with(|l| l.borrow().is_some())
-}
-
-/// A live QoR recording session (thread-local, like `obs::Session`).
-///
-/// Snapshot calls are no-ops unless a session is live, so library code can
-/// emit snapshots unconditionally; whoever starts the session owns the
-/// resulting [`LedgerReport`].
-pub struct Session {
-    _not_send: PhantomData<*const ()>,
-}
-
-impl Session {
-    /// Start recording for one `circuit × method` run.
-    ///
-    /// # Panics
-    /// Panics if a session is already recording on this thread — nested
-    /// ledgers would silently interleave unrelated runs.
-    pub fn start(circuit: &str, method: &str, ctx: Ctx) -> Session {
-        LEDGER.with(|l| {
-            let mut slot = l.borrow_mut();
-            assert!(
-                slot.is_none(),
-                "qor: a ledger session is already recording on this thread"
-            );
-            *slot = Some(State {
-                ctx,
-                circuit: circuit.to_string(),
-                method: method.to_string(),
-                snapshots: Vec::new(),
-            });
-        });
-        Session {
-            _not_send: PhantomData,
-        }
-    }
-
-    /// Stop recording and return the ledger.
-    pub fn finish(self) -> LedgerReport {
-        let state = LEDGER
-            .with(|l| l.borrow_mut().take())
-            .expect("qor session state");
-        std::mem::forget(self);
-        LedgerReport {
-            circuit: state.circuit,
-            method: state.method,
-            snapshots: state.snapshots,
-        }
-    }
-}
-
-impl Drop for Session {
-    fn drop(&mut self) {
-        LEDGER.with(|l| l.borrow_mut().take());
-    }
-}
-
-fn record(stage: &str, kind: SnapKind, measure: impl FnOnce(&Ctx) -> Metrics) {
-    LEDGER.with(|l| {
-        let mut slot = l.borrow_mut();
-        let Some(state) = slot.as_mut() else { return };
-        let snap = Snapshot {
-            stage: stage.to_string(),
-            kind,
-            metrics: measure(&state.ctx),
-        };
-        obs::counter!("qor.snapshots");
-        obs::note_event!("{}", snap.render_json(&state.circuit, &state.method));
-        state.snapshots.push(snap);
-    });
-}
-
-/// Record a snapshot of an unmapped network ([`measure_network`]) under
-/// `stage`. No-op when no session is live.
-pub fn snapshot_network(stage: &str, net: &Network) {
-    record(stage, SnapKind::Network, |ctx| measure_network(net, ctx));
-}
-
-/// Record a snapshot of a decomposition result (its network, via
-/// [`measure_network`]). No-op when no session is live.
-pub fn snapshot_decomposed(stage: &str, d: &DecomposedNetwork) {
-    record(stage, SnapKind::Network, |ctx| {
-        measure_network(&d.network, ctx)
-    });
-}
-
-/// Record a snapshot of a mapped netlist ([`measure_mapped`]) under
-/// `stage`. No-op when no session is live.
-pub fn snapshot_mapped(stage: &str, m: &MappedNetwork, lib: &Library) {
-    record(stage, SnapKind::Mapped, |ctx| measure_mapped(m, lib, ctx));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,46 +122,6 @@ mod tests {
 
     const SAMPLE: &str = ".model t\n.inputs a b c\n.outputs f\n.names a b x\n11 1\n\
                           .names x c f\n1- 1\n-1 1\n.end\n";
-
-    #[test]
-    fn snapshots_are_noops_without_a_session() {
-        let net = parse_blif(SAMPLE).unwrap().network;
-        assert!(!active());
-        snapshot_network("nowhere", &net); // must not panic or record
-        assert!(!active());
-    }
-
-    #[test]
-    fn session_collects_snapshots_in_order() {
-        let net = parse_blif(SAMPLE).unwrap().network;
-        let s = Session::start("t", "V", Ctx::default());
-        assert!(active());
-        snapshot_network("initial", &net);
-        snapshot_network("after", &net);
-        let report = s.finish();
-        assert!(!active());
-        assert_eq!(report.circuit, "t");
-        assert_eq!(report.method, "V");
-        assert_eq!(report.snapshots.len(), 2);
-        assert_eq!(report.snapshots[0].stage, "initial");
-        // identical network => zero delta
-        let e2e = report.end_to_end().unwrap();
-        assert_eq!(e2e, Metrics::ZERO);
-    }
-
-    #[test]
-    fn dropped_session_clears_state() {
-        let s = Session::start("t", "I", Ctx::default());
-        drop(s);
-        assert!(!active());
-    }
-
-    #[test]
-    #[should_panic(expected = "already recording")]
-    fn nested_sessions_panic() {
-        let _a = Session::start("t", "I", Ctx::default());
-        let _b = Session::start("t", "II", Ctx::default());
-    }
 
     #[test]
     fn measure_network_is_deterministic() {

@@ -126,12 +126,11 @@ pub struct FlowConfig {
     /// [`MethodResult::obs`]. The mode value itself selects the sink used
     /// by CLI drivers; the flow records identically for all three.
     pub obs: obs::ObsMode,
-    /// Record a QoR ledger for the run: [`run_flow`] / [`run_method`]
-    /// start a [`qor::Session`] (unless the caller already has one live on
-    /// this thread) and every stage — each rugged-script pass, the
-    /// decomposition, and the mapping — appends a deterministic snapshot.
-    /// The finished [`qor::LedgerReport`] lands in [`MethodResult::qor`]
-    /// when the flow owned the session.
+    /// Record a QoR ledger for the run: [`run_flow`] / [`run_method`] open
+    /// a [`qor::LedgerReport`] with a snapshot of their input and append a
+    /// deterministic snapshot after every stage — each rugged-script pass,
+    /// the decomposition, the constant-output strip, and the mapping. The
+    /// run owns the ledger and returns it in [`MethodResult::qor`].
     pub qor: bool,
 }
 
@@ -249,11 +248,14 @@ pub struct StageLint {
 type EquivCheck<'a> = &'a dyn Fn(&VerifyOptions) -> Result<Verdict, verify::VerifyError>;
 
 /// The cross-cutting checks of one run, applied the same way after every
-/// stage, plus the lint findings gathered so far.
+/// stage, plus what the run records along the way: the lint findings and,
+/// when [`FlowConfig::qor`] is set, the QoR ledger with its measurement
+/// context.
 struct Checkpoints<'c> {
     cfg: &'c FlowConfig,
     lint_cfg: LintConfig,
     findings: Vec<StageLint>,
+    ledger: Option<(qor::Ctx, qor::LedgerReport)>,
 }
 
 impl<'c> Checkpoints<'c> {
@@ -262,7 +264,39 @@ impl<'c> Checkpoints<'c> {
             cfg,
             lint_cfg: LintConfig::new(),
             findings: Vec::new(),
+            ledger: None,
         }
+    }
+
+    /// The checkpoints of a whole `method` run on `input`. When
+    /// [`FlowConfig::qor`] is set, the ledger opens with a snapshot of
+    /// `input` labelled `opening`.
+    fn for_run(cfg: &'c FlowConfig, input: &Network, opening: &str, method: Method) -> Self {
+        let mut checks = Checkpoints::new(cfg);
+        if cfg.qor {
+            let ledger = qor::LedgerReport::new(input.name(), &method.to_string());
+            checks.ledger = Some((cfg.qor_ctx(), ledger));
+            checks.snapshot_network(opening, input);
+        }
+        checks
+    }
+
+    /// Record the QoR snapshot after `stage` when the run keeps a ledger.
+    fn snapshot(
+        &mut self,
+        stage: &str,
+        kind: qor::SnapKind,
+        measure: impl FnOnce(&qor::Ctx) -> qor::Metrics,
+    ) {
+        if let Some((ctx, ledger)) = &mut self.ledger {
+            ledger.record(stage, kind, measure(ctx));
+        }
+    }
+
+    fn snapshot_network(&mut self, stage: &str, net: &Network) {
+        self.snapshot(stage, qor::SnapKind::Network, |ctx| {
+            qor::measure_network(net, ctx)
+        });
     }
 
     /// The checkpoint after `stage`. When `cfg.verify` is not
@@ -310,9 +344,12 @@ impl<'c> Checkpoints<'c> {
         Ok(())
     }
 
-    /// The optimize stage and its checkpoint.
+    /// The optimize stage, with a ledger snapshot after every pass, and its
+    /// checkpoint.
     fn optimize(&mut self, net: &Network) -> Result<Network, FlowError> {
-        let optimized = optimize(net);
+        let optimized = optimize_with(net, &mut |label, after| {
+            self.snapshot_network(&format!("optimize.{label}"), after);
+        });
         self.check(
             "optimize",
             Some(&|o| check_equiv(net, &optimized, o)),
@@ -323,18 +360,20 @@ impl<'c> Checkpoints<'c> {
 }
 
 /// Optimize a network with the rugged-like script (shared starting point of
-/// all methods, as in the paper's Section 4). When a [`qor::Session`] is
-/// live on this thread, a QoR snapshot is recorded after every pass of the
-/// script, labelled `optimize.<round>.<pass>`. In debug builds the script
+/// all methods, as in the paper's Section 4). In debug builds the script
 /// runs under the lint certifier and panics if it corrupts a structural
 /// invariant.
 pub fn optimize(net: &Network) -> Network {
+    optimize_with(net, &mut |_, _| {})
+}
+
+/// [`optimize`] with `hook(label, net)` run after every pass of the script
+/// (labels `<round>.<pass>`, see [`logicopt::rugged_like_with`]).
+fn optimize_with(net: &Network, hook: &mut dyn FnMut(&str, &Network)) -> Network {
     let _span = obs::span!("optimize");
     let mut n = net.clone();
     lint::certify::certified_pass("rugged_like", &mut n, |n| {
-        logicopt::rugged_like_with(n, &mut |label, after| {
-            qor::snapshot_network(&format!("optimize.{label}"), after);
-        })
+        logicopt::rugged_like_with(n, hook)
     });
     n
 }
@@ -443,8 +482,9 @@ pub struct MethodResult {
     /// `None` when a caller-owned session was already live (the caller
     /// finishes it and holds the report) or when observability is off.
     pub obs: Option<obs::Report>,
-    /// QoR ledger of the run, when [`FlowConfig::qor`] is set **and** the
-    /// flow owned the ledger session (same ownership rule as `obs`).
+    /// QoR ledger of the run, when [`FlowConfig::qor`] is set: the opening
+    /// snapshot (`initial` from [`run_flow`], `optimized` from
+    /// [`run_method`]) followed by one snapshot per stage.
     pub qor: Option<qor::LedgerReport>,
     /// Provenance of the decomposition: resolves every mapped gate's
     /// source node back to the optimized network
@@ -464,8 +504,8 @@ pub fn run_method(
     method: Method,
     cfg: &FlowConfig,
 ) -> Result<MethodResult, FlowError> {
-    with_sessions(optimized, "optimized", method, cfg, || {
-        let mut checks = Checkpoints::new(cfg);
+    with_obs(cfg, || {
+        let mut checks = Checkpoints::for_run(cfg, optimized, "optimized", method);
         checks.check("library", None, |c| lint_library(lib, c))?;
         method_stages(optimized, lib, method, checks)
     })
@@ -481,38 +521,26 @@ pub fn run_flow(
     method: Method,
     cfg: &FlowConfig,
 ) -> Result<MethodResult, FlowError> {
-    with_sessions(net, "initial", method, cfg, || {
-        let mut checks = Checkpoints::new(cfg);
+    with_obs(cfg, || {
+        let mut checks = Checkpoints::for_run(cfg, net, "initial", method);
         checks.check("library", None, |c| lint_library(lib, c))?;
         let optimized = checks.optimize(net)?;
         method_stages(&optimized, lib, method, checks)
     })
 }
 
-/// Run `body` under the recording sessions `cfg` asks for. An obs session
-/// starts when [`FlowConfig::obs`] is not [`obs::ObsMode::Off`] and a QoR
-/// ledger when [`FlowConfig::qor`] is set, each only if the caller has none
-/// live on this thread (otherwise events flow into the caller's session).
-/// The ledger opens with a snapshot of `input` labelled `opening`; the
-/// reports of the sessions started here land in the result.
-fn with_sessions(
-    input: &Network,
-    opening: &str,
-    method: Method,
+/// Run `body` under an obs session when [`FlowConfig::obs`] is not
+/// [`obs::ObsMode::Off`] and the caller has none live on this thread
+/// (otherwise events flow into the caller's session); the report of a
+/// session started here lands in the result.
+fn with_obs(
     cfg: &FlowConfig,
     body: impl FnOnce() -> Result<MethodResult, FlowError>,
 ) -> Result<MethodResult, FlowError> {
-    let obs_session = (cfg.obs != obs::ObsMode::Off && !obs::active()).then(obs::Session::start);
-    let qor_session = (cfg.qor && !qor::active()).then(|| {
-        let session = qor::Session::start(input.name(), &method.to_string(), cfg.qor_ctx());
-        qor::snapshot_network(opening, input);
-        session
-    });
+    let session = (cfg.obs != obs::ObsMode::Off && !obs::active()).then(obs::Session::start);
     let result = body();
-    let qor = qor_session.map(qor::Session::finish);
-    let obs = obs_session.map(obs::Session::finish);
+    let obs = session.map(obs::Session::finish);
     let mut result = result?;
-    result.qor = qor;
     result.obs = obs;
     Ok(result)
 }
@@ -542,7 +570,7 @@ fn method_stages(
     let decomposed = {
         let _s = obs::span!("decompose");
         let d = lint::certify::certified_decomposition(optimized, |n| decompose_network(n, &dopts));
-        qor::snapshot_decomposed("decompose", &d);
+        checks.snapshot_network("decompose", &d.network);
         d
     };
     checks.check(
@@ -552,7 +580,7 @@ fn method_stages(
     )?;
     let provenance = qor::Provenance::from_decomposed(&decomposed);
     let (mappable, _const_outputs) = strip_constant_outputs(&decomposed.network);
-    qor::snapshot_network("strip_const", &mappable);
+    checks.snapshot_network("strip_const", &mappable);
     let act = {
         let _s = obs::span!("activity");
         analyze(&mappable, &pi_probs, cfg.model)
@@ -573,7 +601,9 @@ fn method_stages(
         let _s = obs::span!("map");
         map_network(&aig, lib, &mopts)?
     };
-    qor::snapshot_mapped("map", &mapped, lib);
+    checks.snapshot("map", qor::SnapKind::Mapped, |ctx| {
+        qor::measure_mapped(&mapped, lib, ctx)
+    });
     checks.check(
         "map",
         Some(&|o| check_equiv(&mappable, &mapped.to_network(lib, mappable.name()), o)),
@@ -604,7 +634,7 @@ fn method_stages(
         mapped,
         lint_findings: checks.findings,
         obs: None,
-        qor: None,
+        qor: checks.ledger.map(|(_, ledger)| ledger),
         provenance,
     })
 }

@@ -70,6 +70,18 @@ use lowpower::obs::ObsMode;
 use lowpower::verify::VerifyLevel;
 use std::process::ExitCode;
 
+/// Print one line of ordinary result output: stdout, or stderr when an obs
+/// machine sink owns stdout (see [`stdout_owned_by_obs`]).
+macro_rules! say {
+    ($o:expr, $($arg:tt)+) => {
+        if stdout_owned_by_obs($o) {
+            eprintln!($($arg)+)
+        } else {
+            println!($($arg)+)
+        }
+    };
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
@@ -330,9 +342,36 @@ fn stdout_owned_by_obs(o: &Opts) -> bool {
         && matches!(o.obs_out.as_deref(), None | Some("-"))
 }
 
+/// Write rendered `text` per an `--*-out` option: `-` forces stdout, any
+/// other value names a file, and without one it goes to stdout when
+/// `default_stdout` holds and to stderr otherwise.
+fn write_out(text: &str, out: Option<&str>, default_stdout: bool) -> Result<(), String> {
+    match out {
+        Some("-") => print!("{text}"),
+        Some(path) => std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?,
+        None if default_stdout => print!("{text}"),
+        None => eprint!("{text}"),
+    }
+    Ok(())
+}
+
+/// The text of `--file`, or of stdin when it is absent or `-`.
+fn read_input(o: &Opts) -> Result<String, String> {
+    match o.file.as_deref() {
+        None | Some("-") => {
+            use std::io::Read as _;
+            let mut buf = String::new();
+            std::io::stdin()
+                .read_to_string(&mut buf)
+                .map_err(|e| format!("reading stdin: {e}"))?;
+            Ok(buf)
+        }
+        Some(path) => std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}")),
+    }
+}
+
 /// Render the finished session per `--obs` and write it per `--obs-out`:
-/// summaries default to stderr, machine sinks (JSONL, Chrome) to stdout;
-/// `--obs-out -` forces stdout and any other value names a file.
+/// summaries default to stderr, machine sinks (JSONL, Chrome) to stdout.
 fn write_obs_report(o: &Opts, report: &lowpower::obs::Report) -> Result<(), String> {
     let text = match o.obs {
         ObsMode::Off => return Ok(()),
@@ -340,13 +379,7 @@ fn write_obs_report(o: &Opts, report: &lowpower::obs::Report) -> Result<(), Stri
         ObsMode::Json => report.render_jsonl(),
         ObsMode::Chrome => report.render_chrome(),
     };
-    match o.obs_out.as_deref() {
-        Some("-") => print!("{text}"),
-        Some(path) => std::fs::write(path, &text).map_err(|e| format!("writing {path}: {e}"))?,
-        None if o.obs == ObsMode::Summary => eprint!("{text}"),
-        None => print!("{text}"),
-    }
-    Ok(())
+    write_out(&text, o.obs_out.as_deref(), o.obs != ObsMode::Summary)
 }
 
 /// `obs-check`: strictly validate an obs JSONL stream (default) or a
@@ -355,17 +388,7 @@ fn write_obs_report(o: &Opts, report: &lowpower::obs::Report) -> Result<(), Stri
 /// diffs instead of the ok line.
 fn obs_check(o: &Opts) -> Result<(), String> {
     use lowpower::obs::check;
-    let text = match o.file.as_deref() {
-        None | Some("-") => {
-            use std::io::Read as _;
-            let mut buf = String::new();
-            std::io::stdin()
-                .read_to_string(&mut buf)
-                .map_err(|e| format!("reading stdin: {e}"))?;
-            buf
-        }
-        Some(path) => std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?,
-    };
+    let text = read_input(o)?;
     if o.chrome {
         check::check_chrome(&text)?;
         eprintln!("chrome trace ok");
@@ -380,21 +403,17 @@ fn obs_check(o: &Opts) -> Result<(), String> {
     Ok(())
 }
 
-/// Print accumulated per-stage lint findings to stderr (text) or stdout
-/// (JSON; stderr when an obs machine sink owns stdout).
-fn print_findings(findings: &[StageLint], json: bool, obs_owns_stdout: bool) {
+/// Print accumulated per-stage lint findings to stderr (text) or, per
+/// [`say!`], stdout (JSON).
+fn print_findings(o: &Opts, findings: &[StageLint], json: bool) {
     for f in findings {
         if json {
-            let line = format!(
+            say!(
+                o,
                 "{{\"stage\":\"{}\",\"report\":{}}}",
                 f.stage,
                 f.report.render_json()
             );
-            if obs_owns_stdout {
-                eprintln!("{line}");
-            } else {
-                println!("{line}");
-            }
         } else {
             eprintln!("[lint:{}] {}", f.stage, f.report.render_text().trim_end());
         }
@@ -402,13 +421,6 @@ fn print_findings(findings: &[StageLint], json: bool, obs_owns_stdout: bool) {
 }
 
 fn synth(o: &Opts) -> Result<(), String> {
-    let say = |line: String| {
-        if stdout_owned_by_obs(o) {
-            eprintln!("{line}");
-        } else {
-            println!("{line}");
-        }
-    };
     let (net, lib) = load_inputs(o)?;
     let cfg = FlowConfig {
         required_time: o.required,
@@ -426,42 +438,39 @@ fn synth(o: &Opts) -> Result<(), String> {
             qor_gate(o, ledger)?;
         }
     }
-    print_findings(&r.lint_findings, false, stdout_owned_by_obs(o));
-    say(format!(
+    print_findings(o, &r.lint_findings, false);
+    say!(
+        o,
         "circuit   : {} ({} PIs, {} POs)",
         net.name(),
         net.inputs().len(),
         net.outputs().len()
-    ));
-    say(format!(
+    );
+    say!(
+        o,
         "method    : {} ({:?} decomposition, {:?} mapping)",
         o.method,
         o.method.decomp_style(),
         o.method.map_objective()
-    ));
-    say(format!("gates     : {}", r.report.gate_count));
-    say(format!("area      : {:.1}", r.report.area));
-    say(format!("delay     : {:.2} ns", r.report.delay));
-    say(format!(
+    );
+    say!(o, "gates     : {}", r.report.gate_count);
+    say!(o, "area      : {:.1}", r.report.area);
+    say!(o, "delay     : {:.2} ns", r.report.delay);
+    say!(
+        o,
         "power     : {:.1} µW (zero-delay), {:.1} µW (glitch-aware)",
-        r.report.power_uw, r.glitch_power_uw
-    ));
+        r.report.power_uw,
+        r.glitch_power_uw
+    );
     if let Some(out) = &o.out {
         let text = r.mapped.to_blif(&lib, &format!("{}_mapped", net.name()));
         std::fs::write(out, text).map_err(|e| format!("writing {out}: {e}"))?;
-        say(format!("wrote mapped netlist to {out}"));
+        say!(o, "wrote mapped netlist to {out}");
     }
     Ok(())
 }
 
 fn report(o: &Opts) -> Result<(), String> {
-    let say = |line: String| {
-        if stdout_owned_by_obs(o) {
-            eprintln!("{line}");
-        } else {
-            println!("{line}");
-        }
-    };
     let (net, lib) = load_inputs(o)?;
     let mut cfg = FlowConfig {
         use_correlations: o.correlations,
@@ -471,26 +480,32 @@ fn report(o: &Opts) -> Result<(), String> {
         ..FlowConfig::default()
     };
     let (optimized, findings) = optimize_checked(&net, &cfg).map_err(|e| e.to_string())?;
-    print_findings(&findings, false, stdout_owned_by_obs(o));
+    print_findings(o, &findings, false);
     // Shared timing target: the conventional ad-map flow's fastest + 10 %.
     let probe = run_method(&optimized, &lib, Method::I, &FlowConfig::default())
         .map_err(|e| e.to_string())?;
     cfg.required_time = Some(o.required.unwrap_or(probe.mapped.estimated_fastest * 1.10));
-    say(format!(
+    say!(
+        o,
         "{:<7} {:>8} {:>9} {:>12} {:>12}",
-        "method", "area", "delay", "power µW", "glitch µW"
-    ));
+        "method",
+        "area",
+        "delay",
+        "power µW",
+        "glitch µW"
+    );
     for m in Method::ALL {
         let r = run_method(&optimized, &lib, m, &cfg).map_err(|e| e.to_string())?;
-        print_findings(&r.lint_findings, false, stdout_owned_by_obs(o));
-        say(format!(
+        print_findings(o, &r.lint_findings, false);
+        say!(
+            o,
             "{:<7} {:>8.1} {:>9.2} {:>12.1} {:>12.1}",
             m.to_string(),
             r.report.area,
             r.report.delay,
             r.report.power_uw,
             r.glitch_power_uw
-        ));
+        );
     }
     Ok(())
 }
@@ -561,17 +576,14 @@ fn lint_cmd(o: &Opts) -> Result<(), String> {
     let r = run_flow(&net, &lib, o.method, &cfg).map_err(|e| e.to_string())?;
     findings.extend(r.lint_findings);
 
-    print_findings(&findings, o.json, stdout_owned_by_obs(o));
+    print_findings(o, &findings, o.json);
     let errors: usize = findings.iter().map(|f| f.report.error_count()).sum();
     let warnings: usize = findings.iter().map(|f| f.report.warn_count()).sum();
     if !o.json {
-        let line =
-            format!("lint: {STAGES} stage(s) checked, {errors} error(s), {warnings} warning(s)");
-        if stdout_owned_by_obs(o) {
-            eprintln!("{line}");
-        } else {
-            println!("{line}");
-        }
+        say!(
+            o,
+            "lint: {STAGES} stage(s) checked, {errors} error(s), {warnings} warning(s)"
+        );
     }
     if o.lint == LintLevel::Deny && errors > 0 {
         return Err(format!("lint found {errors} error-severity finding(s)"));
@@ -581,21 +593,15 @@ fn lint_cmd(o: &Opts) -> Result<(), String> {
 
 /// Write the finished ledger per `--qor` / `--qor-out`: the text waterfall
 /// defaults to stderr (it is diagnostics, like the obs summary), JSONL to
-/// stdout unless an obs machine sink owns it; `--qor-out -` forces stdout
-/// and any other value names a file.
+/// stdout unless an obs machine sink owns it.
 fn write_qor_ledger(o: &Opts, ledger: &lowpower::qor::LedgerReport) -> Result<(), String> {
     let text = match o.qor {
         QorMode::Off => return Ok(()),
         QorMode::Json => ledger.render_jsonl(),
         QorMode::Text | QorMode::Gate => ledger.render_text(),
     };
-    match o.qor_out.as_deref() {
-        Some("-") => print!("{text}"),
-        Some(path) => std::fs::write(path, &text).map_err(|e| format!("writing {path}: {e}"))?,
-        None if o.qor == QorMode::Json && !stdout_owned_by_obs(o) => print!("{text}"),
-        None => eprint!("{text}"),
-    }
-    Ok(())
+    let default_stdout = o.qor == QorMode::Json && !stdout_owned_by_obs(o);
+    write_out(&text, o.qor_out.as_deref(), default_stdout)
 }
 
 /// The `--qor=gate` check of `synth`: compare the run's final QoR against
@@ -684,18 +690,7 @@ fn qor_diff(o: &Opts) -> Result<(), String> {
 /// `qor-check`: strictly validate a QoR ledger JSONL stream from `--file`
 /// (default: stdin), including the telescoping identity of every summary.
 fn qor_check(o: &Opts) -> Result<(), String> {
-    let text = match o.file.as_deref() {
-        None | Some("-") => {
-            use std::io::Read as _;
-            let mut buf = String::new();
-            std::io::stdin()
-                .read_to_string(&mut buf)
-                .map_err(|e| format!("reading stdin: {e}"))?;
-            buf
-        }
-        Some(path) => std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?,
-    };
-    let stats = lowpower::qor::check::check_jsonl(&text)?;
+    let stats = lowpower::qor::check::check_jsonl(&read_input(o)?)?;
     eprintln!(
         "qor ledger ok: {} line(s), {} snapshot(s), {} run(s)",
         stats.lines, stats.snapshot_lines, stats.runs

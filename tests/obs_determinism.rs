@@ -10,8 +10,9 @@
 //!   snapshot is byte-identical at `sim_threads = 1` and `4`, and across
 //!   repeated runs;
 //! * a full flow run's JSONL stream and Chrome trace pass the strict
-//!   checkers in `obs::check`, and the stream's stripped snapshot equals
-//!   the report's own timing-free snapshot;
+//!   checkers in `obs::check`, the stream's stripped snapshot equals
+//!   the report's own timing-free snapshot, and its note events are the
+//!   QoR ledger's snapshot lines;
 //! * `run_flow` and `run_method` record exactly one `verify` span per
 //!   transforming stage and one `lint` span per stage, in stage order, and
 //!   none when both checks are off;
@@ -70,10 +71,11 @@ fn full_flow_sinks_pass_strict_checkers() {
     let cfg = FlowConfig {
         sim_vectors: 256,
         sim_threads: 4,
+        qor: true,
         ..FlowConfig::default()
     };
     let session = obs::Session::start();
-    run_method(&optimized, &lib, Method::VI, &cfg).expect("flow runs");
+    let r = run_method(&optimized, &lib, Method::VI, &cfg).expect("flow runs");
     let report = session.finish();
 
     let snap = check_jsonl(&report.render_jsonl()).expect("JSONL stream is well-formed");
@@ -87,6 +89,30 @@ fn full_flow_sinks_pass_strict_checkers() {
     );
 
     check_chrome(&report.render_chrome()).expect("Chrome trace is well-formed");
+
+    // The QoR ledger rides the stream: its note events are exactly the
+    // ledger's snapshot lines, in recording order.
+    let notes: Vec<String> = report
+        .render_jsonl()
+        .lines()
+        .map(|line| parse_json(line).expect("stream line is strict JSON"))
+        .filter(|event| event.get("type").and_then(|t| t.as_str()) == Some("note"))
+        .map(|event| {
+            event
+                .get("text")
+                .and_then(|t| t.as_str())
+                .unwrap()
+                .to_string()
+        })
+        .collect();
+    let ledger = r.qor.expect("cfg.qor yields a ledger");
+    let lines: Vec<String> = ledger
+        .snapshots
+        .iter()
+        .map(|s| s.render_json(&ledger.circuit, &ledger.method))
+        .collect();
+    assert!(!lines.is_empty());
+    assert_eq!(notes, lines, "obs note stream must carry the QoR ledger");
 }
 
 /// `(name, label)` of every `verify` and `lint` span, in preorder.
