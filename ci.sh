@@ -25,9 +25,9 @@ cargo test -q --manifest-path flowbench/Cargo.toml
 TMP="${TMPDIR:-/tmp}"
 echo "==> tables23 determinism (--threads 1 vs 2 must be byte-identical)"
 cargo run --release --quiet -p lowpower-bench --bin tables23 -- \
-    --circuits cm42a,x2 --threads 1 > "$TMP/t23_serial.txt" 2> /dev/null
+    --circuits cm42a,x2,x3 --threads 1 > "$TMP/t23_serial.txt" 2> /dev/null
 cargo run --release --quiet -p lowpower-bench --bin tables23 -- \
-    --circuits cm42a,x2 --threads 2 > "$TMP/t23_par.txt" 2> /dev/null
+    --circuits cm42a,x2,x3 --threads 2 > "$TMP/t23_par.txt" 2> /dev/null
 cmp "$TMP/t23_serial.txt" "$TMP/t23_par.txt"
 
 echo "==> paper-result byte-identity (full-suite tables23 and ablation vs results/)"

@@ -8,7 +8,9 @@ use netlist::{Network, NodeId};
 ///
 /// Holds the manager so that exact joint/conditional probabilities between
 /// arbitrary internal signals can be queried (used for correlation-aware
-/// decomposition and for validating the heuristic of eq. 9).
+/// decomposition and for validating the heuristic of eq. 9). The BDDs can
+/// be carried over to a restructured copy of the network
+/// ([`NetworkBdds::rebase`]), which builds only the nodes the copy adds.
 #[derive(Debug)]
 pub struct NetworkBdds {
     manager: BddManager,
@@ -29,40 +31,71 @@ impl NetworkBdds {
             net.inputs().len(),
             "PI probability count mismatch"
         );
-        let mut manager = BddManager::new(net.inputs().len());
+        obs::counter!("activity.bdd.builds");
+        let mut bdds = NetworkBdds {
+            manager: BddManager::new(net.inputs().len()),
+            node_bdd: Vec::new(),
+            pi_probs: pi_probs.to_vec(),
+        };
+        bdds.rebase(net, std::iter::empty());
+        bdds
+    }
+
+    /// Re-target the BDDs at `net`, a network over the same primary inputs
+    /// (in the same order) as the one they describe now, and keep using
+    /// the same manager.
+    ///
+    /// `carried` pairs a node of the current network with the node of `net`
+    /// that computes the same global function. Each such `net` node takes
+    /// over the existing BDD. Every other logic node of `net` is built from
+    /// its fanins. In debug builds the carried nodes are built too, and
+    /// their handles must equal the carried ones.
+    ///
+    /// # Panics
+    /// Panics if the input counts differ or `net` is cyclic.
+    pub fn rebase(&mut self, net: &Network, carried: impl IntoIterator<Item = (NodeId, NodeId)>) {
+        assert_eq!(
+            net.inputs().len(),
+            self.manager.num_vars(),
+            "rebase target has a different input count"
+        );
         let mut node_bdd: Vec<Option<Bdd>> = vec![None; net.arena_len()];
+        for (old, new) in carried {
+            node_bdd[new.index()] = self.node_bdd[old.index()];
+        }
         for (i, &pi) in net.inputs().iter().enumerate() {
-            node_bdd[pi.index()] = Some(manager.var(i));
+            node_bdd[pi.index()] = Some(self.manager.var(i));
         }
         for id in net.topo_order().expect("network must be acyclic") {
             let node = net.node(id);
             let Some(sop) = node.sop() else { continue };
-            let fanin_bdds: Vec<Bdd> = node
-                .fanins()
-                .iter()
-                .map(|f| node_bdd[f.index()].expect("fanin processed before node"))
-                .collect();
+            if cfg!(not(debug_assertions)) && node_bdd[id.index()].is_some() {
+                continue;
+            }
             let mut f = Bdd::ZERO;
             for cube in sop.cubes() {
                 let mut c = Bdd::ONE;
                 for (pos, lit) in cube.bound_lits() {
-                    let v = fanin_bdds[pos];
+                    let v =
+                        node_bdd[node.fanins()[pos].index()].expect("fanin processed before node");
                     let v = match lit {
                         netlist::Lit::Pos => v,
-                        netlist::Lit::Neg => manager.not(v),
+                        netlist::Lit::Neg => self.manager.not(v),
                         netlist::Lit::Free => unreachable!(),
                     };
-                    c = manager.and(c, v);
+                    c = self.manager.and(c, v);
                 }
-                f = manager.or(f, c);
+                f = self.manager.or(f, c);
             }
-            node_bdd[id.index()] = Some(f);
+            let slot = &mut node_bdd[id.index()];
+            debug_assert!(
+                slot.is_none_or(|g| g == f),
+                "carried BDD of `{}` is not its function",
+                node.name()
+            );
+            *slot = Some(f);
         }
-        NetworkBdds {
-            manager,
-            node_bdd,
-            pi_probs: pi_probs.to_vec(),
-        }
+        self.node_bdd = node_bdd;
     }
 
     /// The BDD of a node's global function.
@@ -81,16 +114,34 @@ impl NetworkBdds {
     /// Exact joint probability `P(a = 1 ∧ b = 1)`.
     pub fn joint(&mut self, a: NodeId, b: NodeId) -> f64 {
         let (fa, fb) = (self.bdd(a), self.bdd(b));
-        self.manager
-            .joint_probability(fa, fb, &self.pi_probs.clone())
+        self.manager.joint_probability(fa, fb, &self.pi_probs)
     }
 
     /// Exact conditional probability `P(a = 1 | b = 1)`; `None` when
     /// `P(b = 1) = 0`.
     pub fn conditional(&mut self, a: NodeId, b: NodeId) -> Option<f64> {
         let (fa, fb) = (self.bdd(a), self.bdd(b));
-        self.manager
-            .conditional_probability(fa, fb, &self.pi_probs.clone())
+        self.manager.conditional_probability(fa, fb, &self.pi_probs)
+    }
+
+    /// Exact zero-delay activities of every node of `net`, the network the
+    /// BDDs were built for or last rebased onto, from one probability
+    /// sweep over the manager.
+    ///
+    /// # Panics
+    /// Panics if `net` is not that network's size.
+    pub fn activity(&self, net: &Network, model: TransitionModel) -> ActivityMap {
+        assert_eq!(
+            net.arena_len(),
+            self.node_bdd.len(),
+            "activity asked for a network the BDDs do not describe"
+        );
+        let probs = self.manager.probabilities(&self.pi_probs);
+        let mut p_one = vec![0.0; net.arena_len()];
+        for id in net.node_ids() {
+            p_one[id.index()] = probs[self.bdd(id).index()];
+        }
+        ActivityMap::from_p_one(p_one, model)
     }
 
     /// Underlying manager (e.g. for size statistics).
@@ -146,12 +197,7 @@ impl ActivityMap {
 /// `pi_probs[i]` is `P(input_i = 1)`; inputs are assumed mutually
 /// independent (the paper's default, §1.4).
 pub fn analyze(net: &Network, pi_probs: &[f64], model: TransitionModel) -> ActivityMap {
-    let bdds = NetworkBdds::build(net, pi_probs);
-    let mut p_one = vec![0.0; net.arena_len()];
-    for id in net.node_ids() {
-        p_one[id.index()] = bdds.p_one(id);
-    }
-    ActivityMap::from_p_one(p_one, model)
+    NetworkBdds::build(net, pi_probs).activity(net, model)
 }
 
 #[cfg(test)]

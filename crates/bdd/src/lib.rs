@@ -3,7 +3,8 @@
 //! Hash-consed unique table, memoized `ite`, and the signal-probability
 //! traversal of Najm (eq. 2 of the paper): for independent inputs,
 //! `P(f=1) = P(x)·P(f_x) + (1−P(x))·P(f_x̄)`, evaluated by one memoized
-//! depth-first sweep of the DAG.
+//! depth-first sweep of one function's DAG, or for every node of the
+//! manager at once by one pass in creation order.
 //!
 //! # Example
 //!

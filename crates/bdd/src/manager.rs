@@ -16,6 +16,12 @@ impl Bdd {
     pub fn is_const(self) -> bool {
         self.0 <= 1
     }
+
+    /// Position of the node in its manager's creation order, the index into
+    /// [`BddManager::probabilities`].
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
 }
 
 #[derive(Debug, Clone, Copy)]

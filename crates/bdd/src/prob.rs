@@ -1,4 +1,9 @@
 //! Signal probability by linear BDD traversal (Najm; eq. 2 of the paper).
+//!
+//! [`BddManager::probability`] walks the cone of one function;
+//! [`BddManager::probabilities`] evaluates every node of the manager in one
+//! pass. Both evaluate the same expression on the same operands, so they
+//! agree bit for bit.
 
 use crate::hash::FastMap;
 use crate::manager::{Bdd, BddManager};
@@ -20,6 +25,31 @@ impl BddManager {
         );
         let mut memo: FastMap<Bdd, f64> = FastMap::default();
         self.prob_rec(f, var_probs, &mut memo)
+    }
+
+    /// Probability of every node of the manager, indexed by
+    /// [`Bdd::index`], under the same independent-input model as
+    /// [`BddManager::probability`].
+    ///
+    /// One pass in creation order: a node is only created after both its
+    /// children, so their probabilities are ready when it is reached.
+    ///
+    /// # Panics
+    /// Panics if `var_probs.len()` differs from the variable count.
+    pub fn probabilities(&self, var_probs: &[f64]) -> Vec<f64> {
+        assert_eq!(
+            var_probs.len(),
+            self.num_vars(),
+            "probability vector width mismatch"
+        );
+        let mut p = Vec::with_capacity(self.node_count());
+        p.extend([0.0, 1.0]);
+        for i in 2..self.node_count() {
+            let (var, lo, hi) = self.node(Bdd(i as u32));
+            let pv = var_probs[var as usize];
+            p.push(pv * p[hi.index()] + (1.0 - pv) * p[lo.index()]);
+        }
+        p
     }
 
     fn prob_rec(&self, f: Bdd, probs: &[f64], memo: &mut FastMap<Bdd, f64>) -> f64 {
@@ -143,6 +173,20 @@ mod tests {
         // Conditioning on an impossible event yields None.
         let zero = Bdd::ZERO;
         assert!(m.conditional_probability(f, zero, &p).is_none());
+    }
+
+    #[test]
+    fn sweep_matches_traversal_on_every_node() {
+        let mut m = BddManager::new(3);
+        let (a, b, c) = (m.var(0), m.var(1), m.var(2));
+        let ab = m.and(a, b);
+        let f = m.xor(ab, c);
+        let p = [0.3, 0.6, 0.9];
+        let all = m.probabilities(&p);
+        assert_eq!(all.len(), m.node_count());
+        for g in [Bdd::ZERO, Bdd::ONE, a, b, c, ab, f] {
+            assert_eq!(all[g.index()].to_bits(), m.probability(g, &p).to_bits());
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Property-based tests of the ROBDD package: canonicity, Boolean laws,
-//! probability linearity and cofactor semantics on random expression trees.
+//! probability linearity, the all-node probability sweep and cofactor
+//! semantics on random expression trees.
 
 use bdd::{Bdd, BddManager};
 use proptest::prelude::*;
@@ -109,6 +110,26 @@ proptest! {
             }
         }
         prop_assert!((exact - brute).abs() < 1e-9);
+    }
+
+    #[test]
+    fn sweep_matches_traversal_bit_for_bit(
+        e1 in arb_expr(),
+        e2 in arb_expr(),
+        v in 0usize..N,
+        probs in proptest::collection::vec(0.0f64..1.0, N..=N)
+    ) {
+        let mut m = BddManager::new(N);
+        let f1 = e1.build(&mut m);
+        let f2 = e2.build(&mut m);
+        let hi = m.restrict(f1, v, true);
+        let lo = m.restrict(f2, v, false);
+        let x = m.xor(hi, lo);
+        let all = m.probabilities(&probs);
+        prop_assert_eq!(all.len(), m.node_count());
+        for f in [Bdd::ZERO, Bdd::ONE, f1, f2, hi, lo, x] {
+            prop_assert_eq!(all[f.index()].to_bits(), m.probability(f, &probs).to_bits());
+        }
     }
 
     #[test]

@@ -29,7 +29,9 @@ pub use bounded::{bounded_minpower_tree, min_height};
 pub use exhaustive::exhaustive_minpower;
 pub use huffman::{huffman_tree, minpower_tree};
 pub use modified::{modified_huffman_correlated, modified_huffman_tree};
-pub use network::{decompose_network, DecompOptions, DecompStyle, DecomposedNetwork};
+pub use network::{
+    decompose_network, decompose_network_with, DecompOptions, DecompStyle, DecomposedNetwork,
+};
 pub use objective::{DecompObjective, GateKind};
 pub use package_merge::package_merge_levels;
 pub use tree::DecompTree;

@@ -27,7 +27,7 @@ use crate::decomp::huffman::minpower_tree;
 use crate::decomp::modified::modified_huffman_correlated;
 use crate::decomp::objective::{DecompObjective, GateKind};
 use crate::decomp::tree::{DecompTree, TreeNode};
-use activity::{analyze, ActivityMap, CorrelationMatrix, NetworkBdds, TransitionModel};
+use activity::{ActivityMap, CorrelationMatrix, NetworkBdds, TransitionModel};
 use netlist::traversal::{unit_arrival_times, unit_slacks};
 use netlist::{Lit, Network, NodeId, Sop};
 use std::collections::{HashMap, HashSet};
@@ -96,6 +96,10 @@ pub struct DecomposedNetwork {
     /// shared inverters (`inv_*`) map to the node that *drives* them.
     /// Primary inputs are their own provenance and are omitted.
     pub provenance: HashMap<String, String>,
+    /// Source node → the node of [`DecomposedNetwork::network`] computing
+    /// its function (its tree root, aliasing buffer, constant or input).
+    /// Holds every input and logic node of the source network.
+    pub roots: HashMap<NodeId, NodeId>,
 }
 
 /// Per-node tree policy used by the builder.
@@ -116,21 +120,30 @@ pub fn decompose_network(net: &Network, opts: &DecompOptions) -> DecomposedNetwo
         .pi_probs
         .clone()
         .unwrap_or_else(|| vec![0.5; net.inputs().len()]);
-    let act = analyze(net, &pi_probs, opts.model);
-    let mut corr = if opts.use_correlations {
-        Some(NetworkBdds::build(net, &pi_probs))
-    } else {
-        None
-    };
+    decompose_network_with(net, opts, &mut NetworkBdds::build(net, &pi_probs))
+}
+
+/// [`decompose_network`] with the caller's global BDDs of `net`, built
+/// under the input probabilities of `opts`. The activities and, with
+/// [`DecompOptions::use_correlations`], the exact joints come from `bdds`;
+/// the nodes the joints create stay in its manager, and the BDDs still
+/// describe `net` afterwards.
+///
+/// # Panics
+/// Panics if the network is cyclic or `bdds` were built for another
+/// network.
+pub fn decompose_network_with(
+    net: &Network,
+    opts: &DecompOptions,
+    bdds: &mut NetworkBdds,
+) -> DecomposedNetwork {
+    let act = bdds.activity(net, opts.model);
+    let corr = opts.use_correlations.then_some(bdds);
 
     match opts.style {
-        DecompStyle::Conventional => build(net, &act, opts.model, corr.as_mut(), &|_| {
-            NodePolicy::Balanced
-        }),
-        DecompStyle::MinPower => build(net, &act, opts.model, corr.as_mut(), &|_| {
-            NodePolicy::MinPower
-        }),
-        DecompStyle::BoundedMinPower => bounded_decompose(net, &act, corr.as_mut(), opts),
+        DecompStyle::Conventional => build(net, &act, opts.model, corr, &|_| NodePolicy::Balanced),
+        DecompStyle::MinPower => build(net, &act, opts.model, corr, &|_| NodePolicy::MinPower),
+        DecompStyle::BoundedMinPower => bounded_decompose(net, &act, corr, opts),
     }
 }
 
@@ -175,9 +188,7 @@ fn bounded_decompose(
             if redecomposed.contains(&id) {
                 continue;
             }
-            let Some(root) = current.network.find(net.node(id).name()) else {
-                continue; // e.g. constant nodes
-            };
+            let root = current.roots[&id];
             let s = slack[root.index()];
             if s >= 0 || s == i64::MAX {
                 continue;
@@ -190,10 +201,7 @@ fn bounded_decompose(
         let Some((_, _, n)) = cand else { break };
         obs::counter!("decomp.redecomp.rounds");
         redecomposed.insert(n);
-        let root = current
-            .network
-            .find(net.node(n).name())
-            .expect("candidate had a root");
+        let root = current.roots[&n];
         // Exact required arrival level at this node's root.
         let bound = (arrival[root.index()] + slack[root.index()]).max(0) as usize;
         bounds.insert(n, bound);
@@ -235,25 +243,27 @@ fn build(
     mut corr: Option<&mut NetworkBdds>,
     policy: &dyn Fn(NodeId) -> NodePolicy,
 ) -> DecomposedNetwork {
-    let mut out = Network::new(format!("{}_decomp", net.name()));
+    let mut e = Emitter {
+        out: Network::new(format!("{}_decomp", net.name())),
+        level: HashMap::new(),
+        created: Vec::new(),
+        source: net,
+    };
     // original node -> node in `out` carrying its function
     let mut root: HashMap<NodeId, NodeId> = HashMap::new();
     // inverter cache in `out`
     let mut inv_cache: HashMap<NodeId, NodeId> = HashMap::new();
-    // absolute unit-delay arrival level of every `out` node
-    let mut level: HashMap<NodeId, usize> = HashMap::new();
     let mut node_heights = Vec::new();
     // `out` node -> original node it descends from (provenance)
     let mut prov: HashMap<NodeId, NodeId> = HashMap::new();
-    // fresh tree gates of the original node currently being decomposed
-    let mut created: Vec<NodeId> = Vec::new();
 
     for &pi in net.inputs() {
-        let id = out
+        let id = e
+            .out
             .add_input(net.node(pi).name().to_string())
             .expect("unique input name");
         root.insert(pi, id);
-        level.insert(id, 0);
+        e.level.insert(id, 0);
     }
 
     let and_obj = DecompObjective::new(model, GateKind::And);
@@ -272,11 +282,12 @@ fn build(
             } else {
                 Sop::one(0)
             };
-            let nid = out
+            let nid = e
+                .out
                 .add_logic(node.name().to_string(), vec![], w)
                 .expect("unique node name");
             root.insert(id, nid);
-            level.insert(nid, 0);
+            e.level.insert(nid, 0);
             prov.insert(nid, id);
             node_heights.push((node.name().to_string(), 0, 0));
             continue;
@@ -312,22 +323,23 @@ fn build(
                 let p_src = act.p_one(src_orig);
                 match lit {
                     Lit::Pos => {
-                        leaves.push((src, p_src, level[&src]));
+                        leaves.push((src, p_src, e.level[&src]));
                         sources.push((src_orig, true));
                     }
                     Lit::Neg => {
                         let inv = *inv_cache.entry(src).or_insert_with(|| {
-                            let name = out.fresh_name("inv_");
-                            let inv = out
+                            let name = e.fresh_name("inv_");
+                            let inv = e
+                                .out
                                 .add_logic(name, vec![src], Sop::parse(1, INV).expect("inv sop"))
                                 .expect("fresh name");
-                            level.insert(inv, level[&src] + 1);
+                            e.level.insert(inv, e.level[&src] + 1);
                             // Shared across consumers: attributed to the
                             // driver, not the node being decomposed.
                             prov.insert(inv, src_orig);
                             inv
                         });
-                        leaves.push((inv, 1.0 - p_src, level[&inv]));
+                        leaves.push((inv, 1.0 - p_src, e.level[&inv]));
                         sources.push((src_orig, false));
                     }
                     Lit::Free => unreachable!(),
@@ -335,45 +347,28 @@ fn build(
             }
             let correlated = match (&mut corr, and_pol) {
                 (Some(bdds), NodePolicy::MinPower) if leaves.len() >= 3 => {
-                    Some(correlated_and_tree(bdds, &sources, and_obj))
+                    Some(correlated_and_tree(bdds, act, &sources, and_obj))
                 }
                 _ => None,
             };
             let (cube_node, p_cube, l_cube) = match correlated {
                 Some(tree) => {
                     let p = tree.p_root();
-                    let (root_node, lv) =
-                        instantiate(&mut out, &mut level, &tree, &leaves, AND2, &mut created);
+                    let (root_node, lv) = e.instantiate(&tree, tree.root(), &leaves, AND2);
                     (root_node, p, lv)
                 }
-                None => emit_tree(
-                    &mut out,
-                    &mut level,
-                    &leaves,
-                    and_obj,
-                    and_pol,
-                    AND2,
-                    &mut created,
-                ),
+                None => e.emit_tree(&leaves, and_obj, and_pol, AND2),
             };
             cube_roots.push((cube_node, p_cube, l_cube));
         }
 
         // OR tree over cube roots.
-        let (node_root, _p, _l_root) = emit_tree(
-            &mut out,
-            &mut level,
-            &cube_roots,
-            or_obj,
-            or_pol,
-            OR2,
-            &mut created,
-        );
+        let (node_root, _p, _l_root) = e.emit_tree(&cube_roots, or_obj, or_pol, OR2);
 
         // Rename / alias the root to the original node's name.
-        let final_id = alias_with_name(&mut out, &mut level, node_root, node.name());
+        let final_id = e.alias_with_name(node_root, node.name());
         root.insert(id, final_id);
-        for c in created.drain(..) {
+        for c in e.created.drain(..) {
             prov.insert(c, id);
         }
         prov.insert(final_id, id);
@@ -381,9 +376,10 @@ fn build(
         // Balanced-height reference of this node in isolation (for the
         // depth_surplus report).
         let hb = balanced_height_estimate(sop);
-        node_heights.push((node.name().to_string(), level[&final_id], hb));
+        node_heights.push((node.name().to_string(), e.level[&final_id], hb));
     }
 
+    let mut out = e.out;
     for (name, o) in net.outputs() {
         out.add_output(name.clone(), root[o]);
     }
@@ -407,100 +403,110 @@ fn build(
         applied_bounds: HashMap::new(),
         depth,
         provenance,
+        roots: root,
     }
 }
 
-/// Emit a tree over `leaves` (node, probability, arrival level) into the
-/// network; returns `(root node, root probability, root arrival level)`.
-fn emit_tree(
-    out: &mut Network,
-    level: &mut HashMap<NodeId, usize>,
-    leaves: &[(NodeId, f64, usize)],
-    obj: DecompObjective,
-    pol: NodePolicy,
-    gate_sop: &[&str],
-    created: &mut Vec<NodeId>,
-) -> (NodeId, f64, usize) {
-    assert!(!leaves.is_empty(), "tree needs leaves");
-    if leaves.len() == 1 {
-        return leaves[0];
-    }
-    let probs: Vec<f64> = leaves.iter().map(|&(_, p, _)| p).collect();
-    let heights: Vec<usize> = leaves.iter().map(|&(_, _, h)| h).collect();
-    let tree = match pol {
-        NodePolicy::Balanced => balanced_tree(&probs, &heights, obj),
-        NodePolicy::MinPower => minpower_tree(&probs, obj),
-        NodePolicy::Bounded(bound) => {
-            let feasible = min_height(&heights).max(bound);
-            bounded_minpower_tree_with_heights(&probs, &heights, obj, feasible)
-                .expect("bound made feasible by construction")
+/// The decomposed network under construction, with the per-node state
+/// the builder tracks.
+struct Emitter<'s> {
+    out: Network,
+    /// Absolute unit-delay arrival level of every `out` node.
+    level: HashMap<NodeId, usize>,
+    /// Fresh tree gates of the original node currently being decomposed.
+    created: Vec<NodeId>,
+    /// The network being decomposed. Fresh names avoid its node names,
+    /// which the roots of its nodes take.
+    source: &'s Network,
+}
+
+impl Emitter<'_> {
+    /// A name with `prefix` that is unused in `out` and that no node of
+    /// the source network claims later.
+    fn fresh_name(&mut self, prefix: &str) -> String {
+        loop {
+            let name = self.out.fresh_name(prefix);
+            if self.source.find(&name).is_none() {
+                return name;
+            }
         }
-    };
-    let (root, root_level) = instantiate(out, level, &tree, leaves, gate_sop, created);
-    (root, tree.p_root(), root_level)
-}
+    }
 
-/// Materialize a [`DecompTree`] as 2-input gates; returns `(root, level)`.
-fn instantiate(
-    out: &mut Network,
-    level: &mut HashMap<NodeId, usize>,
-    tree: &DecompTree,
-    leaves: &[(NodeId, f64, usize)],
-    gate_sop: &[&str],
-    created: &mut Vec<NodeId>,
-) -> (NodeId, usize) {
-    #[allow(clippy::too_many_arguments)]
-    fn rec(
-        out: &mut Network,
-        level: &mut HashMap<NodeId, usize>,
+    /// Emit a tree over `leaves` (node, probability, arrival level);
+    /// returns `(root node, root probability, root arrival level)`.
+    fn emit_tree(
+        &mut self,
+        leaves: &[(NodeId, f64, usize)],
+        obj: DecompObjective,
+        pol: NodePolicy,
+        gate_sop: &[&str],
+    ) -> (NodeId, f64, usize) {
+        assert!(!leaves.is_empty(), "tree needs leaves");
+        if leaves.len() == 1 {
+            return leaves[0];
+        }
+        let probs: Vec<f64> = leaves.iter().map(|&(_, p, _)| p).collect();
+        let heights: Vec<usize> = leaves.iter().map(|&(_, _, h)| h).collect();
+        let tree = match pol {
+            NodePolicy::Balanced => balanced_tree(&probs, &heights, obj),
+            NodePolicy::MinPower => minpower_tree(&probs, obj),
+            NodePolicy::Bounded(bound) => {
+                let feasible = min_height(&heights).max(bound);
+                bounded_minpower_tree_with_heights(&probs, &heights, obj, feasible)
+                    .expect("bound made feasible by construction")
+            }
+        };
+        let (root, root_level) = self.instantiate(&tree, tree.root(), leaves, gate_sop);
+        (root, tree.p_root(), root_level)
+    }
+
+    /// Materialize the subtree of a [`DecompTree`] at `idx` as 2-input
+    /// gates; returns `(root, level)`.
+    fn instantiate(
+        &mut self,
         tree: &DecompTree,
         idx: usize,
         leaves: &[(NodeId, f64, usize)],
         gate_sop: &[&str],
-        created: &mut Vec<NodeId>,
     ) -> (NodeId, usize) {
         match tree.nodes()[idx] {
             TreeNode::Leaf { input, .. } => (leaves[input].0, leaves[input].2),
             TreeNode::Internal { left, right, .. } => {
-                let (l, ll) = rec(out, level, tree, left, leaves, gate_sop, created);
-                let (r, lr) = rec(out, level, tree, right, leaves, gate_sop, created);
-                let name = out.fresh_name("d_");
+                let (l, ll) = self.instantiate(tree, left, leaves, gate_sop);
+                let (r, lr) = self.instantiate(tree, right, leaves, gate_sop);
+                let name = self.fresh_name("d_");
                 let sop = Sop::parse(2, gate_sop).expect("gate sop");
-                let id = out.add_logic(name, vec![l, r], sop).expect("fresh name");
+                let id = self
+                    .out
+                    .add_logic(name, vec![l, r], sop)
+                    .expect("fresh name");
                 let lv = ll.max(lr) + 1;
-                level.insert(id, lv);
-                created.push(id);
+                self.level.insert(id, lv);
+                self.created.push(id);
                 (id, lv)
             }
         }
     }
-    rec(out, level, tree, tree.root(), leaves, gate_sop, created)
-}
 
-/// Give `node` the name `name` in `out`. Fresh tree roots (`d_*` names)
-/// are renamed in place; shared nodes (inputs, cached inverters, leaf
-/// passthroughs) get an aliasing buffer instead, since they may serve
-/// several original nodes.
-fn alias_with_name(
-    out: &mut Network,
-    level: &mut HashMap<NodeId, usize>,
-    node: NodeId,
-    name: &str,
-) -> NodeId {
-    if out.node(node).name() == name {
-        return node;
-    }
-    if out.node(node).name().starts_with("d_") {
-        out.rename_node(node, name)
+    /// Give `node` the name `name`. A fresh tree gate of the node being
+    /// decomposed is renamed in place; shared nodes (inputs, cached
+    /// inverters, other nodes' roots) get an aliasing buffer instead, since
+    /// they may serve several original nodes.
+    fn alias_with_name(&mut self, node: NodeId, name: &str) -> NodeId {
+        if self.created.contains(&node) {
+            self.out
+                .rename_node(node, name)
+                .expect("original names are unique");
+            return node;
+        }
+        let sop = Sop::parse(1, &["1"]).expect("buffer sop");
+        let buf = self
+            .out
+            .add_logic(name.to_string(), vec![node], sop)
             .expect("original names are unique");
-        return node;
+        self.level.insert(buf, self.level[&node] + 1);
+        buf
     }
-    let sop = Sop::parse(1, &["1"]).expect("buffer sop");
-    let buf = out
-        .add_logic(name.to_string(), vec![node], sop)
-        .expect("original names are unique");
-    level.insert(buf, level[&node] + 1);
-    buf
 }
 
 /// Build a correlation-aware AND tree over literal signals using the
@@ -509,6 +515,7 @@ fn alias_with_name(
 /// the complement of the node signal.
 fn correlated_and_tree(
     bdds: &mut NetworkBdds,
+    act: &ActivityMap,
     sources: &[(NodeId, bool)],
     obj: DecompObjective,
 ) -> DecompTree {
@@ -516,7 +523,7 @@ fn correlated_and_tree(
     let p: Vec<f64> = sources
         .iter()
         .map(|&(s, phase)| {
-            let ps = bdds.p_one(s);
+            let ps = act.p_one(s);
             if phase {
                 ps
             } else {
@@ -533,8 +540,8 @@ fn correlated_and_tree(
             }
             let (si, phi) = sources[i];
             let (sj, phj) = sources[j];
-            let pi_pos = bdds.p_one(si);
-            let pj_pos = bdds.p_one(sj);
+            let pi_pos = act.p_one(si);
+            let pj_pos = act.p_one(sj);
             let j_pos = bdds.joint(si, sj); // P(si=1 ∧ sj=1)
                                             // Transform through the literal phases.
             let v = match (phi, phj) {
@@ -605,6 +612,7 @@ fn balanced_tree(probs: &[f64], heights: &[usize], obj: DecompObjective) -> Deco
 #[cfg(test)]
 mod tests {
     use super::*;
+    use activity::analyze;
     use netlist::parse_blif;
 
     fn equivalent(a: &Network, b: &Network) -> bool {
@@ -815,6 +823,31 @@ mod tests {
             total(&corr),
             total(&indep)
         );
+    }
+
+    #[test]
+    fn fresh_names_avoid_source_names() {
+        // `g` needs an inverter and a gate before `inv_0` and `d_0` are
+        // decomposed; their fresh names must not take the source names.
+        let net = parse_blif(
+            ".model clash\n.inputs a b c d\n.outputs g inv_0 d_0\n\
+             .names a b g\n01 1\n.names a c d inv_0\n111 1\n\
+             .names b c d d_0\n0-1 1\n1-0 1\n.end\n",
+        )
+        .unwrap()
+        .network;
+        for style in [
+            DecompStyle::Conventional,
+            DecompStyle::MinPower,
+            DecompStyle::BoundedMinPower,
+        ] {
+            let d = decompose_network(&net, &DecompOptions::new(style));
+            assert!(equivalent(&net, &d.network), "style {style:?}");
+            for id in net.node_ids() {
+                let root = d.network.node(d.roots[&id]);
+                assert_eq!(root.name(), net.node(id).name(), "style {style:?}");
+            }
+        }
     }
 
     #[test]

@@ -41,7 +41,7 @@ use lowpower_core::map::MappedNetwork;
 use lowpower_core::power::evaluate;
 use netlist::Network;
 
-use activity::{PowerEnv, TransitionModel};
+use activity::{ActivityMap, PowerEnv, TransitionModel};
 
 /// Measurement context: everything a QoR snapshot needs besides the
 /// artifact itself. Matches the flow configuration so ledger numbers agree
@@ -89,7 +89,14 @@ impl Ctx {
 /// fixed-point [`Metrics`] units.
 pub fn measure_network(net: &Network, ctx: &Ctx) -> Metrics {
     let probs = ctx.probs_for(net.inputs().len());
-    let act = activity::analyze(net, &probs, ctx.model);
+    measure_network_with(net, &activity::analyze(net, &probs, ctx.model), ctx)
+}
+
+/// [`measure_network`] from activities the caller already computed for
+/// `net` under `ctx` (its input probabilities and transition model), so a
+/// snapshot of a network the flow has just analysed costs no BDD work.
+pub fn measure_network_with(net: &Network, act: &ActivityMap, ctx: &Ctx) -> Metrics {
+    debug_assert_eq!(act.model(), ctx.model, "activities under another model");
     let total_switching = act.total_switching(net.logic_ids());
     Metrics {
         power_muw: milli(ctx.env.average_power_uw(1.0, total_switching)),

@@ -9,14 +9,17 @@
 //! one of them end to end on an already-optimized network so that all six
 //! share the identical starting point, exactly as in the paper.
 
-use activity::{analyze, PowerEnv, TransitionModel};
+use activity::{ActivityMap, NetworkBdds, PowerEnv, TransitionModel};
 use genlib::Library;
 use lint::{lint_activity, lint_decomposed, lint_library, lint_mapped, lint_network};
 use lint::{LintConfig, LintLevel, LintReport};
-use lowpower_core::decomp::{decompose_network, DecompOptions, DecompStyle};
+use lowpower_core::decomp::{
+    decompose_network_with, DecompOptions, DecompStyle, DecomposedNetwork,
+};
 use lowpower_core::map::{map_network, MapObjective, MapOptions, SubjectAig};
 use lowpower_core::power::{evaluate, MappedReport};
-use netlist::Network;
+use netlist::{Network, NodeId};
+use std::collections::HashMap;
 use std::fmt;
 use verify::{check_equiv, OutputPolicy, Verdict, VerifyLevel, VerifyOptions};
 
@@ -403,6 +406,13 @@ pub fn optimize_checked(
 /// Panics if a constant node still has logic fanouts (run the optimizer's
 /// sweep first — it folds internal constants).
 pub fn strip_constant_outputs(net: &Network) -> (Network, Vec<(String, bool)>) {
+    let (out, const_outputs, _) = strip_constants(net);
+    (out, const_outputs)
+}
+
+/// [`strip_constant_outputs`], also returning the map from each kept node
+/// of `net` to its copy.
+fn strip_constants(net: &Network) -> (Network, Vec<(String, bool)>, HashMap<NodeId, NodeId>) {
     let is_const = |id: netlist::NodeId| {
         net.node(id)
             .sop()
@@ -421,10 +431,14 @@ pub fn strip_constant_outputs(net: &Network) -> (Network, Vec<(String, bool)>) {
         })
         .collect();
     if const_outputs.is_empty() {
-        return (net.clone(), Vec::new());
+        return (
+            net.clone(),
+            Vec::new(),
+            net.node_ids().map(|id| (id, id)).collect(),
+        );
     }
     let mut out = Network::new(net.name().to_string());
-    let mut map = std::collections::HashMap::new();
+    let mut map = HashMap::new();
     for &pi in net.inputs() {
         map.insert(
             pi,
@@ -454,7 +468,27 @@ pub fn strip_constant_outputs(net: &Network) -> (Network, Vec<(String, bool)>) {
             out.add_output(name.clone(), map[o]);
         }
     }
-    (out, const_outputs)
+    (out, const_outputs, map)
+}
+
+/// The activity stage: carry `bdds`, the global BDDs of the network
+/// `decomposed` was built from, over to `mappable` (its network with the
+/// constant outputs stripped, `stripped` mapping the kept nodes) in the
+/// same manager, and sweep their probabilities once. Consumes the BDDs,
+/// which the later stages do not need.
+fn mappable_activity(
+    mut bdds: NetworkBdds,
+    decomposed: &DecomposedNetwork,
+    stripped: &HashMap<NodeId, NodeId>,
+    mappable: &Network,
+    model: TransitionModel,
+) -> ActivityMap {
+    let carried = decomposed
+        .roots
+        .iter()
+        .filter_map(|(src, root)| Some((*src, *stripped.get(root)?)));
+    bdds.rebase(mappable, carried);
+    bdds.activity(mappable, model)
 }
 
 /// Result of one method run.
@@ -567,11 +601,14 @@ fn method_stages(
         required_time: None,
         use_correlations: cfg.use_correlations,
     };
-    let decomposed = {
+    let (decomposed, bdds) = {
         let _s = obs::span!("decompose");
-        let d = lint::certify::certified_decomposition(optimized, |n| decompose_network(n, &dopts));
+        let mut bdds = NetworkBdds::build(optimized, &pi_probs);
+        let d = lint::certify::certified_decomposition(optimized, |n| {
+            decompose_network_with(n, &dopts, &mut bdds)
+        });
         checks.snapshot_network("decompose", &d.network);
-        d
+        (d, bdds)
     };
     checks.check(
         "decompose",
@@ -579,12 +616,14 @@ fn method_stages(
         |c| lint_decomposed(&decomposed, c),
     )?;
     let provenance = qor::Provenance::from_decomposed(&decomposed);
-    let (mappable, _const_outputs) = strip_constant_outputs(&decomposed.network);
-    checks.snapshot_network("strip_const", &mappable);
+    let (mappable, _const_outputs, stripped) = strip_constants(&decomposed.network);
     let act = {
         let _s = obs::span!("activity");
-        analyze(&mappable, &pi_probs, cfg.model)
+        mappable_activity(bdds, &decomposed, &stripped, &mappable, cfg.model)
     };
+    checks.snapshot("strip_const", qor::SnapKind::Network, |ctx| {
+        qor::measure_network_with(&mappable, &act, ctx)
+    });
     checks.check("activity", None, |c| lint_activity(&mappable, &act, c))?;
     let decomp_switching = act.total_switching(mappable.logic_ids());
     let aig = SubjectAig::from_network(&mappable, &act)?;
@@ -637,4 +676,87 @@ fn method_stages(
         qor: checks.ledger.map(|(_, ledger)| ledger),
         provenance,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use activity::analyze;
+
+    /// For every decomposition style, the activity stage's carried
+    /// activities of the mappable network equal a fresh analysis bit for
+    /// bit.
+    fn assert_carried_activity_exact(net: &Network, use_correlations: bool) {
+        let model = TransitionModel::StaticCmos;
+        let probs = vec![0.5; net.inputs().len()];
+        for style in [
+            DecompStyle::Conventional,
+            DecompStyle::MinPower,
+            DecompStyle::BoundedMinPower,
+        ] {
+            let dopts = DecompOptions {
+                pi_probs: Some(probs.clone()),
+                use_correlations,
+                ..DecompOptions::new(style)
+            };
+            let mut bdds = NetworkBdds::build(net, &probs);
+            let decomposed = decompose_network_with(net, &dopts, &mut bdds);
+            let (mappable, _, stripped) = strip_constants(&decomposed.network);
+            let carried = mappable_activity(bdds, &decomposed, &stripped, &mappable, model);
+            let fresh = analyze(&mappable, &probs, model);
+            for id in mappable.node_ids() {
+                assert_eq!(
+                    (carried.p_one(id).to_bits(), carried.switching(id).to_bits()),
+                    (fresh.p_one(id).to_bits(), fresh.switching(id).to_bits()),
+                    "{} {style:?}: node `{}`",
+                    net.name(),
+                    mappable.node(id).name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn carried_activity_is_exact_on_the_suite() {
+        for entry in benchgen::paper_suite() {
+            let net = optimize(&benchgen::suite_circuit(entry.name));
+            assert_carried_activity_exact(&net, false);
+        }
+    }
+
+    #[test]
+    fn a_method_run_builds_global_bdds_once() {
+        let net = optimize(&benchgen::suite_circuit("cm42a"));
+        let lib = genlib::builtin::lib2_like();
+        for use_correlations in [false, true] {
+            let cfg = FlowConfig {
+                sim_vectors: 20,
+                use_correlations,
+                obs: obs::ObsMode::Summary,
+                ..FlowConfig::default()
+            };
+            for method in Method::ALL {
+                let r = run_method(&net, &lib, method, &cfg).unwrap();
+                let counters = r.obs.unwrap().metrics.counters;
+                assert_eq!(counters["activity.bdd.builds"], 1, "method {method}");
+            }
+        }
+    }
+
+    #[test]
+    fn carried_activity_is_exact_with_clashing_names_and_constants() {
+        // Source nodes named like the decomposer's fresh nodes, a constant
+        // output to strip, and correlated AND trees adding joint nodes to
+        // the manager.
+        let net = netlist::parse_blif(
+            ".model clash\n.inputs a b c d\n.outputs g inv_0 d_0 one\n\
+             .names a b g\n01 1\n.names a c d inv_0\n111 1\n\
+             .names b c d d_0\n0-1 1\n1-0 1\n.names one\n1\n.end\n",
+        )
+        .unwrap()
+        .network;
+        for use_correlations in [false, true] {
+            assert_carried_activity_exact(&net, use_correlations);
+        }
+    }
 }

@@ -294,6 +294,7 @@ fn clean_decomposed() -> DecomposedNetwork {
         applied_bounds: HashMap::new(),
         depth,
         provenance: HashMap::new(),
+        roots: HashMap::new(),
     }
 }
 
@@ -320,6 +321,7 @@ fn dec001_fires_on_wide_gate() {
         applied_bounds: HashMap::new(),
         depth,
         provenance: HashMap::new(),
+        roots: HashMap::new(),
     };
     let report = lint_decomposed(&decomp, &cfg());
     assert_fires(&report, "DEC001");
