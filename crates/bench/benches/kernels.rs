@@ -1,14 +1,16 @@
 //! Micro-benchmarks of the hot-path kernels the perf work targets:
 //! seeded activity simulation (1, 2 and 4 threads), structural matching
 //! with a reused scratch [`Matcher`], incremental curve
-//! insertion + finalize, and technology decomposition.
+//! insertion + finalize, technology decomposition, and the glitch-power
+//! simulation of a mapped netlist (1 and 2 threads).
 
 use activity::sim::simulate_activity_seeded;
 use activity::{analyze, TransitionModel};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use lowpower::flow::optimize;
+use lowpower::flow::{optimize, run_method, FlowConfig, Method};
 use lowpower_core::decomp::{decompose_network, DecompOptions, DecompStyle};
 use lowpower_core::map::{Curve, Matcher, PatternSet, Point, SubjectAig};
+use lowpower_core::power::simulate_glitch_power;
 use std::hint::black_box;
 
 fn decomposed(name: &str) -> netlist::Network {
@@ -92,11 +94,40 @@ fn bench_decompose(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_glitch_sim(c: &mut Criterion) {
+    let lib = genlib::builtin::lib2_like();
+    let cfg = FlowConfig::default();
+    let net = optimize(&benchgen::suite_circuit("s344"));
+    let mapped = run_method(&net, &lib, Method::V, &cfg)
+        .expect("s344 maps")
+        .mapped;
+    let probs = vec![0.5; mapped.pi_names.len()];
+    let mut g = c.benchmark_group("simulate_glitch_power_s344_v_600v");
+    for threads in [1usize, 2] {
+        g.bench_with_input(BenchmarkId::new("threads", threads), &threads, |b, &t| {
+            b.iter(|| {
+                black_box(simulate_glitch_power(
+                    &mapped,
+                    &lib,
+                    &cfg.env,
+                    &probs,
+                    600,
+                    cfg.sim_seed,
+                    cfg.po_load,
+                    t,
+                ))
+            })
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_activity_sim,
     bench_matcher,
     bench_curve,
-    bench_decompose
+    bench_decompose,
+    bench_glitch_sim
 );
 criterion_main!(benches);

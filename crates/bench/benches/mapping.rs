@@ -53,28 +53,10 @@ fn bench_mapping(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_glitch_simulation(c: &mut Criterion) {
-    use activity::PowerEnv;
-    use lowpower_core::power::simulate_glitch_power;
-    let lib = lib2_like();
-    let aig = prepared("s344");
-    let mapped = map_network(&aig, &lib, &MapOptions::power()).expect("maps");
-    let probs = vec![0.5; mapped.pi_names.len()];
-    let env = PowerEnv::new();
-    c.bench_function("glitch_sim_s344_100v", |b| {
-        b.iter(|| {
-            black_box(simulate_glitch_power(
-                &mapped, &lib, &env, &probs, 100, 1, 1.0, 1,
-            ))
-        })
-    });
-}
-
 criterion_group!(
     benches,
     bench_pattern_compilation,
     bench_subject_construction,
-    bench_mapping,
-    bench_glitch_simulation
+    bench_mapping
 );
 criterion_main!(benches);

@@ -86,8 +86,8 @@ impl fmt::Display for Method {
 /// Flow configuration shared by all methods.
 #[derive(Debug, Clone)]
 pub struct FlowConfig {
-    /// `P(pi = 1)` per input; `None` = 0.5 everywhere (the paper's
-    /// independent-input default).
+    /// `P(pi = 1)` per input, one entry per primary input; `None` = 0.5
+    /// everywhere (the paper's independent-input default).
     pub pi_probs: Option<Vec<f64>>,
     /// Transition model.
     pub model: TransitionModel,
@@ -103,7 +103,7 @@ pub struct FlowConfig {
     /// Use exact pairwise correlations (eqs. 7–9) during decomposition.
     pub use_correlations: bool,
     /// Vectors for the glitch-aware power simulation (the Ghosh-estimator
-    /// stand-in used for the reported power numbers).
+    /// stand-in used for the reported power numbers); at least 2.
     pub sim_vectors: usize,
     /// Seed for the glitch simulation.
     pub sim_seed: u64,
@@ -159,6 +159,27 @@ impl Default for FlowConfig {
 }
 
 impl FlowConfig {
+    /// Check the values a run on a network with `inputs` primary inputs
+    /// relies on, before any stage starts.
+    fn check(&self, inputs: usize) -> Result<(), FlowError> {
+        if self.sim_vectors < 2 {
+            return Err(FlowError::Config {
+                field: "sim_vectors",
+                problem: format!(
+                    "is {}, but the glitch simulation needs at least two vectors",
+                    self.sim_vectors
+                ),
+            });
+        }
+        match &self.pi_probs {
+            Some(p) if p.len() != inputs => Err(FlowError::Config {
+                field: "pi_probs",
+                problem: format!("has {} entries for a network with {inputs} inputs", p.len()),
+            }),
+            _ => Ok(()),
+        }
+    }
+
     /// The QoR measurement context matching this flow configuration, so
     /// ledger numbers agree exactly with the flow's own evaluation.
     pub fn qor_ctx(&self) -> qor::Ctx {
@@ -174,6 +195,13 @@ impl FlowConfig {
 /// Error from the end-to-end flow.
 #[derive(Debug)]
 pub enum FlowError {
+    /// A [`FlowConfig`] value cannot be used for the run.
+    Config {
+        /// The offending field.
+        field: &'static str,
+        /// What is wrong with its value.
+        problem: String,
+    },
     /// Mapping failed.
     Map(lowpower_core::map::MapError),
     /// A verification checkpoint found a functional difference.
@@ -206,6 +234,9 @@ pub enum FlowError {
 impl fmt::Display for FlowError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            FlowError::Config { field, problem } => {
+                write!(f, "invalid flow configuration: `{field}` {problem}")
+            }
             FlowError::Map(e) => write!(f, "mapping failed: {e}"),
             FlowError::Verify {
                 stage,
@@ -530,14 +561,18 @@ pub struct MethodResult {
 /// Run one method on an **already optimized** network.
 ///
 /// # Errors
-/// Returns [`FlowError`] when the network cannot be mapped (e.g. constant
-/// outputs survive optimization) or a checkpoint fails.
+/// Returns [`FlowError::Config`] when `cfg` cannot be used for
+/// `optimized` (see [`FlowConfig::sim_vectors`] and
+/// [`FlowConfig::pi_probs`]), and another [`FlowError`] when the network
+/// cannot be mapped (e.g. constant outputs survive optimization) or a
+/// checkpoint fails.
 pub fn run_method(
     optimized: &Network,
     lib: &Library,
     method: Method,
     cfg: &FlowConfig,
 ) -> Result<MethodResult, FlowError> {
+    cfg.check(optimized.inputs().len())?;
     with_obs(cfg, || {
         let mut checks = Checkpoints::for_run(cfg, optimized, "optimized", method);
         checks.check("library", None, |c| lint_library(lib, c))?;
@@ -555,6 +590,7 @@ pub fn run_flow(
     method: Method,
     cfg: &FlowConfig,
 ) -> Result<MethodResult, FlowError> {
+    cfg.check(net.inputs().len())?;
     with_obs(cfg, || {
         let mut checks = Checkpoints::for_run(cfg, net, "initial", method);
         checks.check("library", None, |c| lint_library(lib, c))?;
@@ -739,6 +775,31 @@ mod tests {
                 let r = run_method(&net, &lib, method, &cfg).unwrap();
                 let counters = r.obs.unwrap().metrics.counters;
                 assert_eq!(counters["activity.bdd.builds"], 1, "method {method}");
+            }
+        }
+    }
+
+    #[test]
+    fn unusable_configs_are_typed_errors() {
+        let net = benchgen::suite_circuit("cm42a");
+        let lib = genlib::builtin::lib2_like();
+        let too_few_vectors = FlowConfig {
+            sim_vectors: 1,
+            ..FlowConfig::default()
+        };
+        let short_probs = FlowConfig {
+            pi_probs: Some(vec![0.5; net.inputs().len() - 1]),
+            ..FlowConfig::default()
+        };
+        for (cfg, want) in [(too_few_vectors, "sim_vectors"), (short_probs, "pi_probs")] {
+            for result in [
+                run_flow(&net, &lib, Method::V, &cfg),
+                run_method(&net, &lib, Method::V, &cfg),
+            ] {
+                match result {
+                    Err(FlowError::Config { field, .. }) => assert_eq!(field, want),
+                    other => panic!("expected a `{want}` config error, got {other:?}"),
+                }
             }
         }
     }

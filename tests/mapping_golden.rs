@@ -1,5 +1,6 @@
-//! Golden mapped netlists: the structural BLIF of every method on three
-//! small suite circuits, pinned by digest.
+//! Golden mapped netlists and glitch powers: the structural BLIF and the
+//! glitch-simulated power of every method on small suite circuits, pinned
+//! by digest.
 //!
 //! The mapper's curve construction is a hot path that gets rewritten for
 //! speed; any such rewrite must leave the chosen gates, their bindings and
@@ -89,4 +90,32 @@ fn mapped_blif_digests_are_pinned() {
             "mapped netlist of {name} changed; current table:\n{table}"
         );
     }
+}
+
+/// Digest of `glitch_power_uw.to_bits()` over every method of cm42a, x2
+/// and s344 (in that order, methods in `Method::ALL` order).
+///
+/// The glitch simulator's event loop is a hot path that gets rewritten for
+/// speed; any such rewrite must pop events in exactly the old order, so
+/// every reported power keeps its bit pattern.
+const GLITCH_GOLDEN: u64 = 0xafd1ea567de780de;
+
+#[test]
+fn glitch_power_digest_is_pinned() {
+    let lib = lib2_like();
+    let cfg = FlowConfig::default();
+    let mut bytes = Vec::new();
+    for name in ["cm42a", "x2", "s344"] {
+        let optimized = optimize(&benchgen::suite_circuit(name));
+        for m in Method::ALL {
+            let r = run_method(&optimized, &lib, m, &cfg)
+                .unwrap_or_else(|e| panic!("method {m} failed on {name}: {e}"));
+            bytes.extend_from_slice(&r.glitch_power_uw.to_bits().to_le_bytes());
+        }
+    }
+    let digest = fnv1a(&bytes);
+    assert_eq!(
+        digest, GLITCH_GOLDEN,
+        "glitch powers changed; current digest: 0x{digest:016x}"
+    );
 }
