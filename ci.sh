@@ -42,6 +42,17 @@ sed -E "$strip_time" "$TMP/ablation.txt" > "$TMP/ablation.stripped"
 sed -E "$strip_time" results/ablation.txt > "$TMP/ablation_ref.stripped"
 cmp "$TMP/ablation.stripped" "$TMP/ablation_ref.stripped"
 
+echo "==> CLI byte-identity (decomp per style and report on examples/blif vs results/cli/)"
+for f in examples/blif/*.blif; do
+    b=$(basename "$f" .blif)
+    for style in conventional minpower bounded; do
+        cargo run --release --quiet -- decomp --blif "$f" --style "$style" > "$TMP/cli.txt"
+        cmp "$TMP/cli.txt" "results/cli/$b.decomp-$style.txt"
+    done
+    cargo run --release --quiet -- report --blif "$f" > "$TMP/cli.txt"
+    cmp "$TMP/cli.txt" "results/cli/$b.report.txt"
+done
+
 echo "==> lint gate (examples/blif, --lint=deny)"
 for f in examples/blif/*.blif; do
     echo "    lint $f"

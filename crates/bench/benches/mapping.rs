@@ -5,7 +5,7 @@
 use activity::{analyze, TransitionModel};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use genlib::builtin::lib2_like;
-use lowpower::flow::optimize;
+use lowpower::flow::{decompose, optimize, FlowConfig};
 use lowpower_core::decomp::{decompose_network, DecompOptions, DecompStyle};
 use lowpower_core::map::{map_network, MapOptions, PatternSet, SubjectAig};
 use std::hint::black_box;
@@ -19,11 +19,9 @@ fn bench_pattern_compilation(c: &mut Criterion) {
 
 fn prepared(name: &str) -> SubjectAig {
     let net = optimize(&benchgen::suite_circuit(name));
-    let d = decompose_network(&net, &DecompOptions::new(DecompStyle::MinPower));
-    let (mappable, _) = lowpower::flow::strip_constant_outputs(&d.network);
-    let probs = vec![0.5; mappable.inputs().len()];
-    let act = analyze(&mappable, &probs, TransitionModel::StaticCmos);
-    SubjectAig::from_network(&mappable, &act).expect("mappable")
+    let cfg = FlowConfig::default();
+    let d = decompose(&net, &lib2_like(), DecompStyle::MinPower, &cfg).expect("mappable");
+    d.subject().clone()
 }
 
 fn bench_subject_construction(c: &mut Criterion) {

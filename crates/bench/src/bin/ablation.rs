@@ -16,11 +16,10 @@
 //! block is rendered to a buffer and printed in order, so everything but
 //! the per-variant wall times is identical at any thread count.
 
-use activity::analyze;
 use genlib::builtin::lib2_like;
-use lowpower::flow::{optimize, run_method, FlowConfig, Method};
-use lowpower_core::decomp::{decompose_network, DecompOptions};
-use lowpower_core::map::{map_network, MapOptions, PowerMethod, SubjectAig};
+use lowpower::flow::{decompose, optimize, run_method, FlowConfig, Method};
+use lowpower_core::decomp::DecompStyle;
+use lowpower_core::map::{map_network, MapOptions, PowerMethod};
 use lowpower_core::power::{evaluate, simulate_glitch_power};
 use std::fmt::Write;
 use std::time::Instant;
@@ -102,20 +101,8 @@ fn run_circuit(name: &str, lib: &genlib::Library) -> String {
     let probe = run_method(&optimized, lib, Method::I, &cfg).expect("probe");
     let required = probe.mapped.estimated_fastest * 1.10;
 
+    let d = decompose(&optimized, lib, DecompStyle::MinPower, &cfg).expect("decomposition");
     let pi_probs = vec![0.5; optimized.inputs().len()];
-    let d = decompose_network(
-        &optimized,
-        &DecompOptions {
-            style: Method::V.decomp_style(),
-            model: cfg.model,
-            pi_probs: Some(pi_probs.clone()),
-            required_time: None,
-            use_correlations: false,
-        },
-    );
-    let (mappable, _) = lowpower::flow::strip_constant_outputs(&d.network);
-    let act = analyze(&mappable, &pi_probs, cfg.model);
-    let aig = SubjectAig::from_network(&mappable, &act).expect("subject");
 
     let mut out = String::new();
     writeln!(out, "\n=== {name} (pd-map, minpower decomposition) ===").unwrap();
@@ -137,7 +124,7 @@ fn run_circuit(name: &str, lib: &genlib::Library) -> String {
         // Coarse ε can prune the very points that meet the timing target
         // (s510 at ε = 0.5): report the variant as infeasible, that IS the
         // ablation's finding.
-        let mapped = match map_network(&aig, lib, &opts) {
+        let mapped = match map_network(d.subject(), lib, &opts) {
             Ok(m) => m,
             Err(e) => {
                 writeln!(out, "{:<40} infeasible at target: {e}", v.label).unwrap();

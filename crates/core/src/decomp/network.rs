@@ -43,6 +43,15 @@ pub enum DecompStyle {
     BoundedMinPower,
 }
 
+impl DecompStyle {
+    /// The three styles in the column order of the paper's tables.
+    pub const ALL: [DecompStyle; 3] = [
+        DecompStyle::Conventional,
+        DecompStyle::MinPower,
+        DecompStyle::BoundedMinPower,
+    ];
+}
+
 /// Options for [`decompose_network`].
 #[derive(Debug, Clone)]
 pub struct DecompOptions {

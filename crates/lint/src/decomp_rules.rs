@@ -34,12 +34,12 @@ pub fn lint_decomposed(decomp: &DecomposedNetwork, cfg: &LintConfig) -> LintRepo
     // DEC002: when bounded decomposition applied a height bound to a node
     // (§2.3), the node root's recorded arrival level must honor it.
     if cfg.enabled("DEC002") {
-        for (name, bound) in &decomp.applied_bounds {
-            let Some(&(_, height, _)) = decomp.node_heights.iter().find(|(n, _, _)| n == name)
-            else {
+        // In `node_heights` order: the bounds map's order is not stable.
+        for (name, height, _) in &decomp.node_heights {
+            let Some(bound) = decomp.applied_bounds.get(name) else {
                 continue;
             };
-            if height > *bound {
+            if height > bound {
                 report.push(
                     "DEC002",
                     severity_of("DEC002"),

@@ -4,10 +4,12 @@
 //! power-efficient technology mapping → area/delay/power report`.
 //!
 //! The six method combinations of Tables 2 and 3 are the cross product of
-//! three [`DecompStyle`]s and two
-//! `MapObjective`s; [`run_method`] runs
+//! three [`DecompStyle`]s and two [`MapObjective`]s; [`run_method`] runs
 //! one of them end to end on an already-optimized network so that all six
-//! share the identical starting point, exactly as in the paper.
+//! share the identical starting point, exactly as in the paper. The
+//! decomposition does not depend on the objective: [`decompose`] runs the
+//! stages a style's methods share and [`map`] finishes one method from
+//! them, so a caller running both objectives decomposes once.
 
 use activity::{ActivityMap, NetworkBdds, PowerEnv, TransitionModel};
 use genlib::Library;
@@ -41,6 +43,15 @@ pub enum Method {
 }
 
 impl Method {
+    /// The method combining decomposition `style` with mapping
+    /// `objective`.
+    pub fn new(style: DecompStyle, objective: MapObjective) -> Method {
+        Method::ALL
+            .into_iter()
+            .find(|m| m.decomp_style() == style && m.map_objective() == objective)
+            .expect("every style and objective make a method")
+    }
+
     /// All six methods in table order.
     pub const ALL: [Method; 6] = [
         Method::I,
@@ -281,15 +292,26 @@ pub struct StageLint {
 /// the given options.
 type EquivCheck<'a> = &'a dyn Fn(&VerifyOptions) -> Result<Verdict, verify::VerifyError>;
 
+/// The QoR snapshots of a run taken before its method is known. They are
+/// recorded into a ledger under the method's label by
+/// [`Checkpoints::ledger`].
+#[derive(Debug, Clone)]
+struct Snapshots {
+    ctx: qor::Ctx,
+    circuit: String,
+    taken: Vec<qor::Snapshot>,
+}
+
 /// The cross-cutting checks of one run, applied the same way after every
 /// stage, plus what the run records along the way: the lint findings and,
-/// when [`FlowConfig::qor`] is set, the QoR ledger with its measurement
-/// context.
+/// when [`FlowConfig::qor`] is set, the QoR snapshots with their
+/// measurement context.
+#[derive(Debug, Clone)]
 struct Checkpoints<'c> {
     cfg: &'c FlowConfig,
     lint_cfg: LintConfig,
     findings: Vec<StageLint>,
-    ledger: Option<(qor::Ctx, qor::LedgerReport)>,
+    snapshots: Option<Snapshots>,
 }
 
 impl<'c> Checkpoints<'c> {
@@ -298,32 +320,45 @@ impl<'c> Checkpoints<'c> {
             cfg,
             lint_cfg: LintConfig::new(),
             findings: Vec::new(),
-            ledger: None,
+            snapshots: None,
         }
     }
 
-    /// The checkpoints of a whole `method` run on `input`. When
-    /// [`FlowConfig::qor`] is set, the ledger opens with a snapshot of
-    /// `input` labelled `opening`.
-    fn for_run(cfg: &'c FlowConfig, input: &Network, opening: &str, method: Method) -> Self {
+    /// The checkpoints of a run on `input` with `lib`, after the library
+    /// checkpoint. When [`FlowConfig::qor`] is set, the snapshots open
+    /// with one of `input` labelled `opening`.
+    fn open(
+        cfg: &'c FlowConfig,
+        lib: &Library,
+        input: &Network,
+        opening: &str,
+    ) -> Result<Self, FlowError> {
         let mut checks = Checkpoints::new(cfg);
         if cfg.qor {
-            let ledger = qor::LedgerReport::new(input.name(), &method.to_string());
-            checks.ledger = Some((cfg.qor_ctx(), ledger));
+            checks.snapshots = Some(Snapshots {
+                ctx: cfg.qor_ctx(),
+                circuit: input.name().to_string(),
+                taken: Vec::new(),
+            });
             checks.snapshot_network(opening, input);
         }
-        checks
+        checks.check("library", None, |c| lint_library(lib, c))?;
+        Ok(checks)
     }
 
-    /// Record the QoR snapshot after `stage` when the run keeps a ledger.
+    /// Take the QoR snapshot after `stage` when the run keeps a ledger.
     fn snapshot(
         &mut self,
         stage: &str,
         kind: qor::SnapKind,
         measure: impl FnOnce(&qor::Ctx) -> qor::Metrics,
     ) {
-        if let Some((ctx, ledger)) = &mut self.ledger {
-            ledger.record(stage, kind, measure(ctx));
+        if let Some(s) = &mut self.snapshots {
+            s.taken.push(qor::Snapshot {
+                stage: stage.to_string(),
+                kind,
+                metrics: measure(&s.ctx),
+            });
         }
     }
 
@@ -331,6 +366,18 @@ impl<'c> Checkpoints<'c> {
         self.snapshot(stage, qor::SnapKind::Network, |ctx| {
             qor::measure_network(net, ctx)
         });
+    }
+
+    /// The run's QoR ledger under `method`'s label: its snapshots passed
+    /// to [`qor::LedgerReport::record`] in the order they were taken, which
+    /// counts them and emits their obs notes.
+    fn ledger(&self, method: Method) -> Option<qor::LedgerReport> {
+        let s = self.snapshots.as_ref()?;
+        let mut ledger = qor::LedgerReport::new(&s.circuit, &method.to_string());
+        for snap in &s.taken {
+            ledger.record(&snap.stage, snap.kind, snap.metrics);
+        }
+        Some(ledger)
     }
 
     /// The checkpoint after `stage`. When `cfg.verify` is not
@@ -431,11 +478,8 @@ pub fn optimize_checked(
 /// Split constant-driven primary outputs from a decomposed network: the
 /// mapper has no tie cells, and a constant net dissipates no dynamic power
 /// anyway. Returns the mappable network and the `(name, value)` constant
-/// outputs.
-///
-/// # Panics
-/// Panics if a constant node still has logic fanouts (run the optimizer's
-/// sweep first — it folds internal constants).
+/// outputs. A constant node that also feeds logic stays in the network (the
+/// optimizer's sweep folds such nodes); the mapper then rejects it.
 pub fn strip_constant_outputs(net: &Network) -> (Network, Vec<(String, bool)>) {
     let (out, const_outputs, _) = strip_constants(net);
     (out, const_outputs)
@@ -480,12 +524,7 @@ fn strip_constants(net: &Network) -> (Network, Vec<(String, bool)>, HashMap<Node
     for id in net.topo_order().expect("acyclic") {
         let node = net.node(id);
         let Some(sop) = node.sop() else { continue };
-        if is_const(id) {
-            assert!(
-                node.fanouts().is_empty(),
-                "constant node `{}` feeds logic; sweep the network first",
-                node.name()
-            );
+        if is_const(id) && node.fanouts().is_empty() {
             continue;
         }
         let fanins = node.fanins().iter().map(|f| map[f]).collect();
@@ -549,7 +588,8 @@ pub struct MethodResult {
     pub obs: Option<obs::Report>,
     /// QoR ledger of the run, when [`FlowConfig::qor`] is set: the opening
     /// snapshot (`initial` from [`run_flow`], `optimized` from
-    /// [`run_method`]) followed by one snapshot per stage.
+    /// [`run_method`] and [`decompose`]) followed by one snapshot per
+    /// stage.
     pub qor: Option<qor::LedgerReport>,
     /// Provenance of the decomposition: resolves every mapped gate's
     /// source node back to the optimized network
@@ -558,14 +598,92 @@ pub struct MethodResult {
     pub provenance: qor::Provenance,
 }
 
+/// One decomposition style applied to an optimized network: everything
+/// the methods of that style share, ready to be mapped under either
+/// objective by [`map`].
+///
+/// It keeps the [`FlowConfig`] it was built under, so every mapping of it
+/// runs under that configuration, and the lint findings and QoR snapshots
+/// of its stages, which [`map`] replays into each method's result.
+#[derive(Debug)]
+pub struct Decomposition<'c> {
+    cfg: &'c FlowConfig,
+    style: DecompStyle,
+    pi_probs: Vec<f64>,
+    decomposed: DecomposedNetwork,
+    mappable: Network,
+    switching: f64,
+    subject: SubjectAig,
+    provenance: qor::Provenance,
+    checks: Checkpoints<'c>,
+}
+
+impl Decomposition<'_> {
+    /// The decomposition style.
+    pub fn style(&self) -> DecompStyle {
+        self.style
+    }
+
+    /// The decomposed network, constant outputs included.
+    pub fn network(&self) -> &DecomposedNetwork {
+        &self.decomposed
+    }
+
+    /// The subject graph the mapper covers: the decomposed network without
+    /// its constant outputs, annotated with signal probabilities.
+    pub fn subject(&self) -> &SubjectAig {
+        &self.subject
+    }
+
+    /// Total switching activity of the decomposed network's logic nodes
+    /// (the MINPOWER objective value).
+    pub fn switching(&self) -> f64 {
+        self.switching
+    }
+}
+
+/// The stages every method of `style` shares, on an **already optimized**
+/// network: the library checkpoint, decomposition, constant-output strip,
+/// activity and subject graph, each with its checkpoint. With
+/// [`FlowConfig::qor`] the snapshots open with `optimized`, as in
+/// [`run_method`].
+///
+/// # Errors
+/// See [`run_method`].
+pub fn decompose<'c>(
+    optimized: &Network,
+    lib: &Library,
+    style: DecompStyle,
+    cfg: &'c FlowConfig,
+) -> Result<Decomposition<'c>, FlowError> {
+    cfg.check(optimized.inputs().len())?;
+    let checks = Checkpoints::open(cfg, lib, optimized, "optimized")?;
+    decompose_stages(optimized, style, checks)
+}
+
+/// Map `d` under `objective`, then evaluate and simulate the result: the
+/// last stages of the method combining `d`'s style with `objective`. The
+/// result carries `d`'s lint findings and QoR snapshots followed by the
+/// map stage's, so it equals that method's [`run_method`] result.
+///
+/// # Errors
+/// Returns [`FlowError`] when mapping or the map checkpoint fails.
+pub fn map(
+    d: &Decomposition<'_>,
+    lib: &Library,
+    objective: MapObjective,
+) -> Result<MethodResult, FlowError> {
+    map_stages(d, d.checks.clone(), d.provenance.clone(), lib, objective)
+}
+
 /// Run one method on an **already optimized** network.
 ///
 /// # Errors
 /// Returns [`FlowError::Config`] when `cfg` cannot be used for
 /// `optimized` (see [`FlowConfig::sim_vectors`] and
 /// [`FlowConfig::pi_probs`]), and another [`FlowError`] when the network
-/// cannot be mapped (e.g. constant outputs survive optimization) or a
-/// checkpoint fails.
+/// cannot be mapped (e.g. constant nodes feed logic) or a checkpoint
+/// fails.
 pub fn run_method(
     optimized: &Network,
     lib: &Library,
@@ -574,8 +692,7 @@ pub fn run_method(
 ) -> Result<MethodResult, FlowError> {
     cfg.check(optimized.inputs().len())?;
     with_obs(cfg, || {
-        let mut checks = Checkpoints::for_run(cfg, optimized, "optimized", method);
-        checks.check("library", None, |c| lint_library(lib, c))?;
+        let checks = Checkpoints::open(cfg, lib, optimized, "optimized")?;
         method_stages(optimized, lib, method, checks)
     })
 }
@@ -592,8 +709,7 @@ pub fn run_flow(
 ) -> Result<MethodResult, FlowError> {
     cfg.check(net.inputs().len())?;
     with_obs(cfg, || {
-        let mut checks = Checkpoints::for_run(cfg, net, "initial", method);
-        checks.check("library", None, |c| lint_library(lib, c))?;
+        let mut checks = Checkpoints::open(cfg, lib, net, "initial")?;
         let optimized = checks.optimize(net)?;
         method_stages(&optimized, lib, method, checks)
     })
@@ -615,23 +731,36 @@ fn with_obs(
     Ok(result)
 }
 
-/// The stages of one method after optimization: decompose, activity, map,
-/// evaluate, each followed by its checkpoint.
+/// The stages of one method after optimization, under its `method` span:
+/// the decomposition of its style, mapped once under its objective.
 fn method_stages(
     optimized: &Network,
     lib: &Library,
     method: Method,
-    mut checks: Checkpoints<'_>,
+    checks: Checkpoints<'_>,
 ) -> Result<MethodResult, FlowError> {
-    let cfg = checks.cfg;
     let _method_span = obs::span!("method", "{method}");
-    obs::counter!("flow.methods");
+    let mut d = decompose_stages(optimized, method.decomp_style(), checks)?;
+    // The only mapping of `d` takes its findings, snapshots and provenance.
+    let checks = std::mem::replace(&mut d.checks, Checkpoints::new(d.cfg));
+    let provenance = std::mem::take(&mut d.provenance);
+    map_stages(&d, checks, provenance, lib, method.map_objective())
+}
+
+/// Decompose, strip constant outputs, carry the activity over and build
+/// the subject graph, each followed by its checkpoint.
+fn decompose_stages<'c>(
+    optimized: &Network,
+    style: DecompStyle,
+    mut checks: Checkpoints<'c>,
+) -> Result<Decomposition<'c>, FlowError> {
+    let cfg = checks.cfg;
     let pi_probs = cfg
         .pi_probs
         .clone()
         .unwrap_or_else(|| vec![0.5; optimized.inputs().len()]);
     let dopts = DecompOptions {
-        style: method.decomp_style(),
+        style,
         model: cfg.model,
         pi_probs: Some(pi_probs.clone()),
         required_time: None,
@@ -661,10 +790,34 @@ fn method_stages(
         qor::measure_network_with(&mappable, &act, ctx)
     });
     checks.check("activity", None, |c| lint_activity(&mappable, &act, c))?;
-    let decomp_switching = act.total_switching(mappable.logic_ids());
-    let aig = SubjectAig::from_network(&mappable, &act)?;
+    let switching = act.total_switching(mappable.logic_ids());
+    let subject = SubjectAig::from_network(&mappable, &act)?;
+    Ok(Decomposition {
+        cfg,
+        style,
+        pi_probs,
+        decomposed,
+        mappable,
+        switching,
+        subject,
+        provenance,
+        checks,
+    })
+}
+
+/// Map, evaluate and simulate `d` under `objective`, continuing the run
+/// `checks` recorded so far.
+fn map_stages(
+    d: &Decomposition<'_>,
+    mut checks: Checkpoints<'_>,
+    provenance: qor::Provenance,
+    lib: &Library,
+    objective: MapObjective,
+) -> Result<MethodResult, FlowError> {
+    let cfg = d.cfg;
+    obs::counter!("flow.methods");
     let mopts = MapOptions {
-        objective: method.map_objective(),
+        objective,
         epsilon: cfg.epsilon,
         model: cfg.model,
         env: cfg.env,
@@ -674,14 +827,14 @@ fn method_stages(
     };
     let mapped = {
         let _s = obs::span!("map");
-        map_network(&aig, lib, &mopts)?
+        map_network(&d.subject, lib, &mopts)?
     };
     checks.snapshot("map", qor::SnapKind::Mapped, |ctx| {
         qor::measure_mapped(&mapped, lib, ctx)
     });
     checks.check(
         "map",
-        Some(&|o| check_equiv(&mappable, &mapped.to_network(lib, mappable.name()), o)),
+        Some(&|o| check_equiv(&d.mappable, &mapped.to_network(lib, d.mappable.name()), o)),
         |c| lint_mapped(&mapped, lib, cfg.po_load, c),
     )?;
     let report = {
@@ -694,7 +847,7 @@ fn method_stages(
             &mapped,
             lib,
             &cfg.env,
-            &pi_probs,
+            &d.pi_probs,
             cfg.sim_vectors,
             cfg.sim_seed,
             cfg.po_load,
@@ -704,12 +857,12 @@ fn method_stages(
     Ok(MethodResult {
         report,
         glitch_power_uw: glitch.power_uw,
-        decomp_depth: decomposed.depth,
-        decomp_switching,
+        decomp_depth: d.decomposed.depth,
+        decomp_switching: d.switching,
         mapped,
+        qor: checks.ledger(Method::new(d.style, objective)),
         lint_findings: checks.findings,
         obs: None,
-        qor: checks.ledger.map(|(_, ledger)| ledger),
         provenance,
     })
 }
@@ -776,6 +929,105 @@ mod tests {
                 let counters = r.obs.unwrap().metrics.counters;
                 assert_eq!(counters["activity.bdd.builds"], 1, "method {method}");
             }
+            // The six methods as `tables23` runs them: one decomposition
+            // per style, each mapped under both objectives.
+            let session = obs::Session::start();
+            let decomps = par::scope_map(2, &DecompStyle::ALL, |_, &style| {
+                decompose(&net, &lib, style, &cfg).unwrap()
+            });
+            par::scope_map(2, &Method::ALL, |_, &method| {
+                let d = decomps.iter().find(|d| d.style() == method.decomp_style());
+                map(d.unwrap(), &lib, method.map_objective()).unwrap()
+            });
+            let counters = session.finish().metrics.counters;
+            assert_eq!(counters["activity.bdd.builds"], 3);
+            assert_eq!(counters["flow.methods"], 6);
+        }
+    }
+
+    /// Everything a method result reports, with every float as its bits.
+    fn fingerprint(r: &MethodResult, lib: &Library) -> impl PartialEq + fmt::Debug {
+        let floats = [
+            r.report.area,
+            r.report.delay,
+            r.report.power_uw,
+            r.glitch_power_uw,
+            r.decomp_switching,
+        ];
+        let findings: Vec<_> = r
+            .lint_findings
+            .iter()
+            .map(|f| (f.stage, f.report.render_text()))
+            .collect();
+        (
+            floats.map(f64::to_bits),
+            (r.report.gate_count, r.decomp_depth),
+            r.mapped.to_blif(lib, "mapped"),
+            findings,
+            r.qor.as_ref().map(qor::LedgerReport::render_jsonl),
+        )
+    }
+
+    #[test]
+    fn a_shared_decomposition_maps_like_run_method() {
+        let lib = genlib::builtin::lib2_like();
+        let mut nets: Vec<Network> = ["cm42a", "x2", "s344"]
+            .iter()
+            .map(|name| optimize(&benchgen::suite_circuit(name)))
+            .collect();
+        nets.push(clash_network());
+        for net in &nets {
+            for use_correlations in [false, true] {
+                let cfg = FlowConfig {
+                    sim_vectors: 64,
+                    use_correlations,
+                    verify: VerifyLevel::Sim,
+                    lint: LintLevel::Check,
+                    qor: true,
+                    ..FlowConfig::default()
+                };
+                for style in DecompStyle::ALL {
+                    let d = decompose(net, &lib, style, &cfg).unwrap();
+                    for objective in [MapObjective::Area, MapObjective::Power] {
+                        let method = Method::new(style, objective);
+                        let shared = map(&d, &lib, objective).unwrap();
+                        let alone = run_method(net, &lib, method, &cfg).unwrap();
+                        assert!(alone.qor.is_some());
+                        assert_eq!(
+                            fingerprint(&shared, &lib),
+                            fingerprint(&alone, &lib),
+                            "{} method {method}, correlations {use_correlations}",
+                            net.name()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn constant_nodes_feeding_logic_are_typed_errors() {
+        let lib = genlib::builtin::lib2_like();
+        let cfg = FlowConfig {
+            sim_vectors: 20,
+            ..FlowConfig::default()
+        };
+        // The constant `c` feeds `f`, with and without being an output.
+        for outputs in ["f g c", "f g"] {
+            let net = netlist::parse_blif(&format!(
+                ".model k\n.inputs a b\n.outputs {outputs}\n.names c\n1\n\
+                 .names a c f\n11 1\n.names a b g\n11 1\n.end\n"
+            ))
+            .unwrap()
+            .network;
+            for method in Method::ALL {
+                match run_method(&net, &lib, method, &cfg) {
+                    Err(FlowError::Map(lowpower_core::map::MapError::UnsupportedNode(node))) => {
+                        assert_eq!(node, "c", "outputs `{outputs}`, method {method}")
+                    }
+                    other => panic!("outputs `{outputs}`, method {method}: got {other:?}"),
+                }
+            }
         }
     }
 
@@ -804,20 +1056,23 @@ mod tests {
         }
     }
 
-    #[test]
-    fn carried_activity_is_exact_with_clashing_names_and_constants() {
-        // Source nodes named like the decomposer's fresh nodes, a constant
-        // output to strip, and correlated AND trees adding joint nodes to
-        // the manager.
-        let net = netlist::parse_blif(
+    /// Source nodes named like the decomposer's fresh nodes, a constant
+    /// output to strip, and correlated AND trees adding joint nodes to the
+    /// BDD manager.
+    fn clash_network() -> Network {
+        netlist::parse_blif(
             ".model clash\n.inputs a b c d\n.outputs g inv_0 d_0 one\n\
              .names a b g\n01 1\n.names a c d inv_0\n111 1\n\
              .names b c d d_0\n0-1 1\n1-0 1\n.names one\n1\n.end\n",
         )
         .unwrap()
-        .network;
+        .network
+    }
+
+    #[test]
+    fn carried_activity_is_exact_with_clashing_names_and_constants() {
         for use_correlations in [false, true] {
-            assert_carried_activity_exact(&net, use_correlations);
+            assert_carried_activity_exact(&clash_network(), use_correlations);
         }
     }
 }

@@ -62,8 +62,11 @@
 //! mapped gates — with power shares — that trace back to it.
 
 use genlib::{builtin::lib2_like, Library};
+use lowpower::core::decomp::DecompStyle;
+use lowpower::core::map::MapObjective;
 use lowpower::flow::{
-    optimize, optimize_checked, run_flow, run_method, FlowConfig, Method, StageLint,
+    decompose, map, optimize, optimize_checked, run_flow, run_method, Decomposition, FlowConfig,
+    Method, StageLint,
 };
 use lowpower::lint::LintLevel;
 use lowpower::obs::ObsMode;
@@ -494,8 +497,19 @@ fn report(o: &Opts) -> Result<(), String> {
         "power µW",
         "glitch µW"
     );
+    // Each style is decomposed once, by the first method that needs it.
+    let mut decomps: Vec<Decomposition> = Vec::new();
     for m in Method::ALL {
-        let r = run_method(&optimized, &lib, m, &cfg).map_err(|e| e.to_string())?;
+        let style = m.decomp_style();
+        if !decomps.iter().any(|d| d.style() == style) {
+            let d = decompose(&optimized, &lib, style, &cfg).map_err(|e| e.to_string())?;
+            decomps.push(d);
+        }
+        let d = decomps
+            .iter()
+            .find(|d| d.style() == style)
+            .expect("decomposed");
+        let r = map(d, &lib, m.map_objective()).map_err(|e| e.to_string())?;
         print_findings(o, &r.lint_findings, false);
         say!(
             o,
@@ -511,39 +525,30 @@ fn report(o: &Opts) -> Result<(), String> {
 }
 
 fn decomp(o: &Opts) -> Result<(), String> {
-    use lowpower::core::decomp::{decompose_network, DecompOptions, DecompStyle};
-    let (net, _lib) = load_inputs(o)?;
+    let (net, lib) = load_inputs(o)?;
     let style = match o.style.as_str() {
         "conventional" => DecompStyle::Conventional,
         "minpower" => DecompStyle::MinPower,
         "bounded" => DecompStyle::BoundedMinPower,
         other => return Err(format!("unknown style `{other}`")),
     };
-    let optimized = optimize(&net);
-    let d = decompose_network(
-        &optimized,
-        &DecompOptions {
-            use_correlations: o.correlations,
-            ..DecompOptions::new(style)
-        },
-    );
-    let probs = vec![0.5; optimized.inputs().len()];
-    let act = lowpower::activity::analyze(
-        &d.network,
-        &probs,
-        lowpower::activity::TransitionModel::StaticCmos,
-    );
+    let cfg = FlowConfig {
+        use_correlations: o.correlations,
+        ..FlowConfig::default()
+    };
+    let d = decompose(&optimize(&net), &lib, style, &cfg).map_err(|e| e.to_string())?;
+    let decomposed = d.network();
     println!("style            : {style:?}");
-    println!("nodes            : {}", d.network.logic_count());
-    println!("depth            : {} levels", d.depth);
-    println!(
-        "total switching  : {:.3} transitions/cycle",
-        act.total_switching(d.network.logic_ids())
-    );
-    if !d.applied_bounds.is_empty() {
-        println!("height bounds applied to {} nodes", d.applied_bounds.len());
+    println!("nodes            : {}", decomposed.network.logic_count());
+    println!("depth            : {} levels", decomposed.depth);
+    println!("total switching  : {:.3} transitions/cycle", d.switching());
+    if !decomposed.applied_bounds.is_empty() {
+        println!(
+            "height bounds applied to {} nodes",
+            decomposed.applied_bounds.len()
+        );
     }
-    println!("{}", netlist::write_blif(&d.network));
+    println!("{}", netlist::write_blif(&decomposed.network));
     Ok(())
 }
 
@@ -639,7 +644,6 @@ fn qor_gate(o: &Opts, ledger: &lowpower::qor::LedgerReport) -> Result<(), String
 /// `qor-baseline`: run all six methods on every `--blif` and write the
 /// canonical baseline JSON (final mapped QoR per `circuit × method`).
 fn qor_baseline(o: &Opts) -> Result<(), String> {
-    use lowpower::flow::run_flow;
     use lowpower::qor::Baseline;
     if o.blifs.is_empty() {
         return Err("--blif is required (repeat it for several circuits)".to_string());
@@ -654,11 +658,17 @@ fn qor_baseline(o: &Opts) -> Result<(), String> {
     let mut baseline = Baseline::new();
     for path in &o.blifs {
         let net = load_blif(path)?;
-        for m in Method::ALL {
-            let r = run_flow(&net, &lib, m, &cfg)
-                .map_err(|e| format!("{}: method {m}: {e}", net.name()))?;
-            let metrics = lowpower::qor::measure_mapped(&r.mapped, &lib, &ctx);
-            baseline.insert(net.name(), &m.to_string(), metrics);
+        let optimized = optimize(&net);
+        for style in DecompStyle::ALL {
+            let d = decompose(&optimized, &lib, style, &cfg)
+                .map_err(|e| format!("{}: {style:?} decomposition: {e}", net.name()))?;
+            for objective in [MapObjective::Area, MapObjective::Power] {
+                let m = Method::new(style, objective);
+                let r = map(&d, &lib, objective)
+                    .map_err(|e| format!("{}: method {m}: {e}", net.name()))?;
+                let metrics = lowpower::qor::measure_mapped(&r.mapped, &lib, &ctx);
+                baseline.insert(net.name(), &m.to_string(), metrics);
+            }
         }
         eprintln!("measured {} (6 methods)", net.name());
     }
