@@ -77,6 +77,9 @@ cargo run --release --quiet -- obs-check --file "$TMP/obs.trace.json" --chrome
 echo "==> obs disabled-overhead smoke (criterion micro-bench)"
 cargo bench --quiet -p lowpower-bench --bench obs_overhead > /dev/null
 
+echo "==> BDD construction smoke (criterion micro-bench: adders, optimized x3)"
+cargo bench --quiet -p lowpower-bench --bench bdd_prob > /dev/null
+
 echo "==> qor gate (regenerate example-circuit QoR, zero-tolerance diff vs baseline)"
 cargo run --release --quiet -- qor-baseline \
     --blif examples/blif/fulladd.blif --blif examples/blif/mux4.blif \

@@ -11,11 +11,21 @@ use netlist::{Network, NodeId};
 /// decomposition and for validating the heuristic of eq. 9). The BDDs can
 /// be carried over to a restructured copy of the network
 /// ([`NetworkBdds::rebase`]), which builds only the nodes the copy adds.
+///
+/// Variables follow the network's static depth-first input order
+/// ([`Network::input_dfs_order`]), not the declared one. At uniform 0.5
+/// input probabilities with at most 53 inputs every probability is a
+/// dyadic fraction that an `f64` holds exactly, so the order cannot change
+/// any result. Under non-uniform input probabilities the sweep multiplies
+/// in a different sequence, and a value may move in its last ulp.
 #[derive(Debug)]
 pub struct NetworkBdds {
     manager: BddManager,
     node_bdd: Vec<Option<Bdd>>,
-    pi_probs: Vec<f64>,
+    /// Manager variable of each primary input, in [`Network::inputs`] order.
+    var_of_input: Vec<usize>,
+    /// `P(x = 1)` of each manager variable.
+    var_probs: Vec<f64>,
 }
 
 impl NetworkBdds {
@@ -32,10 +42,16 @@ impl NetworkBdds {
             "PI probability count mismatch"
         );
         obs::counter!("activity.bdd.builds");
+        let var_of_input = net.input_dfs_order();
+        let mut var_probs = vec![0.0; pi_probs.len()];
+        for (&v, &p) in var_of_input.iter().zip(pi_probs) {
+            var_probs[v] = p;
+        }
         let mut bdds = NetworkBdds {
             manager: BddManager::new(net.inputs().len()),
             node_bdd: Vec::new(),
-            pi_probs: pi_probs.to_vec(),
+            var_of_input,
+            var_probs,
         };
         bdds.rebase(net, std::iter::empty());
         bdds
@@ -43,7 +59,7 @@ impl NetworkBdds {
 
     /// Re-target the BDDs at `net`, a network over the same primary inputs
     /// (in the same order) as the one they describe now, and keep using
-    /// the same manager.
+    /// the same manager and variable order.
     ///
     /// `carried` pairs a node of the current network with the node of `net`
     /// that computes the same global function. Each such `net` node takes
@@ -64,7 +80,7 @@ impl NetworkBdds {
             node_bdd[new.index()] = self.node_bdd[old.index()];
         }
         for (i, &pi) in net.inputs().iter().enumerate() {
-            node_bdd[pi.index()] = Some(self.manager.var(i));
+            node_bdd[pi.index()] = Some(self.manager.var(self.var_of_input[i]));
         }
         for id in net.topo_order().expect("network must be acyclic") {
             let node = net.node(id);
@@ -108,20 +124,21 @@ impl NetworkBdds {
 
     /// Exact `P(node = 1)`.
     pub fn p_one(&self, node: NodeId) -> f64 {
-        self.manager.probability(self.bdd(node), &self.pi_probs)
+        self.manager.probability(self.bdd(node), &self.var_probs)
     }
 
     /// Exact joint probability `P(a = 1 ∧ b = 1)`.
     pub fn joint(&mut self, a: NodeId, b: NodeId) -> f64 {
         let (fa, fb) = (self.bdd(a), self.bdd(b));
-        self.manager.joint_probability(fa, fb, &self.pi_probs)
+        self.manager.joint_probability(fa, fb, &self.var_probs)
     }
 
     /// Exact conditional probability `P(a = 1 | b = 1)`; `None` when
     /// `P(b = 1) = 0`.
     pub fn conditional(&mut self, a: NodeId, b: NodeId) -> Option<f64> {
         let (fa, fb) = (self.bdd(a), self.bdd(b));
-        self.manager.conditional_probability(fa, fb, &self.pi_probs)
+        self.manager
+            .conditional_probability(fa, fb, &self.var_probs)
     }
 
     /// Exact zero-delay activities of every node of `net`, the network the
@@ -136,7 +153,7 @@ impl NetworkBdds {
             self.node_bdd.len(),
             "activity asked for a network the BDDs do not describe"
         );
-        let probs = self.manager.probabilities(&self.pi_probs);
+        let probs = self.manager.probabilities(&self.var_probs);
         let mut p_one = vec![0.0; net.arena_len()];
         for id in net.node_ids() {
             p_one[id.index()] = probs[self.bdd(id).index()];

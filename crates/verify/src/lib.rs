@@ -350,6 +350,26 @@ mod tests {
     }
 
     #[test]
+    fn bdd_counterexample_is_mapped_back_from_variable_order() {
+        // `f`'s fanins reach `b` before `a`, so the depth-first variable
+        // order reverses the declared inputs. The difference b·!a is only
+        // witnessed by a=0 b=1; read in variable order it would be a=1 b=0.
+        let a = net(".model l\n.inputs a b\n.outputs f\n.names b a f\n10 1\n.end\n");
+        let b = net(".model r\n.inputs a b\n.outputs f\n.names b a f\n11 1\n.end\n");
+        assert_eq!(a.input_dfs_order(), vec![1, 0]);
+        let v = check_equiv(&a, &b, &VerifyOptions::at_level(VerifyLevel::Full)).unwrap();
+        let Verdict::NotEquivalent(cex) = v else {
+            panic!("expected NotEquivalent, got {v:?}");
+        };
+        let pis: Vec<bool> = ["a", "b"]
+            .iter()
+            .map(|n| cex.input_value(n).unwrap())
+            .collect();
+        assert_ne!(a.eval_outputs(&pis), b.eval_outputs(&pis), "{cex}");
+        assert_eq!(pis, vec![false, true]);
+    }
+
+    #[test]
     fn level_parses_from_str() {
         assert_eq!("off".parse::<VerifyLevel>().unwrap(), VerifyLevel::Off);
         assert_eq!("sim".parse::<VerifyLevel>().unwrap(), VerifyLevel::Sim);
