@@ -60,6 +60,16 @@ for f in examples/blif/*.blif; do
 done
 
 echo "==> obs gate (JSONL validity, stripped-snapshot determinism, chrome trace)"
+# Deterministic counters are the regression signal: each example's
+# stripped snapshot must match the one committed under results/cli/.
+for f in examples/blif/*.blif; do
+    b=$(basename "$f" .blif)
+    cargo run --release --quiet -- synth --blif "$f" \
+        --obs=json --obs-out - 2> /dev/null > "$TMP/obs.jsonl"
+    cargo run --release --quiet -- obs-check --file "$TMP/obs.jsonl" --strip \
+        > "$TMP/obs.stripped"
+    cmp "$TMP/obs.stripped" "results/cli/$b.obs.json"
+done
 cargo run --release --quiet -- synth --blif examples/blif/fulladd.blif \
     --obs=json --obs-out - 2> /dev/null > "$TMP/obs_a.jsonl"
 cargo run --release --quiet -- synth --blif examples/blif/fulladd.blif \

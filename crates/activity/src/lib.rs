@@ -31,13 +31,11 @@
 pub mod correlation;
 pub mod env;
 pub mod prob;
-pub mod propagate;
 pub mod sim;
 pub mod transition;
 
 pub use correlation::CorrelationMatrix;
 pub use env::PowerEnv;
 pub use prob::{analyze, ActivityMap, NetworkBdds};
-pub use propagate::{propagate_independent, transition_density};
 pub use sim::{simulate_activity_seeded, SimActivity};
 pub use transition::{TransProbs, TransitionModel};

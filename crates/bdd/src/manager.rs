@@ -84,12 +84,6 @@ impl BddManager {
         self.mk(i as u32, Bdd::ZERO, Bdd::ONE)
     }
 
-    /// The complemented single-variable function `!x_i`.
-    pub fn nvar(&mut self, i: usize) -> Bdd {
-        assert!(i < self.num_vars, "variable {i} out of range");
-        self.mk(i as u32, Bdd::ONE, Bdd::ZERO)
-    }
-
     fn mk(&mut self, var: u32, lo: Bdd, hi: Bdd) -> Bdd {
         if lo == hi {
             return lo;
@@ -352,14 +346,5 @@ mod tests {
         let g = m.xor(a, b);
         let wg = m.sat_one(g).unwrap();
         assert!(m.eval(g, &wg));
-    }
-
-    #[test]
-    fn nvar_is_complemented_var() {
-        let mut m = BddManager::new(1);
-        let na = m.nvar(0);
-        let a = m.var(0);
-        let not_a = m.not(a);
-        assert_eq!(na, not_a);
     }
 }

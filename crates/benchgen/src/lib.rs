@@ -7,7 +7,7 @@
 //!
 //! * [`structured`] — exact constructions of classic circuit shapes:
 //!   decoders (the real `cm42a` is a 4→10 decoder), ripple-carry adders,
-//!   ALU slices, parity trees, comparators and mux trees;
+//!   ALU slices, parity trees and mux trees;
 //! * [`random_net`] — a seeded random multi-level network generator with
 //!   controlled size, depth and reconvergence;
 //! * [`suite`] — the named benchmark list mirroring the paper's Table 2/3

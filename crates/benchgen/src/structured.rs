@@ -166,40 +166,6 @@ pub fn parity(n: usize) -> Network {
     net
 }
 
-/// `n`-bit equality comparator: `eq = AND_i (a_i XNOR b_i)`.
-pub fn comparator(n: usize) -> Network {
-    assert!(n > 0, "comparator needs at least one bit");
-    let mut net = Network::new(format!("cmp{n}"));
-    let a: Vec<NodeId> = (0..n)
-        .map(|i| net.add_input(format!("a{i}")).expect("fresh"))
-        .collect();
-    let b: Vec<NodeId> = (0..n)
-        .map(|i| net.add_input(format!("b{i}")).expect("fresh"))
-        .collect();
-    let mut acc: Option<NodeId> = None;
-    for i in 0..n {
-        let xnor = net
-            .add_logic(
-                format!("e{i}"),
-                vec![a[i], b[i]],
-                Sop::parse(2, &["11", "00"]).expect("sop"),
-            )
-            .expect("fresh");
-        acc = Some(match acc {
-            None => xnor,
-            Some(prev) => net
-                .add_logic(
-                    format!("acc{i}"),
-                    vec![prev, xnor],
-                    Sop::parse(2, &["11"]).expect("sop"),
-                )
-                .expect("fresh"),
-        });
-    }
-    net.add_output("eq", acc.expect("n > 0"));
-    net
-}
-
 /// Mux tree selecting one of `2^k` data inputs by `k` select lines.
 pub fn mux_tree(k: usize) -> Network {
     assert!((1..=6).contains(&k), "mux tree select width out of range");
@@ -311,20 +277,6 @@ mod tests {
         for v in 0..32u32 {
             let pis: Vec<bool> = (0..5).map(|i| v >> i & 1 == 1).collect();
             assert_eq!(net.eval_outputs(&pis), vec![v.count_ones() % 2 == 1]);
-        }
-    }
-
-    #[test]
-    fn comparator_detects_equality() {
-        let net = comparator(3);
-        net.check().unwrap();
-        for a in 0..8u32 {
-            for b in 0..8u32 {
-                let mut pis = Vec::new();
-                pis.extend((0..3).map(|i| a >> i & 1 == 1));
-                pis.extend((0..3).map(|i| b >> i & 1 == 1));
-                assert_eq!(net.eval_outputs(&pis), vec![a == b]);
-            }
         }
     }
 

@@ -93,18 +93,18 @@ pub fn package_merge_levels(weights: &[f64], max_level: usize) -> Option<Vec<usi
     Some(levels)
 }
 
-/// `Σ w_i·l_i` for a level assignment.
-pub fn weighted_path_length(weights: &[f64], levels: &[usize]) -> f64 {
-    weights
-        .iter()
-        .zip(levels)
-        .map(|(&w, &l)| w * l as f64)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `Σ w_i·l_i` for a level assignment.
+    fn weighted_path_length(weights: &[f64], levels: &[usize]) -> f64 {
+        weights
+            .iter()
+            .zip(levels)
+            .map(|(&w, &l)| w * l as f64)
+            .sum()
+    }
 
     /// Brute-force optimal bounded-height MINSUM by enumerating all merge
     /// histories with a height cap.

@@ -153,14 +153,6 @@ impl MappedNetwork {
             })
             .collect()
     }
-
-    /// Total cell area of the mapped netlist.
-    pub fn total_area(&self, lib: &Library) -> f64 {
-        self.instances
-            .iter()
-            .map(|i| lib.gates()[i.gate].area())
-            .sum()
-    }
 }
 
 /// A required-time demand on a signal: `(required, load, from_same_node_aug)`.

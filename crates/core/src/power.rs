@@ -45,16 +45,7 @@ pub fn evaluate(
         NetRef::Pi(i) => *i,
         NetRef::Inst(i) => n_pi + *i,
     };
-    let mut load = vec![0.0f64; n_pi + n_inst];
-    for inst in &m.instances {
-        let gate = &lib.gates()[inst.gate];
-        for (pin_idx, r) in inst.inputs.iter().enumerate() {
-            load[slot(r)] += gate.pin(pin_idx).input_cap;
-        }
-    }
-    for (_, r) in &m.outputs {
-        load[slot(r)] += po_load;
-    }
+    let load = net_loads(m, lib, po_load);
 
     // Static timing: instances are in topological order.
     let mut arrival = vec![0.0f64; n_pi + n_inst];
@@ -80,7 +71,7 @@ pub fn evaluate(
     // synthesized gates.
     // Both totals fold from +0.0: `f64`'s empty `sum` is -0.0, which a
     // gate-free mapping would print as `-0.0`.
-    let power_uw = per_instance_power(m, lib, env, model, po_load)
+    let power_uw = instance_powers(m, &load, env, model)
         .iter()
         .fold(0.0, |acc, p| acc + p);
 
@@ -108,6 +99,15 @@ pub fn per_instance_power(
     model: TransitionModel,
     po_load: f64,
 ) -> Vec<f64> {
+    instance_powers(m, &net_loads(m, lib, po_load), env, model)
+}
+
+/// Capacitive load per net, primary-input nets first and then one net per
+/// instance output: every reading pin's input capacitance in instance then
+/// pin order, then `po_load` once per primary output. Evaluation, per-gate
+/// power and glitch simulation all sum loads through this one rule, so
+/// their figures agree bit for bit.
+fn net_loads(m: &MappedNetwork, lib: &Library, po_load: f64) -> Vec<f64> {
     let n_pi = m.pi_names.len();
     let slot = |r: &NetRef| match r {
         NetRef::Pi(i) => *i,
@@ -123,6 +123,17 @@ pub fn per_instance_power(
     for (_, r) in &m.outputs {
         load[slot(r)] += po_load;
     }
+    load
+}
+
+/// Eq. 1 power of each instance output net under the per-net `load`.
+fn instance_powers(
+    m: &MappedNetwork,
+    load: &[f64],
+    env: &PowerEnv,
+    model: TransitionModel,
+) -> Vec<f64> {
+    let n_pi = m.pi_names.len();
     m.instances
         .iter()
         .enumerate()
@@ -224,7 +235,6 @@ impl<'a> GlitchSim<'a> {
             NetRef::Pi(i) => *i,
             NetRef::Inst(i) => n_pi + *i,
         };
-        let mut load = vec![0.0f64; n_net];
         let mut fanin_start = Vec::with_capacity(m.instances.len() + 1);
         let mut fanins = Vec::new();
         let mut table_at = vec![None; lib.gates().len()];
@@ -239,7 +249,6 @@ impl<'a> GlitchSim<'a> {
             fanin_start.push(fanins.len());
             for (pin_idx, r) in inst.inputs.iter().enumerate() {
                 let s = slot(r);
-                load[s] += gate.pin(pin_idx).input_cap;
                 reads[s].push((ii, pin_idx));
                 fanins.push(s);
             }
@@ -259,9 +268,7 @@ impl<'a> GlitchSim<'a> {
             table_of.push(at);
         }
         fanin_start.push(fanins.len());
-        for (_, r) in &m.outputs {
-            load[slot(r)] += po_load;
-        }
+        let load = net_loads(m, lib, po_load);
         let mut consumer_start = vec![0];
         let mut consumers = Vec::with_capacity(fanins.len());
         for net_reads in &reads {

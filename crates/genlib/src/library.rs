@@ -125,14 +125,6 @@ impl Gate {
             pins,
         }
     }
-
-    /// Worst-case pin-to-output delay for a given output load.
-    pub fn worst_delay(&self, load: f64) -> f64 {
-        self.pins
-            .iter()
-            .map(|p| p.intrinsic + p.drive * load)
-            .fold(0.0, f64::max)
-    }
 }
 
 /// A cell library.
@@ -185,34 +177,6 @@ impl Library {
             .min_by(|a, b| a.area.partial_cmp(&b.area).expect("finite areas"))
     }
 
-    /// Serialize the library back to genlib text. Rise and fall blocks are
-    /// emitted identically (this crate collapses them to worst-case on
-    /// parse), so `Library::parse(lib.to_genlib())` reproduces the library
-    /// exactly.
-    pub fn to_genlib(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for g in &self.gates {
-            let expr = render_expr(g.function(), g.inputs());
-            let _ = writeln!(
-                out,
-                "GATE {} {} {}={};",
-                g.name(),
-                g.area(),
-                g.output(),
-                expr
-            );
-            for p in g.pins() {
-                let _ = writeln!(
-                    out,
-                    "PIN {} UNKNOWN {} {} {} {} {} {}",
-                    p.name, p.input_cap, p.max_load, p.intrinsic, p.drive, p.intrinsic, p.drive
-                );
-            }
-        }
-        out
-    }
-
     /// Default unknown-load value: the input capacitance of the smallest
     /// 2-input NAND (paper §3.2.3), falling back to the smallest inverter
     /// and then to 1.0.
@@ -235,24 +199,6 @@ impl Library {
             return inv.pins[0].input_cap;
         }
         1.0
-    }
-}
-
-/// Render an [`Expr`] in genlib syntax using the gate's input names.
-fn render_expr(e: &Expr, inputs: &[String]) -> String {
-    match e {
-        Expr::Zero => "CONST0".to_string(),
-        Expr::One => "CONST1".to_string(),
-        Expr::Var(i) => inputs[*i].clone(),
-        Expr::Not(inner) => format!("!({})", render_expr(inner, inputs)),
-        Expr::And(kids) => {
-            let parts: Vec<String> = kids.iter().map(|k| render_expr(k, inputs)).collect();
-            format!("({})", parts.join("*"))
-        }
-        Expr::Or(kids) => {
-            let parts: Vec<String> = kids.iter().map(|k| render_expr(k, inputs)).collect();
-            format!("({})", parts.join("+"))
-        }
     }
 }
 
@@ -305,34 +251,5 @@ mod tests {
         let xor2 = lib.find("xor2").unwrap();
         assert!(xor2.eval(&[true, false]));
         assert!(!xor2.eval(&[true, true]));
-    }
-
-    #[test]
-    fn worst_delay_grows_with_load() {
-        let lib = lib2_like();
-        let g = lib.find("nand2").unwrap();
-        assert!(g.worst_delay(4.0) > g.worst_delay(1.0));
-    }
-
-    #[test]
-    fn to_genlib_roundtrips() {
-        let lib = lib2_like();
-        let text = lib.to_genlib();
-        let back = crate::Library::parse(&text).expect("rendered genlib parses");
-        assert_eq!(back.gates().len(), lib.gates().len());
-        for (a, b) in lib.gates().iter().zip(back.gates()) {
-            assert_eq!(a.name(), b.name());
-            assert_eq!(a.area(), b.area());
-            assert_eq!(a.inputs(), b.inputs());
-            // functional equality over all assignments
-            let k = a.inputs().len();
-            for bits in 0..(1u32 << k) {
-                let v: Vec<bool> = (0..k).map(|i| bits >> i & 1 == 1).collect();
-                assert_eq!(a.eval(&v), b.eval(&v), "gate {}", a.name());
-            }
-            for (pa, pb) in a.pins().iter().zip(b.pins()) {
-                assert_eq!(pa, pb, "pins of {}", a.name());
-            }
-        }
     }
 }

@@ -39,6 +39,10 @@ impl fmt::Display for ParseGenlibError {
 
 impl std::error::Error for ParseGenlibError {}
 
+/// Widest cell accepted: mapped-netlist emission and glitch simulation
+/// enumerate each cell's `2^k`-row truth table and assert this bound.
+const MAX_GATE_INPUTS: usize = 16;
+
 #[derive(Debug, Clone, PartialEq)]
 enum Tok {
     Word(String),
@@ -242,7 +246,8 @@ impl Parser {
 ///
 /// # Errors
 /// Returns [`ParseGenlibError`] on malformed text, a `PIN` for an unknown
-/// input, or a gate whose inputs lack pin records.
+/// input, a gate whose inputs lack pin records, or a gate with more than
+/// 16 inputs.
 pub fn parse_genlib(text: &str) -> Result<Library, ParseGenlibError> {
     let toks = tokenize(text)?;
     let mut p = Parser { toks, pos: 0 };
@@ -257,6 +262,12 @@ pub fn parse_genlib(text: &str) -> Result<Library, ParseGenlibError> {
                 p.expect_punct('=')?;
                 let mut vars: Vec<String> = Vec::new();
                 let function = p.parse_expr(&mut vars)?;
+                if vars.len() > MAX_GATE_INPUTS {
+                    return Err(p.err(format!(
+                        "gate `{name}` has {} inputs; at most {MAX_GATE_INPUTS} are supported",
+                        vars.len()
+                    )));
+                }
                 p.expect_punct(';')?;
                 // PIN lines
                 let mut star: Option<Pin> = None;
@@ -383,6 +394,22 @@ mod tests {
     fn missing_pin_is_error() {
         let r = parse_genlib("GATE bad 1.0 O=a*b; PIN a INV 1 999 1 1 1 1\n");
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn gates_wider_than_sixteen_inputs_are_rejected() {
+        let gate = |k: usize| {
+            let ins: Vec<String> = (0..k).map(|i| format!("i{i}")).collect();
+            format!(
+                "GATE and{k} 1.0 O={}; PIN * NONINV 1 999 1 1 1 1\n",
+                ins.join("*")
+            )
+        };
+        let lib = parse_genlib(&gate(16)).expect("16 inputs parse");
+        assert_eq!(lib.find("and16").unwrap().inputs().len(), 16);
+        let err = parse_genlib(&gate(17)).expect_err("17 inputs are rejected");
+        assert_eq!(err.line, 1);
+        assert!(err.message.contains("`and17`"), "{err}");
     }
 
     #[test]

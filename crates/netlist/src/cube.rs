@@ -139,16 +139,6 @@ impl Cube {
             .all(|(&a, &b)| a == Lit::Free || a == b)
     }
 
-    /// Number of positions where the cubes have opposing literals.
-    pub fn distance(&self, other: &Cube) -> usize {
-        assert_eq!(self.width(), other.width(), "cube width mismatch");
-        self.lits
-            .iter()
-            .zip(&other.lits)
-            .filter(|&(&a, &b)| matches!((a, b), (Lit::Pos, Lit::Neg) | (Lit::Neg, Lit::Pos)))
-            .count()
-    }
-
     /// Cofactor with respect to `var = phase`. Returns `None` if the cube
     /// vanishes under the assignment; otherwise the cube with that position
     /// freed.
@@ -189,25 +179,6 @@ impl Cube {
                 Lit::Pos => acc & w,
                 Lit::Neg => acc & !w,
             })
-    }
-
-    /// Remove variable positions listed in `remove` (sorted ascending),
-    /// producing a narrower cube.
-    ///
-    /// # Panics
-    /// Panics if a removed position is bound in the cube.
-    pub fn drop_positions(&self, remove: &[usize]) -> Cube {
-        let mut lits = Vec::with_capacity(self.width() - remove.len());
-        let mut r = 0;
-        for (i, &l) in self.lits.iter().enumerate() {
-            if r < remove.len() && remove[r] == i {
-                assert_eq!(l, Lit::Free, "dropping bound position {i}");
-                r += 1;
-            } else {
-                lits.push(l);
-            }
-        }
-        Cube { lits }
     }
 
     /// Widen the cube by appending `extra` free positions.
@@ -277,23 +248,11 @@ mod tests {
     }
 
     #[test]
-    fn covers_and_distance() {
+    fn covers() {
         let big = Cube::parse("1--").unwrap();
         let small = Cube::parse("101").unwrap();
         assert!(big.covers(&small));
         assert!(!small.covers(&big));
-        assert_eq!(
-            Cube::parse("10")
-                .unwrap()
-                .distance(&Cube::parse("01").unwrap()),
-            2
-        );
-        assert_eq!(
-            Cube::parse("1-")
-                .unwrap()
-                .distance(&Cube::parse("0-").unwrap()),
-            1
-        );
     }
 
     #[test]
@@ -321,9 +280,8 @@ mod tests {
     }
 
     #[test]
-    fn drop_and_remap() {
+    fn remap_permutes() {
         let c = Cube::parse("1--0").unwrap();
-        assert_eq!(c.drop_positions(&[1, 2]).to_string(), "10");
         let r = c.remap(&[3, 2, 1, 0], 4).unwrap();
         assert_eq!(r.to_string(), "0--1");
     }
@@ -336,11 +294,5 @@ mod tests {
         // …opposite phases contradict (x·!x): the cube vanishes.
         let c = Cube::parse("1-0").unwrap();
         assert_eq!(c.remap(&[0, 1, 0], 2), None);
-    }
-
-    #[test]
-    #[should_panic]
-    fn drop_bound_position_panics() {
-        Cube::parse("10").unwrap().drop_positions(&[0]);
     }
 }

@@ -33,5 +33,5 @@ pub mod traversal;
 
 pub use blif::{parse_blif, write_blif, BlifModel, ParseBlifError};
 pub use cube::{Cube, Lit};
-pub use network::{Network, NetworkError, Node, NodeFunc, NodeId};
+pub use network::{Network, NetworkError, Node, NodeId};
 pub use sop::Sop;

@@ -20,8 +20,8 @@ impl NodeId {
 }
 
 /// The functional content of a node.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NodeFunc {
+#[derive(Debug, Clone)]
+enum NodeFunc {
     /// Primary input: no local function.
     Input,
     /// Internal (or constant) node with a SOP over its fanins.
@@ -42,11 +42,6 @@ impl Node {
     /// Node name (unique within the network).
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Local function.
-    pub fn func(&self) -> &NodeFunc {
-        &self.func
     }
 
     /// The SOP of a logic node, or `None` for a primary input.
@@ -679,31 +674,6 @@ impl Network {
         self.inputs.iter().map(|&i| self.node(i).name()).collect()
     }
 
-    /// Position of the named primary input in [`Network::inputs`] order.
-    pub fn input_position(&self, name: &str) -> Option<usize> {
-        self.inputs
-            .iter()
-            .position(|&i| self.node(i).name() == name)
-    }
-
-    /// Input-ordering map from `self` onto `other`: `perm[i]` is the
-    /// position in `other.inputs()` of `self`'s `i`-th input, matched by
-    /// name. This is the shared alignment helper used whenever two networks
-    /// over the same primary inputs are compared (equivalence checking,
-    /// cross-validation).
-    ///
-    /// # Errors
-    /// Returns the name of the first input of `self` missing from `other`.
-    pub fn input_alignment(&self, other: &Network) -> Result<Vec<usize>, String> {
-        self.inputs
-            .iter()
-            .map(|&i| {
-                let name = self.node(i).name();
-                other.input_position(name).ok_or_else(|| name.to_string())
-            })
-            .collect()
-    }
-
     /// Depth-first rank of every primary input: `rank[i]` is the position
     /// at which the `i`-th input (in [`Network::inputs`] order) is first
     /// reached by a depth-first walk from the outputs, outputs in declared
@@ -1003,20 +973,6 @@ mod tests {
             let expect = net.eval_outputs(&pis);
             assert_eq!(words[0] >> bits & 1 == 1, expect[0], "at {pis:?}");
         }
-    }
-
-    #[test]
-    fn input_alignment_by_name() {
-        let (net, ..) = and_or_net();
-        let mut other = Network::new("perm");
-        for name in ["c", "a", "b"] {
-            other.add_input(name).unwrap();
-        }
-        let perm = net.input_alignment(&other).unwrap();
-        assert_eq!(perm, vec![1, 2, 0]);
-        let mut missing = Network::new("m");
-        missing.add_input("a").unwrap();
-        assert_eq!(net.input_alignment(&missing), Err("b".to_string()));
     }
 
     #[test]

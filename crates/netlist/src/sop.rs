@@ -343,11 +343,6 @@ impl Sop {
             cubes,
         }
     }
-
-    /// True if every variable appears in at most one phase across the cover.
-    pub fn is_unate(&self) -> bool {
-        self.phase_usage().iter().all(|&(p, n)| !(p && n))
-    }
 }
 
 impl fmt::Debug for Sop {
@@ -460,12 +455,6 @@ mod tests {
         assert_eq!(kept, vec![0, 3]);
         assert_eq!(g.width(), 2);
         assert!(g.equivalent(&Sop::parse(2, &["11", "01"]).unwrap()));
-    }
-
-    #[test]
-    fn unateness() {
-        assert!(Sop::parse(2, &["1-", "-1"]).unwrap().is_unate());
-        assert!(!xor2().is_unate());
     }
 
     #[test]

@@ -1,54 +1,10 @@
-//! Traversal utilities: cones, unit-delay timing, depth.
+//! Traversal utilities: unit-delay timing and depth.
 //!
 //! The unit-delay model here is the one §2.3 of the paper prescribes for
 //! technology decomposition: every logic node costs one level and timing is
 //! measured in integer levels.
 
-use crate::network::{Network, NodeId};
-
-/// Transitive fanin of `roots` (including the roots), in topological order.
-pub fn transitive_fanin(net: &Network, roots: &[NodeId]) -> Vec<NodeId> {
-    let mut in_cone = vec![false; net.arena_len()];
-    let mut stack: Vec<NodeId> = roots.to_vec();
-    for &r in roots {
-        in_cone[r.index()] = true;
-    }
-    while let Some(id) = stack.pop() {
-        for &f in net.node(id).fanins() {
-            if !in_cone[f.index()] {
-                in_cone[f.index()] = true;
-                stack.push(f);
-            }
-        }
-    }
-    net.topo_order()
-        .expect("network must be acyclic")
-        .into_iter()
-        .filter(|id| in_cone[id.index()])
-        .collect()
-}
-
-/// Transitive fanout of `roots` (including the roots), in topological order.
-pub fn transitive_fanout(net: &Network, roots: &[NodeId]) -> Vec<NodeId> {
-    let mut in_cone = vec![false; net.arena_len()];
-    let mut stack: Vec<NodeId> = roots.to_vec();
-    for &r in roots {
-        in_cone[r.index()] = true;
-    }
-    while let Some(id) = stack.pop() {
-        for &f in net.node(id).fanouts() {
-            if !in_cone[f.index()] {
-                in_cone[f.index()] = true;
-                stack.push(f);
-            }
-        }
-    }
-    net.topo_order()
-        .expect("network must be acyclic")
-        .into_iter()
-        .filter(|id| in_cone[id.index()])
-        .collect()
-}
+use crate::network::Network;
 
 /// Unit-delay arrival times, indexed by [`NodeId::index`].
 ///
@@ -134,6 +90,7 @@ pub fn depth(net: &Network) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::NodeId;
     use crate::sop::Sop;
 
     fn chain3() -> (Network, Vec<NodeId>) {
@@ -169,28 +126,6 @@ mod tests {
         }
         let slack = unit_slacks(&net, &[0], &[2]);
         assert!(slack.iter().take(4).all(|&s| s == -1));
-    }
-
-    #[test]
-    fn cones() {
-        // diamond: f = g(a) & h(a)
-        let mut net = Network::new("d");
-        let a = net.add_input("a").unwrap();
-        let b = net.add_input("b").unwrap();
-        let g = net
-            .add_logic("g", vec![a], Sop::parse(1, &["1"]).unwrap())
-            .unwrap();
-        let h = net
-            .add_logic("h", vec![b], Sop::parse(1, &["0"]).unwrap())
-            .unwrap();
-        let f = net
-            .add_logic("f", vec![g, h], Sop::parse(2, &["11"]).unwrap())
-            .unwrap();
-        net.add_output("f", f);
-        let tfi = transitive_fanin(&net, &[g]);
-        assert!(tfi.contains(&a) && tfi.contains(&g) && !tfi.contains(&b));
-        let tfo = transitive_fanout(&net, &[a]);
-        assert!(tfo.contains(&g) && tfo.contains(&f) && !tfo.contains(&h));
     }
 
     #[test]

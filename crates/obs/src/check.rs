@@ -22,18 +22,7 @@ pub const TIMING_KEYS: &[&str] = &["ts_ns", "total_ns", "ts", "dur_ns", "wall_ms
 /// A description of the first violation, with its line number.
 pub fn check_jsonl(text: &str) -> Result<Json, String> {
     let mut snapshot: Option<Json> = None;
-    let mut depth: Vec<(f64, i64)> = Vec::new(); // (last_ts, open_spans) per tid slot
-    let mut tids: Vec<f64> = Vec::new();
-    let slot = |tid: f64, tids: &mut Vec<f64>, depth: &mut Vec<(f64, i64)>| -> usize {
-        match tids.iter().position(|&t| t == tid) {
-            Some(i) => i,
-            None => {
-                tids.push(tid);
-                depth.push((f64::NEG_INFINITY, 0));
-                tids.len() - 1
-            }
-        }
-    };
+    let mut threads = Threads::default();
     for (lineno, line) in text.lines().enumerate() {
         let n = lineno + 1;
         if line.trim().is_empty() {
@@ -58,32 +47,14 @@ pub fn check_jsonl(text: &str) -> Result<Json, String> {
                     .get("ts_ns")
                     .and_then(Json::as_f64)
                     .ok_or_else(|| format!("line {n}: missing numeric `ts_ns`"))?;
-                let i = slot(tid, &mut tids, &mut depth);
-                if ts < depth[i].0 {
-                    return Err(format!(
-                        "line {n}: ts_ns decreases on tid {tid} ({ts} < {})",
-                        depth[i].0
-                    ));
+                threads
+                    .event("ts_ns", &ty, tid, ts)
+                    .map_err(|e| format!("line {n}: {e}"))?;
+                if ty == "B" && v.get("name").and_then(Json::as_str).is_none() {
+                    return Err(format!("line {n}: B event without `name`"));
                 }
-                depth[i].0 = ts;
-                match ty.as_str() {
-                    "B" => {
-                        if v.get("name").and_then(Json::as_str).is_none() {
-                            return Err(format!("line {n}: B event without `name`"));
-                        }
-                        depth[i].1 += 1;
-                    }
-                    "E" => {
-                        depth[i].1 -= 1;
-                        if depth[i].1 < 0 {
-                            return Err(format!("line {n}: E without matching B on tid {tid}"));
-                        }
-                    }
-                    _ => {
-                        if v.get("text").and_then(Json::as_str).is_none() {
-                            return Err(format!("line {n}: note event without `text`"));
-                        }
-                    }
+                if ty == "note" && v.get("text").and_then(Json::as_str).is_none() {
+                    return Err(format!("line {n}: note event without `text`"));
                 }
             }
             "snapshot" => {
@@ -97,11 +68,7 @@ pub fn check_jsonl(text: &str) -> Result<Json, String> {
             other => return Err(format!("line {n}: unknown event type `{other}`")),
         }
     }
-    for (i, &(_, open)) in depth.iter().enumerate() {
-        if open != 0 {
-            return Err(format!("tid {}: {open} span(s) never closed", tids[i]));
-        }
-    }
+    threads.all_closed("span(s)")?;
     snapshot.ok_or_else(|| "no snapshot line".to_string())
 }
 
@@ -124,8 +91,7 @@ pub fn check_chrome(text: &str) -> Result<(), String> {
         (Json::Arr(events), _) => events,
         _ => return Err("expected a traceEvents array".to_string()),
     };
-    let mut tids: Vec<f64> = Vec::new();
-    let mut state: Vec<(f64, i64)> = Vec::new(); // (last_ts, open) per tid
+    let mut threads = Threads::default();
     for (i, ev) in events.iter().enumerate() {
         let field = |key: &str| -> Result<f64, String> {
             ev.get(key)
@@ -145,38 +111,58 @@ pub fn check_chrome(text: &str) -> Result<(), String> {
         if matches!(ph, "B" | "i") && ev.get("name").and_then(Json::as_str).is_none() {
             return Err(format!("event {i}: `{ph}` event without `name`"));
         }
-        let slot = match tids.iter().position(|&t| t == tid) {
-            Some(s) => s,
+        threads
+            .event("ts", ph, tid, ts)
+            .map_err(|e| format!("event {i}: {e}"))?;
+    }
+    threads.all_closed("B event(s)")
+}
+
+/// The per-thread discipline both sinks share: in stream order, each
+/// `tid`'s timestamps never decrease and its `B`/`E` events balance.
+#[derive(Default)]
+struct Threads {
+    /// `(tid, last timestamp, open spans)`, in first-seen order.
+    state: Vec<(f64, f64, i64)>,
+}
+
+impl Threads {
+    /// Record one event of phase `ph` (`B` opens a span, `E` closes one,
+    /// anything else only advances time). `ts_key` names the timestamp
+    /// field in the error, which the caller prefixes with the position.
+    fn event(&mut self, ts_key: &str, ph: &str, tid: f64, ts: f64) -> Result<(), String> {
+        let slot = match self.state.iter().position(|t| t.0 == tid) {
+            Some(slot) => slot,
             None => {
-                tids.push(tid);
-                state.push((f64::NEG_INFINITY, 0));
-                tids.len() - 1
+                self.state.push((tid, f64::NEG_INFINITY, 0));
+                self.state.len() - 1
             }
         };
-        if ts < state[slot].0 {
-            return Err(format!(
-                "event {i}: ts decreases on tid {tid} ({ts} < {})",
-                state[slot].0
-            ));
+        let (_, last, open) = &mut self.state[slot];
+        if ts < *last {
+            return Err(format!("{ts_key} decreases on tid {tid} ({ts} < {last})"));
         }
-        state[slot].0 = ts;
+        *last = ts;
         match ph {
-            "B" => state[slot].1 += 1,
+            "B" => *open += 1,
             "E" => {
-                state[slot].1 -= 1;
-                if state[slot].1 < 0 {
-                    return Err(format!("event {i}: E without matching B on tid {tid}"));
+                *open -= 1;
+                if *open < 0 {
+                    return Err(format!("E without matching B on tid {tid}"));
                 }
             }
             _ => {}
         }
+        Ok(())
     }
-    for (i, &(_, open)) in state.iter().enumerate() {
-        if open != 0 {
-            return Err(format!("tid {}: {open} B event(s) never closed", tids[i]));
+
+    /// Fail on the first thread left with open spans, counted as `what`.
+    fn all_closed(&self, what: &str) -> Result<(), String> {
+        match self.state.iter().find(|t| t.2 != 0) {
+            Some(&(tid, _, open)) => Err(format!("tid {tid}: {open} {what} never closed")),
+            None => Ok(()),
         }
     }
-    Ok(())
 }
 
 /// Remove every wall-time field ([`TIMING_KEYS`]) from a parsed value and

@@ -135,20 +135,6 @@ impl Report {
         s
     }
 
-    /// Counters alone as a JSON object (`{"name":count,...}`), for
-    /// embedding in other hand-rolled JSON such as the perf bin's output.
-    pub fn counters_json(&self) -> String {
-        let mut s = String::from("{");
-        for (i, (name, v)) in self.metrics.counters.iter().enumerate() {
-            if i > 0 {
-                s.push_str(", ");
-            }
-            let _ = write!(s, "\"{}\": {v}", escape_json(name));
-        }
-        s.push('}');
-        s
-    }
-
     /// JSONL sink: one JSON object per line per event, closed by exactly
     /// one `snapshot` line (with timing fields; strip with
     /// [`crate::check::strip_timing`] for determinism diffs).

@@ -3,7 +3,7 @@
 //! A [`Baseline`] is the committed QoR truth for a set of
 //! `circuit × method` runs. [`diff`] compares a freshly measured baseline
 //! against it with per-metric **relative** tolerances; CI runs with
-//! [`Tolerance::zero`] so any drift — better *or* worse — fails loudly and
+//! a zero [`Tolerance`] so any drift — better *or* worse — fails loudly and
 //! must be re-baselined intentionally.
 
 use crate::ledger::Metrics;
@@ -125,24 +125,6 @@ pub struct Tolerance {
 }
 
 impl Tolerance {
-    /// Exact match required on every metric (the CI gate).
-    pub fn zero() -> Tolerance {
-        Tolerance {
-            power: 0.0,
-            area: 0.0,
-            delay: 0.0,
-        }
-    }
-
-    /// The default gate for interactive use: 2% on every metric.
-    pub fn default_gate() -> Tolerance {
-        Tolerance {
-            power: 0.02,
-            area: 0.02,
-            delay: 0.02,
-        }
-    }
-
     /// A uniform relative tolerance on every metric.
     pub fn uniform(t: f64) -> Tolerance {
         Tolerance {
@@ -310,8 +292,8 @@ mod tests {
         base.insert("c", "I", m(1000, 2000, 3000));
         let mut moved = base.clone();
         moved.insert("c", "I", m(1001, 2000, 3000));
-        assert!(diff(&base, &base, &Tolerance::zero()).passed());
-        let d = diff(&base, &moved, &Tolerance::zero());
+        assert!(diff(&base, &base, &Tolerance::uniform(0.0)).passed());
+        let d = diff(&base, &moved, &Tolerance::uniform(0.0));
         assert!(!d.passed());
         assert_eq!(d.failures(), 1);
         assert!(d.render_text().contains("power_muw"));

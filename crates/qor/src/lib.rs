@@ -34,7 +34,7 @@ pub mod provenance;
 
 pub use baseline::{Baseline, BaselineEntry, Diff, DiffLine, Tolerance};
 pub use ledger::{fmt_milli, milli, LedgerReport, Metrics, SnapKind, Snapshot};
-pub use provenance::{cone_powers, GateShare, Provenance};
+pub use provenance::{GateShare, Provenance};
 
 use genlib::Library;
 use lowpower_core::map::MappedNetwork;

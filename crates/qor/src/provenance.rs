@@ -17,7 +17,6 @@
 use crate::Ctx;
 use genlib::Library;
 use lowpower_core::decomp::DecomposedNetwork;
-use lowpower_core::map::mapper::NetRef;
 use lowpower_core::map::MappedNetwork;
 use lowpower_core::power::per_instance_power;
 use std::collections::HashMap;
@@ -48,12 +47,6 @@ pub struct GateShare {
 }
 
 impl Provenance {
-    /// The identity provenance (no decomposition ran — e.g. a directly
-    /// mapped network): every subject node is its own origin.
-    pub fn identity() -> Provenance {
-        Provenance::default()
-    }
-
     /// Capture the provenance of a decomposition result.
     pub fn from_decomposed(d: &DecomposedNetwork) -> Provenance {
         Provenance {
@@ -118,46 +111,6 @@ impl Provenance {
             })
             .collect()
     }
-
-    /// Total power per origin node, sorted by descending power (name
-    /// breaks ties, so the order is deterministic).
-    pub fn origin_breakdown(shares: &[GateShare]) -> Vec<(String, f64)> {
-        let mut by_origin: HashMap<&str, f64> = HashMap::new();
-        for s in shares {
-            *by_origin.entry(&s.origin).or_insert(0.0) += s.power_uw;
-        }
-        let mut out: Vec<(String, f64)> = by_origin
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect();
-        out.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then_with(|| a.0.cmp(&b.0)));
-        out
-    }
-}
-
-/// Per-output-cone power breakdown: for each primary output, the summed
-/// zero-delay power of every gate in its transitive fanin cone, in output
-/// order. Gates shared between cones are counted in each (the columns
-/// answer "what does this output's logic burn?", not a partition).
-pub fn cone_powers(m: &MappedNetwork, lib: &Library, ctx: &Ctx) -> Vec<(String, f64)> {
-    let powers = per_instance_power(m, lib, &ctx.env, ctx.model, ctx.po_load);
-    m.outputs
-        .iter()
-        .map(|(name, root)| {
-            let mut seen = vec![false; m.instances.len()];
-            let mut stack = vec![*root];
-            let mut total = 0.0;
-            while let Some(r) = stack.pop() {
-                let NetRef::Inst(i) = r else { continue };
-                if std::mem::replace(&mut seen[i], true) {
-                    continue;
-                }
-                total += powers[i];
-                stack.extend(m.instances[i].inputs.iter().copied());
-            }
-            (name.clone(), total)
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -227,31 +180,8 @@ mod tests {
     }
 
     #[test]
-    fn origin_breakdown_conserves_power_and_sorts() {
-        let (prov, m, lib, _) = flow();
-        let shares = prov.gate_shares(&m, &lib, &Ctx::default());
-        let breakdown = Provenance::origin_breakdown(&shares);
-        let total: f64 = shares.iter().map(|s| s.power_uw).sum();
-        let btotal: f64 = breakdown.iter().map(|(_, p)| p).sum();
-        assert!((total - btotal).abs() < 1e-12);
-        for w in breakdown.windows(2) {
-            assert!(w[0].1 >= w[1].1, "not sorted: {breakdown:?}");
-        }
-    }
-
-    #[test]
-    fn cone_powers_cover_every_output() {
-        let (_, m, lib, _) = flow();
-        let cones = cone_powers(&m, &lib, &Ctx::default());
-        assert_eq!(cones.len(), m.outputs.len());
-        for (name, p) in &cones {
-            assert!(*p >= 0.0, "{name} negative power");
-        }
-    }
-
-    #[test]
     fn identity_provenance_resolves_to_self() {
-        let prov = Provenance::identity();
+        let prov = Provenance::default();
         assert!(prov.is_empty());
         assert_eq!(prov.resolve("anything"), "anything");
     }
