@@ -90,6 +90,9 @@ cargo bench --quiet -p lowpower-bench --bench obs_overhead > /dev/null
 echo "==> BDD construction smoke (criterion micro-bench: adders, optimized x3)"
 cargo bench --quiet -p lowpower-bench --bench bdd_prob > /dev/null
 
+echo "==> mapper smoke (criterion micro-bench: optimized x3, both objectives)"
+cargo bench --quiet -p lowpower-bench --bench map_sweep > /dev/null
+
 echo "==> qor gate (regenerate example-circuit QoR, zero-tolerance diff vs baseline)"
 cargo run --release --quiet -- qor-baseline \
     --blif examples/blif/fulladd.blif --blif examples/blif/mux4.blif \

@@ -9,7 +9,7 @@ use activity::{analyze, TransitionModel};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lowpower::flow::{optimize, run_method, FlowConfig, Method};
 use lowpower_core::decomp::{decompose_network, DecompOptions, DecompStyle};
-use lowpower_core::map::{Curve, Matcher, PatternSet, Point, SubjectAig};
+use lowpower_core::map::{BindingRange, Curve, Matcher, PatternSet, Point, SubjectAig};
 use lowpower_core::power::simulate_glitch_power;
 use std::hint::black_box;
 
@@ -62,7 +62,7 @@ fn point(i: u64) -> Point {
         cost: (h >> 16 & 0xFFFF) as f64 / 655.36,
         drive: 1.0,
         gate: None,
-        inputs: Vec::new(),
+        inputs: BindingRange::EMPTY,
     }
 }
 

@@ -19,10 +19,11 @@ pub struct Point {
     pub drive: f64,
     /// Library gate index; `None` for primary-input source points.
     pub gate: Option<usize>,
-    /// For each gate pin: the bound subject signal. The concrete point on
-    /// each input curve is re-selected during the preorder pass from the
-    /// propagated required time (§3.2.2), so no index is stored.
-    pub inputs: Vec<Signal>,
+    /// For each gate pin: the bound subject signal, as a range of the
+    /// mapping run's binding arena. The concrete point on each input curve
+    /// is re-selected during the preorder pass from the propagated
+    /// required time (§3.2.2), so no index is stored.
+    pub inputs: BindingRange,
 }
 
 impl Point {
@@ -30,6 +31,42 @@ impl Point {
     /// was computed assuming `default_load`.
     pub fn arrival_at_load(&self, load: f64, default_load: f64) -> f64 {
         self.arrival + self.drive * (load - default_load)
+    }
+}
+
+/// A point's pin bindings: a range of a `Vec<Signal>` arena that one
+/// mapping run owns. Every point a match pushes shares the range the
+/// match wrote once, so a point carries no allocation of its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BindingRange {
+    start: u32,
+    len: u32,
+}
+
+impl BindingRange {
+    /// No bindings (primary-input source points).
+    pub const EMPTY: BindingRange = BindingRange { start: 0, len: 0 };
+
+    /// Append `signals` to `arena` and return their range.
+    pub(crate) fn append(arena: &mut Vec<Signal>, signals: &[Signal]) -> BindingRange {
+        let index = |i: usize| u32::try_from(i).expect("binding arena fits u32 indices");
+        let start = index(arena.len());
+        arena.extend_from_slice(signals);
+        BindingRange {
+            start,
+            len: index(signals.len()),
+        }
+    }
+
+    /// The bound signals, one per gate pin, read from the arena the range
+    /// was appended to.
+    pub(crate) fn of<'a>(&self, arena: &'a [Signal]) -> &'a [Signal] {
+        &arena[self.start as usize..][..self.len as usize]
+    }
+
+    /// Number of bound pins.
+    pub(crate) fn len(&self) -> usize {
+        self.len as usize
     }
 }
 
@@ -278,7 +315,8 @@ impl Curve {
 /// A curve's points ordered by their arrival as seen through one gate
 /// pin, with a running cheapest point, so "the cheapest point whose
 /// arrival at this load meets `required`" is a binary search plus a
-/// lookup instead of a scan.
+/// lookup instead of a scan. The order is also the order of the pin's
+/// candidate output arrivals, which the match sweep merges.
 ///
 /// The order is by arrival at the pin's load (`Point::arrival_at_load`),
 /// ties broken by point index; drives differ between points, so this can
@@ -335,6 +373,22 @@ impl LoadIndex {
     pub(crate) fn cheapest_of(&self, n: usize) -> Option<usize> {
         n.checked_sub(1).map(|last| self.cheapest[last] as usize)
     }
+
+    /// Number of indexed points.
+    pub(crate) fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Arrival at the indexed load of the `n`-th point in load order.
+    pub(crate) fn arrival(&self, n: usize) -> f64 {
+        self.order[n].0
+    }
+
+    /// How many points, in load order, have an arrival for which `below`
+    /// holds; `below` must hold for a prefix of the order.
+    pub(crate) fn count_while(&self, mut below: impl FnMut(f64) -> bool) -> usize {
+        self.order.partition_point(|&(arrival, _)| below(arrival))
+    }
 }
 
 #[cfg(test)]
@@ -347,7 +401,7 @@ mod tests {
             cost,
             drive: 1.0,
             gate: None,
-            inputs: Vec::new(),
+            inputs: BindingRange::EMPTY,
         }
     }
 

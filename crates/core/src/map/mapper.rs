@@ -1,7 +1,7 @@
 //! The mapping engine: postorder curve computation, preorder selection,
 //! mapped-netlist construction (§3.2–3.3).
 
-use crate::map::curve::{Curve, LoadIndex, Point};
+use crate::map::curve::{BindingRange, Curve, LoadIndex, Point};
 use crate::map::matcher::Matcher;
 use crate::map::pattern::PatternSet;
 use crate::map::subject::{AigNode, MapError, Signal, SubjectAig};
@@ -177,6 +177,10 @@ pub fn map_network(
     let mut curves: Vec<[Curve; 2]> = Vec::with_capacity(aig.len());
     let mut matcher = Matcher::new();
     let mut sweep = SweepScratch::default();
+    // Every point's pin bindings, written once per match or phase repair.
+    let mut arena: Vec<Signal> = Vec::new();
+    // Phase-repair points of the node at hand, reused across nodes.
+    let (mut aug_neg, mut aug_pos) = (Vec::new(), Vec::new());
 
     // ---- postorder: curve computation -------------------------------
     let postorder_span = obs::span!("map.postorder");
@@ -190,7 +194,7 @@ pub fn map_network(
                     cost: 0.0,
                     drive: 0.0,
                     gate: None,
-                    inputs: Vec::new(),
+                    inputs: BindingRange::EMPTY,
                 });
             }
             AigNode::And { .. } => {
@@ -207,6 +211,7 @@ pub fn map_network(
                         &m.pin_bindings,
                         target,
                         &mut sweep,
+                        &mut arena,
                     );
                 }
             }
@@ -217,12 +222,35 @@ pub fn map_network(
         // a phase. Built from the raw curves only (no inv-of-inv).
         let raw_pos = pos.cheapest().map(|(_, p)| p.clone());
         let raw_neg = neg.cheapest().map(|(_, p)| p.clone());
-        let aug_neg = phase_aug_points(aig, lib, opts, c_def, &pos, idx, true, ps.inverters());
-        let aug_pos = phase_aug_points(aig, lib, opts, c_def, &neg, idx, false, ps.inverters());
-        for p in aug_neg {
+        let invs = ps.inverters();
+        phase_aug_points(
+            aig,
+            lib,
+            opts,
+            c_def,
+            &pos,
+            idx,
+            true,
+            invs,
+            &mut arena,
+            &mut aug_neg,
+        );
+        phase_aug_points(
+            aig,
+            lib,
+            opts,
+            c_def,
+            &neg,
+            idx,
+            false,
+            invs,
+            &mut arena,
+            &mut aug_pos,
+        );
+        for p in aug_neg.drain(..) {
             neg.push(p);
         }
-        for p in aug_pos {
+        for p in aug_pos.drain(..) {
             pos.push(p);
         }
         pos.finalize(opts.epsilon);
@@ -298,7 +326,7 @@ pub fn map_network(
                         .iter()
                         .map(|&(r, l, _)| r - point.drive * (l - c_def))
                         .fold(f64::INFINITY, f64::min);
-                    for (pin_idx, s_in) in point.inputs.iter().enumerate() {
+                    for (pin_idx, s_in) in point.inputs.of(&arena).iter().enumerate() {
                         let pin = gate.pin(pin_idx);
                         let r_in = req_def - (pin.intrinsic + pin.drive * c_def);
                         let same_node_aug = s_in.node == idx;
@@ -327,6 +355,7 @@ pub fn map_network(
         s: Signal,
         aig: &SubjectAig,
         curves: &[[Curve; 2]],
+        arena: &[Signal],
         chosen: &HashMap<(u32, bool), usize>,
         built: &mut HashMap<(u32, bool), NetRef>,
         instances: &mut Vec<MappedInstance>,
@@ -352,8 +381,8 @@ pub fn map_network(
             .gate
             .ok_or_else(|| MapError::UnmappedOutput(format!("signal {s:?}")))?;
         let mut ins = Vec::with_capacity(point.inputs.len());
-        for &s_in in &point.inputs {
-            ins.push(build(s_in, aig, curves, chosen, built, instances)?);
+        for &s_in in point.inputs.of(arena) {
+            ins.push(build(s_in, aig, curves, arena, chosen, built, instances)?);
         }
         let name = format!(
             "g{}_{}{}",
@@ -375,7 +404,15 @@ pub fn map_network(
 
     let mut outputs = Vec::new();
     for (name, s) in aig.outputs() {
-        let r = build(*s, aig, &curves, &chosen, &mut built, &mut instances)?;
+        let r = build(
+            *s,
+            aig,
+            &curves,
+            &arena,
+            &chosen,
+            &mut built,
+            &mut instances,
+        )?;
         outputs.push((name.clone(), r));
     }
     let pi_p_one: Vec<f64> = aig
@@ -445,12 +482,21 @@ fn select_point(curve: &Curve, demands: &[Demand], c_def: f64) -> Option<usize> 
 struct PinSweep {
     /// The pin's fanin curve in order of arrival at the pin's load.
     index: LoadIndex,
+    /// The pin's intrinsic delay.
+    intrinsic: f64,
+    /// The pin's load-dependent delay at the default output load,
+    /// `drive · c_def`.
+    load_delay: f64,
     /// Pin delay at the default output load, `intrinsic + drive · c_def`.
     delay: f64,
     /// §3.3 fanout divisor of the fanin's accumulated cost.
     div: f64,
     /// Power of the pin's input net (Power objective only).
     load_pw: f64,
+    /// Merge cursor: position in `index` of the pin's next candidate.
+    next: usize,
+    /// The candidate at `next`; infinite once the pin is exhausted.
+    head: f64,
     /// Points meeting the current candidate's requirement, a prefix of
     /// `index`.
     admitted: usize,
@@ -479,14 +525,28 @@ impl PinSweep {
             },
         }
     }
+
+    /// The output arrival through this pin from a fanin point arriving
+    /// at `arrival_at_load` at the pin. Non-decreasing in its argument:
+    /// adding a constant is monotone under rounding.
+    fn out_arrival(&self, arrival_at_load: f64) -> f64 {
+        arrival_at_load + self.intrinsic + self.load_delay
+    }
+
+    /// The candidate at merge position `n`, or infinity past the end.
+    fn candidate(&self, n: usize) -> f64 {
+        if n < self.index.len() {
+            self.out_arrival(self.index.arrival(n))
+        } else {
+            f64::INFINITY
+        }
+    }
 }
 
 /// Scratch of [`add_match_points`], reused across every match of a
 /// mapping run so the sweep allocates nothing per match.
 #[derive(Debug, Default)]
 struct SweepScratch {
-    /// Candidate output arrivals.
-    cands: Vec<f64>,
     /// One entry per gate pin (grown to the widest gate seen).
     pins: Vec<PinSweep>,
 }
@@ -501,6 +561,11 @@ struct SweepScratch {
 /// and its selection only moves to a later, cheaper point. Candidates
 /// that select the same points as the previous one would re-push an
 /// identical point, which changes nothing, and are skipped.
+///
+/// The candidates are generated lazily: each pin's index lists them in
+/// order, so a k-way merge of the pins' streams yields them sorted. The
+/// merge starts just below the first feasible candidate, at a boundary
+/// of the 1e-12 dedup, and stops at the early exit.
 #[allow(clippy::too_many_arguments)]
 fn add_match_points(
     aig: &SubjectAig,
@@ -513,6 +578,7 @@ fn add_match_points(
     bindings: &[Signal],
     out: &mut Curve,
     scratch: &mut SweepScratch,
+    arena: &mut Vec<Signal>,
 ) {
     let gate = &lib.gates()[gate_idx];
     // Leaf curves must exist and be below this node (guaranteed: bindings
@@ -547,7 +613,9 @@ fn add_match_points(
     for (pin_idx, (s, ps)) in bindings.iter().zip(pins.iter_mut()).enumerate() {
         let pin = gate.pin(pin_idx);
         let curve = pin_curve(s);
-        ps.delay = pin.intrinsic + pin.drive * c_def;
+        ps.intrinsic = pin.intrinsic;
+        ps.load_delay = pin.drive * c_def;
+        ps.delay = ps.intrinsic + ps.load_delay;
         ps.div = if opts.dag_fanout_division {
             aig.fanout_count(s.node).max(1) as f64
         } else {
@@ -563,8 +631,7 @@ fn add_match_points(
         let (_, cheapest) = curve.cheapest().expect("non-empty");
         c_min += ps.cost_term(opts, cheapest.cost);
         let (_, fastest) = curve.fastest(pin.input_cap, c_def).expect("non-empty");
-        a_lo = a_lo
-            .max(fastest.arrival_at_load(pin.input_cap, c_def) + pin.intrinsic + pin.drive * c_def);
+        a_lo = a_lo.max(ps.out_arrival(fastest.arrival_at_load(pin.input_cap, c_def)));
     }
     // The early exit below, taken before any candidate: when `out`
     // rejects (a_lo, c_min), it rejects every candidate of this match.
@@ -572,26 +639,67 @@ fn add_match_points(
         obs::counter!("map.sweep.early_exits");
         return;
     }
+    // Every candidate below `start` leaves the pin that sets `a_lo` with
+    // no admitted point: admission allows 1e-9 of slack, and the rest of
+    // the margin covers the rounding of the sums on either side (admission
+    // is monotone in the candidate, so the largest one below `start`
+    // decides for all). Each pin's stream starts at its first candidate
+    // from `start` on.
+    let start = a_lo - 2e-9 - a_lo.abs() * 1e-12;
     for (pin_idx, (s, ps)) in bindings.iter().zip(pins.iter_mut()).enumerate() {
         ps.index
             .rebuild(pin_curve(s), gate.pin(pin_idx).input_cap, c_def);
+        ps.next = ps.index.count_while(|x| ps.out_arrival(x) < start);
         ps.admitted = 0;
         ps.sel = None;
     }
-    // Candidate output arrivals.
-    let cands = &mut scratch.cands;
-    cands.clear();
-    for (pin_idx, s) in bindings.iter().enumerate() {
-        let pin = gate.pin(pin_idx);
-        for p in pin_curve(s).points() {
-            cands.push(p.arrival_at_load(pin.input_cap, c_def) + pin.intrinsic + pin.drive * c_def);
+    // The dedup keeps a candidate unless it lies within 1e-12 of the last
+    // candidate it kept, so a chain of closer steps crossing the start
+    // would keep a different representative than the full sorted list
+    // does. Back the start up until the merged predecessor of the first
+    // candidate lies at least 1e-12 below it: the full dedup keeps that
+    // candidate too, and from there both make the same decisions.
+    loop {
+        let first = pins
+            .iter()
+            .map(|ps| ps.candidate(ps.next))
+            .fold(f64::INFINITY, f64::min);
+        let prev = pins
+            .iter()
+            .filter(|ps| ps.next > 0)
+            .map(|ps| ps.candidate(ps.next - 1))
+            .fold(f64::NEG_INFINITY, f64::max);
+        if first - prev >= 1e-12 {
+            break;
+        }
+        for ps in pins.iter_mut() {
+            if ps.next > 0 && ps.candidate(ps.next - 1) == prev {
+                ps.next -= 1;
+            }
         }
     }
-    cands.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-    cands.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
+    for ps in pins.iter_mut() {
+        ps.head = ps.candidate(ps.next);
+    }
 
-    let (mut pushes, mut drops) = (0u64, 0u64);
-    for &t in cands.iter() {
+    let mut inputs: Option<BindingRange> = None;
+    let (mut pushes, mut drops, mut visited) = (0u64, 0u64, 0u64);
+    let mut last = f64::NEG_INFINITY;
+    // Each step takes the smallest head of the merge.
+    while let Some(from) = (0..pins.len())
+        .min_by(|&a, &b| pins[a].head.total_cmp(&pins[b].head))
+        .filter(|&j| pins[j].head.is_finite())
+    {
+        let ps = &mut pins[from];
+        let t = ps.head;
+        ps.next += 1;
+        ps.head = ps.candidate(ps.next);
+        // The 1e-12 dedup of the sorted list, against the last kept one.
+        if t - last < 1e-12 {
+            continue;
+        }
+        last = t;
+        visited += 1;
         let mut changed = false;
         let mut ok = true;
         for (pin_idx, (s, ps)) in bindings.iter().zip(pins.iter_mut()).enumerate() {
@@ -601,10 +709,9 @@ fn add_match_points(
                 changed = true;
                 ps.sel = sel;
                 if let Some(i) = sel {
-                    let pin = gate.pin(pin_idx);
                     let p = &pin_curve(s).points()[i];
                     ps.out_t =
-                        p.arrival_at_load(pin.input_cap, c_def) + pin.intrinsic + pin.drive * c_def;
+                        ps.out_arrival(p.arrival_at_load(gate.pin(pin_idx).input_cap, c_def));
                     ps.term = ps.cost_term(opts, p.cost);
                 }
             }
@@ -621,6 +728,7 @@ fn add_match_points(
         }
         if let Some(slot) = out.insert_slot(actual_t, cost) {
             pushes += 1;
+            let inputs = *inputs.get_or_insert_with(|| BindingRange::append(arena, bindings));
             out.insert_at(
                 slot,
                 Point {
@@ -628,7 +736,7 @@ fn add_match_points(
                     cost,
                     drive,
                     gate: Some(gate_idx),
-                    inputs: bindings.to_vec(),
+                    inputs,
                 },
             );
             continue;
@@ -650,6 +758,9 @@ fn add_match_points(
             break;
         }
     }
+    if visited > 0 {
+        obs::counter!("map.sweep.candidates", visited);
+    }
     if pushes > 0 {
         obs::counter!("map.curve.pushes", pushes);
     }
@@ -658,8 +769,8 @@ fn add_match_points(
     }
 }
 
-/// Points obtained by applying each inverter cell to the other phase's raw
-/// curve.
+/// Write into `out` the points obtained by applying each inverter cell to
+/// the other phase's raw curve.
 #[allow(clippy::too_many_arguments)]
 fn phase_aug_points(
     aig: &SubjectAig,
@@ -670,49 +781,50 @@ fn phase_aug_points(
     node: u32,
     source_is_pos: bool,
     inverters: &[usize],
-) -> Vec<Point> {
-    let mut out = Vec::new();
+    arena: &mut Vec<Signal>,
+    out: &mut Vec<Point>,
+) {
+    out.clear();
+    if source.is_empty() {
+        return;
+    }
     // The inverter consumes the source-phase signal.
     let in_sig = Signal {
         node,
         compl: !source_is_pos,
     };
+    let inputs = BindingRange::append(arena, &[in_sig]);
+    let div = if opts.dag_fanout_division {
+        aig.fanout_count(node).max(1) as f64
+    } else {
+        1.0
+    };
+    let e_in = opts.model.switching(aig.p_signal(in_sig));
+    let out_pw = opts
+        .env
+        .average_power_uw(c_def, opts.model.switching(aig.p_signal(in_sig.not())));
     for &gi in inverters {
         let gate = &lib.gates()[gi];
         let pin = gate.pin(0);
+        let load_pw = opts.env.average_power_uw(pin.input_cap, e_in);
         for p in source.points() {
             let arr = p.arrival_at_load(pin.input_cap, c_def) + pin.intrinsic + pin.drive * c_def;
-            let div = if opts.dag_fanout_division {
-                aig.fanout_count(node).max(1) as f64
-            } else {
-                1.0
-            };
             let cost = match opts.objective {
                 MapObjective::Area => gate.area() + p.cost / div,
-                MapObjective::Power => {
-                    let e_in = opts.model.switching(aig.p_signal(in_sig));
-                    let load_pw = opts.env.average_power_uw(pin.input_cap, e_in);
-                    match opts.power_method {
-                        PowerMethod::InputLoads => load_pw + p.cost / div,
-                        PowerMethod::OutputLoad => {
-                            let p_out = aig.p_signal(in_sig.not());
-                            opts.env
-                                .average_power_uw(c_def, opts.model.switching(p_out))
-                                + (load_pw + p.cost) / div
-                        }
-                    }
-                }
+                MapObjective::Power => match opts.power_method {
+                    PowerMethod::InputLoads => load_pw + p.cost / div,
+                    PowerMethod::OutputLoad => out_pw + (load_pw + p.cost) / div,
+                },
             };
             out.push(Point {
                 arrival: arr,
                 cost,
                 drive: pin.drive,
                 gate: Some(gi),
-                inputs: vec![in_sig],
+                inputs,
             });
         }
     }
-    out
 }
 
 impl Point {
@@ -892,6 +1004,7 @@ mod tests {
         gate_idx: usize,
         bindings: &[Signal],
         out: &mut Curve,
+        arena: &mut Vec<Signal>,
     ) {
         fn best_within(c: &Curve, required: f64, load: f64, c_def: f64) -> Option<&Point> {
             c.points()
@@ -966,7 +1079,7 @@ mod tests {
                 cost,
                 drive,
                 gate: Some(gate_idx),
-                inputs: bindings.to_vec(),
+                inputs: BindingRange::append(arena, bindings),
             });
         }
     }
@@ -998,7 +1111,7 @@ mod tests {
                 cost,
                 drive,
                 gate: None,
-                inputs: Vec::new(),
+                inputs: BindingRange::EMPTY,
             });
         }
         c.finalize(epsilon);
@@ -1028,6 +1141,7 @@ mod tests {
         let node = aig.len() as u32 - 1;
         let mut rng = rand::rngs::StdRng::seed_from_u64(0x5EE9);
         let mut scratch = SweepScratch::default();
+        let (mut want_arena, mut got_arena) = (Vec::new(), Vec::new());
         let session = obs::Session::start();
         let mut pushed = 0;
         for case in 0..400 {
@@ -1055,7 +1169,7 @@ mod tests {
                     cost: rng.gen_range(0.0..40.0),
                     drive: 1.0,
                     gate: Some(0),
-                    inputs: Vec::new(),
+                    inputs: BindingRange::EMPTY,
                 });
             }
             let (mut want, mut got) = (seeded.clone(), seeded);
@@ -1089,7 +1203,7 @@ mod tests {
                         cost: rng.gen_range(0..10) as f64,
                         drive,
                         gate: None,
-                        inputs: Vec::new(),
+                        inputs: BindingRange::EMPTY,
                     };
                     let sa = bindings[a];
                     let ca = &mut curves[sa.node as usize][sa.compl as usize];
@@ -1100,7 +1214,16 @@ mod tests {
                     }
                 }
                 add_match_points_reference(
-                    &aig, &lib, &opts, c_def, &curves, node, gate_idx, &bindings, &mut want,
+                    &aig,
+                    &lib,
+                    &opts,
+                    c_def,
+                    &curves,
+                    node,
+                    gate_idx,
+                    &bindings,
+                    &mut want,
+                    &mut want_arena,
                 );
                 add_match_points(
                     &aig,
@@ -1113,19 +1236,24 @@ mod tests {
                     &bindings,
                     &mut got,
                     &mut scratch,
+                    &mut got_arena,
                 );
             }
             // Bit patterns, so even a sign-of-zero difference fails.
-            let bits = |c: &Curve| -> Vec<String> {
+            let bits = |c: &Curve, arena: &[Signal]| -> Vec<String> {
                 c.points()
                     .iter()
                     .map(|p| {
                         let (a, c, d) = (p.arrival.to_bits(), p.cost.to_bits(), p.drive.to_bits());
-                        format!("{a:x} {c:x} {d:x} {:?} {:?}", p.gate, p.inputs)
+                        format!("{a:x} {c:x} {d:x} {:?} {:?}", p.gate, p.inputs.of(arena))
                     })
                     .collect()
             };
-            assert_eq!(bits(&got), bits(&want), "case {case}");
+            assert_eq!(
+                bits(&got, &got_arena),
+                bits(&want, &want_arena),
+                "case {case}"
+            );
             pushed += got.points().len();
         }
         let report = session.finish();
@@ -1133,6 +1261,107 @@ mod tests {
         let exits = report.metrics.counters.get("map.sweep.early_exits");
         assert!(exits.is_some_and(|&n| n > 0), "no early exit taken");
         assert!(pushed > 0);
+    }
+
+    #[test]
+    fn match_sweep_start_keeps_the_dedup_representatives() {
+        // and3's pins have equal delays, so equal fanin arrivals give
+        // equal candidates on every pin.
+        let blif = ".model t\n.inputs a b c\n.outputs f\n.names a b x\n11 1\n\
+                    .names x c f\n11 1\n.end\n";
+        let (_, aig) = subject(blif, &[0.5, 0.3, 0.8]);
+        let lib = lib2_like();
+        let c_def = lib.default_load();
+        let gate_idx = lib.gates().iter().position(|g| g.name() == "and3").unwrap();
+        let node = aig.len() as u32 - 1;
+        let bindings: Vec<Signal> = (0..3)
+            .map(|n| Signal {
+                node: n,
+                compl: false,
+            })
+            .collect();
+        let point = |arrival: f64, cost: f64| Point {
+            arrival,
+            cost,
+            drive: 0.0,
+            gate: None,
+            inputs: BindingRange::EMPTY,
+        };
+        // Pins 0 and 2 are fastest at `x0`, so their candidates tie
+        // exactly at `a_lo`; pin 1 has a point there too.
+        let x0 = 3.0;
+        // Pin 1 also has a chain of arrivals `step` apart, from well below
+        // the merge's start to past `a_lo`: the dedup keeps every other
+        // chain candidate, and a merge starting at the first candidate at
+        // or above its bound keeps the other half for one of the offsets.
+        let step = 0.9e-12;
+        for offset in [0.0, step] {
+            for objective in [MapObjective::Power, MapObjective::Area] {
+                let opts = MapOptions {
+                    objective,
+                    ..MapOptions::power()
+                };
+                let mut curves: Vec<[Curve; 2]> =
+                    (0..node).map(|_| [Curve::new(), Curve::new()]).collect();
+                curves[0][0].push(point(x0, 50.0));
+                curves[0][0].push(point(x0 + 2e-9, 40.0));
+                curves[2][0].push(point(x0, 30.0));
+                let mut chain: Vec<f64> = (0..4444)
+                    .map(|k| x0 - 3e-9 + offset + k as f64 * step)
+                    .chain([x0])
+                    .collect();
+                chain.sort_by(f64::total_cmp);
+                chain.dedup();
+                for (k, &a) in chain.iter().enumerate() {
+                    curves[1][0].push(point(a, 1e4 - k as f64));
+                }
+                let (mut want, mut got) = (Curve::new(), Curve::new());
+                let (mut want_arena, mut got_arena) = (Vec::new(), Vec::new());
+                add_match_points_reference(
+                    &aig,
+                    &lib,
+                    &opts,
+                    c_def,
+                    &curves,
+                    node,
+                    gate_idx,
+                    &bindings,
+                    &mut want,
+                    &mut want_arena,
+                );
+                add_match_points(
+                    &aig,
+                    &lib,
+                    &opts,
+                    c_def,
+                    &curves,
+                    node,
+                    gate_idx,
+                    &bindings,
+                    &mut got,
+                    &mut SweepScratch::default(),
+                    &mut got_arena,
+                );
+                let bits = |c: &Curve, arena: &[Signal]| -> Vec<String> {
+                    c.points()
+                        .iter()
+                        .map(|p| {
+                            let (a, c) = (p.arrival.to_bits(), p.cost.to_bits());
+                            format!("{a:x} {c:x} {:?}", p.inputs.of(arena))
+                        })
+                        .collect()
+                };
+                assert!(
+                    want.points().len() > 100,
+                    "the chain reaches the feasible candidates"
+                );
+                assert_eq!(
+                    bits(&got, &got_arena),
+                    bits(&want, &want_arena),
+                    "offset {offset:e}, {objective:?}"
+                );
+            }
+        }
     }
 
     #[test]

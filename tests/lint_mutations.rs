@@ -13,7 +13,7 @@ use lint::{
 };
 use lowpower::core::decomp::DecomposedNetwork;
 use lowpower::core::map::mapper::{MappedInstance, MappedNetwork, NetRef};
-use lowpower::core::map::{Curve, Point};
+use lowpower::core::map::{BindingRange, Curve, Point};
 use netlist::{parse_blif, Network, Sop};
 use std::collections::HashMap;
 
@@ -353,7 +353,7 @@ fn point(arrival: f64, cost: f64) -> Point {
         cost,
         drive: 0.1,
         gate: None,
-        inputs: vec![],
+        inputs: BindingRange::EMPTY,
     }
 }
 

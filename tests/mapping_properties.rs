@@ -1,17 +1,23 @@
 //! Property-based tests of the full decompose→map pipeline: functional
-//! equivalence on randomized networks under every style/objective, BLIF
-//! roundtrips of mapped netlists, and timing-model consistency.
+//! equivalence on randomized networks under every style/objective, mapper
+//! feasibility across ε and required times, BLIF roundtrips of mapped
+//! netlists, and timing-model consistency.
 
 use activity::{analyze, TransitionModel};
 use benchgen::{random_network, RandomNetConfig};
 use genlib::builtin::lib2_like;
+use genlib::Library;
 use lowpower::core::decomp::{decompose_network, DecompOptions, DecompStyle};
 use lowpower::core::map::SubjectAig;
-use lowpower::core::map::{map_network, MapOptions};
+use lowpower::core::map::{map_network, MapOptions, MappedNetwork};
 use lowpower::flow::strip_constant_outputs;
+use netlist::Network;
 use proptest::prelude::*;
 
-fn pipeline_equivalence(seed: u64, style: DecompStyle, power: bool) -> Result<(), TestCaseError> {
+/// The 7-input random network of `seed`, decomposed in `style`, as a
+/// subject graph, with the names of the outputs that decomposed to
+/// constants; `None` when every output is constant.
+fn subject_of(seed: u64, style: DecompStyle) -> (Network, Option<(SubjectAig, Vec<String>)>) {
     let net = random_network(&RandomNetConfig {
         inputs: 7,
         outputs: 3,
@@ -22,11 +28,19 @@ fn pipeline_equivalence(seed: u64, style: DecompStyle, power: bool) -> Result<()
     let d = decompose_network(&net, &DecompOptions::new(style));
     let (mappable, consts) = strip_constant_outputs(&d.network);
     if mappable.outputs().is_empty() {
-        return Ok(()); // everything constant — nothing to map
+        return (net, None); // everything constant — nothing to map
     }
     let probs = vec![0.5; mappable.inputs().len()];
     let act = analyze(&mappable, &probs, TransitionModel::StaticCmos);
     let aig = SubjectAig::from_network(&mappable, &act).expect("mappable network");
+    let const_names = consts.into_iter().map(|(n, _)| n).collect();
+    (net, Some((aig, const_names)))
+}
+
+fn pipeline_equivalence(seed: u64, style: DecompStyle, power: bool) -> Result<(), TestCaseError> {
+    let (net, Some((aig, const_names))) = subject_of(seed, style) else {
+        return Ok(());
+    };
     let lib = lib2_like();
     let opts = if power {
         MapOptions::power()
@@ -34,15 +48,23 @@ fn pipeline_equivalence(seed: u64, style: DecompStyle, power: bool) -> Result<()
         MapOptions::area()
     };
     let mapped = map_network(&aig, &lib, &opts).expect("maps");
+    equivalent_to_source(&net, &mapped, &const_names, &lib)
+}
 
-    // Exhaustive functional check against the ORIGINAL network.
-    let const_names: Vec<&str> = consts.iter().map(|(n, _)| n.as_str()).collect();
+/// Exhaustive functional check of a mapping of `net`'s non-constant
+/// outputs against the ORIGINAL network.
+fn equivalent_to_source(
+    net: &Network,
+    mapped: &MappedNetwork,
+    const_names: &[String],
+    lib: &Library,
+) -> Result<(), TestCaseError> {
     for bits in 0..(1u64 << 7) {
         let pis: Vec<bool> = (0..7).map(|i| bits >> i & 1 == 1).collect();
         let expect = net.eval_outputs(&pis);
-        let got = mapped.eval_outputs(&lib, &pis);
+        let got = mapped.eval_outputs(lib, &pis);
         for (gi, (name, _)) in mapped.outputs.iter().enumerate() {
-            prop_assert!(!const_names.contains(&name.as_str()));
+            prop_assert!(!const_names.contains(name));
             let oi = net
                 .outputs()
                 .iter()
@@ -70,6 +92,31 @@ proptest! {
     #[test]
     fn bounded_power_pipeline_equivalent(seed in 0u64..1000) {
         pipeline_equivalence(seed, DecompStyle::BoundedMinPower, true)?;
+    }
+
+    /// The mapper stays feasible off its defaults: at any ε in [0, 1] and
+    /// any required time from the fastest achievable arrival to 50 %
+    /// above it, both objectives map every output, correctly.
+    #[test]
+    fn mapper_feasible_across_epsilon_and_required_time(
+        seed in 0u64..1000,
+        epsilon in 0.0f64..=1.0,
+        slack in 0.0f64..=0.5,
+    ) {
+        let (net, Some((aig, const_names))) = subject_of(seed, DecompStyle::MinPower) else {
+            return Ok(());
+        };
+        let lib = lib2_like();
+        for base in [MapOptions::power(), MapOptions::area()] {
+            let opts = MapOptions { epsilon, ..base };
+            let fastest = map_network(&aig, &lib, &opts);
+            prop_assert!(fastest.is_ok(), "ε {}: {:?}", epsilon, fastest.err());
+            let required = fastest.expect("checked").estimated_fastest * (1.0 + slack);
+            let opts = MapOptions { required_time: Some(required), ..opts };
+            let mapped = map_network(&aig, &lib, &opts);
+            prop_assert!(mapped.is_ok(), "ε {}, required {}: {:?}", epsilon, required, mapped.err());
+            equivalent_to_source(&net, &mapped.expect("checked"), &const_names, &lib)?;
+        }
     }
 
     #[test]
