@@ -100,11 +100,9 @@ cargo run --release --quiet -- qor-baseline \
 cargo run --release --quiet -- qor-diff \
     --baseline results/qor_baseline.json --against "$TMP/qor_examples.json"
 
-echo "==> qor ledger gate (JSONL validity + telescoping deltas, --qor=gate vs baseline)"
+echo "==> qor ledger gate (the ledger lines riding the obs stream parse strictly)"
 cargo run --release --quiet -- synth --blif examples/blif/mux4.blif --method V \
-    --qor=json --qor-out "$TMP/qor.jsonl" > /dev/null 2>&1
-cargo run --release --quiet -- qor-check --file "$TMP/qor.jsonl"
-cargo run --release --quiet -- synth --blif examples/blif/parity4.blif --method V \
-    --qor=gate --qor-baseline results/qor_baseline.json > /dev/null 2> /dev/null
+    --qor --obs=json --obs-out "$TMP/qor.jsonl" > /dev/null 2>&1
+cargo run --release --quiet -- obs-check --file "$TMP/qor.jsonl"
 
 echo "CI OK"

@@ -18,6 +18,7 @@
 
 use genlib::builtin::lib2_like;
 use lowpower::flow::{decompose, optimize, run_method, FlowConfig, Method};
+use lowpower_bench::{args_or_exit, Takes};
 use lowpower_core::decomp::DecompStyle;
 use lowpower_core::map::{map_network, MapOptions, PowerMethod};
 use lowpower_core::power::{evaluate, simulate_glitch_power};
@@ -65,27 +66,14 @@ const VARIANTS: &[Variant] = &[
 ];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut circuits: Vec<String> = Vec::new();
-    let mut threads: Option<usize> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threads" => {
-                i += 1;
-                threads = Some(args[i].parse().expect("--threads takes a number"));
-            }
-            other => circuits.push(other.to_string()),
-        }
-        i += 1;
-    }
-    if circuits.is_empty() {
-        circuits = ["x2", "s344", "s510", "alu2"]
+    let args = args_or_exit("ablation [circuit ...] [--threads N]", Takes::CircuitNames);
+    let circuits = args.circuits.unwrap_or_else(|| {
+        ["x2", "s344", "s510", "alu2"]
             .iter()
             .map(|s| s.to_string())
-            .collect();
-    }
-    let threads = par::thread_count(threads);
+            .collect()
+    });
+    let threads = par::thread_count(args.threads);
     let lib = lib2_like();
 
     let blocks = par::scope_map(threads, &circuits, |_, name| run_circuit(name, &lib));

@@ -11,15 +11,11 @@
 //! output is identical at any thread count.
 
 use activity::TransitionModel;
+use lowpower_bench::{args_or_exit, Takes};
 use lowpower_core::decomp::{minpower_tree, DecompObjective, DecompTree, GateKind};
 
 fn main() {
-    let threads = std::env::args()
-        .skip(1)
-        .skip_while(|a| a != "--threads")
-        .nth(1)
-        .map(|a| a.parse().expect("--threads takes a number"));
-    let threads = par::thread_count(threads);
+    let threads = par::thread_count(args_or_exit("figure1 [--threads N]", Takes::Nothing).threads);
     let obj = DecompObjective::new(TransitionModel::DominoP, GateKind::And);
     let p = [0.3, 0.4, 0.7, 0.5];
 

@@ -13,6 +13,7 @@
 //! run concurrently and the table is identical at any thread count.
 
 use activity::TransitionModel;
+use lowpower_bench::{args_or_exit, Takes};
 use lowpower_core::decomp::{
     exhaustive_minpower, modified_huffman_tree, DecompObjective, GateKind,
 };
@@ -20,21 +21,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 fn main() {
-    let mut trials: usize = 500;
-    let mut threads: Option<usize> = None;
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--threads" => {
-                i += 1;
-                threads = Some(args[i].parse().expect("--threads takes a number"));
-            }
-            other => trials = other.parse().expect("trials must be a number"),
-        }
-        i += 1;
-    }
-    let threads = par::thread_count(threads);
+    let args = args_or_exit("table1 [trials] [--threads N]", Takes::Trials);
+    let trials = args.trials.unwrap_or(500);
+    let threads = par::thread_count(args.threads);
     let obj = DecompObjective::new(TransitionModel::StaticCmos, GateKind::And);
     println!("Table 1: Modified Huffman optimality (static CMOS AND decomposition)");
     println!("{trials} random input patterns per row, exhaustive oracle\n");

@@ -22,36 +22,18 @@
 use benchgen::{paper_suite, suite_circuit};
 use genlib::builtin::lib2_like;
 use lowpower::flow::{decompose, map, optimize, Decomposition, FlowConfig, Method};
-use lowpower_bench::{summarize, SuiteRow};
+use lowpower_bench::{args_or_exit, summarize, SuiteRow, Takes};
 use lowpower_core::decomp::DecompStyle;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut circuits: Option<Vec<String>> = None;
-    let mut threads: Option<usize> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--circuits" => {
-                i += 1;
-                circuits = Some(args[i].split(',').map(str::to_string).collect());
-            }
-            "--threads" => {
-                i += 1;
-                threads = Some(args[i].parse().expect("--threads takes a number"));
-            }
-            other => {
-                eprintln!("unknown option `{other}`");
-                std::process::exit(2);
-            }
-        }
-        i += 1;
-    }
-
+    let args = args_or_exit(
+        "tables23 [--circuits a,b,c] [--threads N]",
+        Takes::CircuitList,
+    );
     let lib = lib2_like();
     let cfg = FlowConfig::default();
-    let threads = par::thread_count(threads);
-    let selected: Vec<&str> = match &circuits {
+    let threads = par::thread_count(args.threads);
+    let selected: Vec<&str> = match &args.circuits {
         Some(list) => list.iter().map(String::as_str).collect(),
         None => paper_suite().iter().map(|e| e.name).collect(),
     };

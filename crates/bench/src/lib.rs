@@ -11,6 +11,8 @@
 //! Criterion benches (in `benches/`) measure runtime scaling of the
 //! decomposition algorithms, the BDD probability engine and the mapper.
 
+pub mod args;
 pub mod harness;
 
+pub use args::{args_or_exit, parse_args, BenchArgs, Takes};
 pub use harness::{summarize, SuiteRow, Summary};

@@ -16,12 +16,15 @@ pub const TIMING_KEYS: &[&str] = &["ts_ns", "total_ns", "ts", "dur_ns", "wall_ms
 ///   file order;
 /// * exactly one `snapshot` object exists and it is the last line.
 ///
-/// Returns the parsed snapshot object.
+/// Returns the parsed snapshot object and every note's `(1-based line
+/// number, text)` in stream order. Note texts are free text here; the QoR
+/// ledger lines among them are checked by `qor::check_ledger_notes`.
 ///
 /// # Errors
 /// A description of the first violation, with its line number.
-pub fn check_jsonl(text: &str) -> Result<Json, String> {
+pub fn check_jsonl(text: &str) -> Result<(Json, Vec<(usize, String)>), String> {
     let mut snapshot: Option<Json> = None;
+    let mut notes = Vec::new();
     let mut threads = Threads::default();
     for (lineno, line) in text.lines().enumerate() {
         let n = lineno + 1;
@@ -53,8 +56,12 @@ pub fn check_jsonl(text: &str) -> Result<Json, String> {
                 if ty == "B" && v.get("name").and_then(Json::as_str).is_none() {
                     return Err(format!("line {n}: B event without `name`"));
                 }
-                if ty == "note" && v.get("text").and_then(Json::as_str).is_none() {
-                    return Err(format!("line {n}: note event without `text`"));
+                if ty == "note" {
+                    let text = v
+                        .get("text")
+                        .and_then(Json::as_str)
+                        .ok_or_else(|| format!("line {n}: note event without `text`"))?;
+                    notes.push((n, text.to_string()));
                 }
             }
             "snapshot" => {
@@ -69,7 +76,8 @@ pub fn check_jsonl(text: &str) -> Result<Json, String> {
         }
     }
     threads.all_closed("span(s)")?;
-    snapshot.ok_or_else(|| "no snapshot line".to_string())
+    let snapshot = snapshot.ok_or_else(|| "no snapshot line".to_string())?;
+    Ok((snapshot, notes))
 }
 
 /// Validate Chrome trace-event JSON as written by
@@ -194,8 +202,10 @@ mod tests {
     fn jsonl_sink_passes_checker() {
         let r = sample_report();
         let jsonl = r.render_jsonl();
-        let snap = check_jsonl(&jsonl).expect("valid JSONL");
+        let (snap, notes) = check_jsonl(&jsonl).expect("valid JSONL");
         assert!(snap.get("counters").is_some());
+        let progress = jsonl.lines().position(|l| l.contains("progress")).unwrap();
+        assert_eq!(notes, [(progress + 1, "progress".to_string())]);
         assert_eq!(strip_timing(&snap), strip_timing(&snap));
     }
 

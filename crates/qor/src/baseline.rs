@@ -2,9 +2,9 @@
 //!
 //! A [`Baseline`] is the committed QoR truth for a set of
 //! `circuit × method` runs. [`diff`] compares a freshly measured baseline
-//! against it with per-metric **relative** tolerances; CI runs with
-//! a zero [`Tolerance`] so any drift — better *or* worse — fails loudly and
-//! must be re-baselined intentionally.
+//! against it with one **relative** tolerance; CI runs at zero tolerance
+//! so any drift — better *or* worse — fails loudly and must be
+//! re-baselined intentionally.
 
 use crate::ledger::Metrics;
 use obs::json::{parse_json, Json};
@@ -112,29 +112,6 @@ impl Baseline {
     }
 }
 
-/// Per-metric **relative** tolerances for [`diff`]. A metric passes when
-/// `|new − base| ≤ tol × max(|base|, 1)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Tolerance {
-    /// Relative tolerance on `power_muw`.
-    pub power: f64,
-    /// Relative tolerance on `area_milli`, `nodes`, and `literals`.
-    pub area: f64,
-    /// Relative tolerance on `delay_ps`.
-    pub delay: f64,
-}
-
-impl Tolerance {
-    /// A uniform relative tolerance on every metric.
-    pub fn uniform(t: f64) -> Tolerance {
-        Tolerance {
-            power: t,
-            area: t,
-            delay: t,
-        }
-    }
-}
-
 /// One compared metric of one run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiffLine {
@@ -207,22 +184,18 @@ impl Diff {
     }
 }
 
-/// Compare `measured` against `base` with per-metric relative tolerances.
-pub fn diff(base: &Baseline, measured: &Baseline, tol: &Tolerance) -> Diff {
-    let within = |b: i64, n: i64, t: f64| -> bool {
+/// Compare `measured` against `base` with the relative tolerance `tol`:
+/// a metric passes when `|new − base| ≤ tol × max(|base|, 1)`.
+pub fn diff(base: &Baseline, measured: &Baseline, tol: f64) -> Diff {
+    let within = |b: i64, n: i64| -> bool {
         let err = (n - b).abs() as f64;
-        err <= t * (b.abs().max(1)) as f64
+        err <= tol * (b.abs().max(1)) as f64
     };
     let mut out = Diff::default();
     for e in &base.entries {
         let Some(m) = measured.get(&e.circuit, &e.method) else {
             out.missing.push(format!("{} × {}", e.circuit, e.method));
             continue;
-        };
-        let tol_for = |metric: &str| match metric {
-            "power_muw" => tol.power,
-            "delay_ps" => tol.delay,
-            _ => tol.area,
         };
         for ((name, b), (_, n)) in e.metrics.fields().iter().zip(m.fields().iter()) {
             out.lines.push(DiffLine {
@@ -231,7 +204,7 @@ pub fn diff(base: &Baseline, measured: &Baseline, tol: &Tolerance) -> Diff {
                 metric: name,
                 base: *b,
                 new: *n,
-                ok: within(*b, *n, tol_for(name)),
+                ok: within(*b, *n),
             });
         }
     }
@@ -292,8 +265,8 @@ mod tests {
         base.insert("c", "I", m(1000, 2000, 3000));
         let mut moved = base.clone();
         moved.insert("c", "I", m(1001, 2000, 3000));
-        assert!(diff(&base, &base, &Tolerance::uniform(0.0)).passed());
-        let d = diff(&base, &moved, &Tolerance::uniform(0.0));
+        assert!(diff(&base, &base, 0.0).passed());
+        let d = diff(&base, &moved, 0.0);
         assert!(!d.passed());
         assert_eq!(d.failures(), 1);
         assert!(d.render_text().contains("power_muw"));
@@ -305,8 +278,8 @@ mod tests {
         base.insert("c", "I", m(10000, 2000, 3000));
         let mut moved = base.clone();
         moved.insert("c", "I", m(10100, 2000, 3000)); // +1%
-        assert!(diff(&base, &moved, &Tolerance::uniform(0.02)).passed());
-        assert!(!diff(&base, &moved, &Tolerance::uniform(0.005)).passed());
+        assert!(diff(&base, &moved, 0.02).passed());
+        assert!(!diff(&base, &moved, 0.005).passed());
     }
 
     #[test]
@@ -315,7 +288,7 @@ mod tests {
         base.insert("c", "I", m(1, 1, 1));
         let mut other = Baseline::new();
         other.insert("c", "V", m(1, 1, 1));
-        let d = diff(&base, &other, &Tolerance::uniform(1.0));
+        let d = diff(&base, &other, 1.0);
         assert!(!d.passed());
         assert_eq!(d.missing, vec!["c × I"]);
         assert_eq!(d.extra, vec!["c × V"]);

@@ -1,7 +1,7 @@
-//! The ledger itself: fixed-point metrics, per-stage snapshots, and the
-//! waterfall / JSONL renderings.
+//! The ledger itself: fixed-point metrics, per-stage snapshots, the text
+//! waterfall, and the JSON ledger line with its parser and stream check.
 
-use obs::json::Json;
+use obs::json::{parse_json, Json};
 
 /// Convert a floating quantity to fixed-point milli-units (round half away
 /// from zero, the default of `f64::round`).
@@ -83,16 +83,6 @@ impl Metrics {
         ]
     }
 
-    /// As a JSON object in canonical field order.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(
-            self.fields()
-                .iter()
-                .map(|(k, v)| (k.to_string(), Json::Num(v.to_string())))
-                .collect(),
-        )
-    }
-
     /// Parse from a JSON object carrying the five canonical fields.
     pub fn from_json(j: &Json) -> Result<Metrics, String> {
         let int = |key: &str| -> Result<i64, String> {
@@ -148,21 +138,74 @@ pub struct Snapshot {
 impl Snapshot {
     /// Render as one strict-JSON ledger line (`"type": "qor"`).
     pub fn render_json(&self, circuit: &str, method: &str) -> String {
-        let mut members = vec![
-            ("type".to_string(), Json::Str("qor".to_string())),
-            ("circuit".to_string(), Json::Str(circuit.to_string())),
-            ("method".to_string(), Json::Str(method.to_string())),
-            ("stage".to_string(), Json::Str(self.stage.clone())),
-            (
-                "kind".to_string(),
-                Json::Str(self.kind.as_str().to_string()),
-            ),
+        let head = [
+            ("type", "qor"),
+            ("circuit", circuit),
+            ("method", method),
+            ("stage", &self.stage),
+            ("kind", self.kind.as_str()),
         ];
-        for (k, v) in self.metrics.fields() {
-            members.push((k.to_string(), Json::Num(v.to_string())));
-        }
-        Json::Obj(members).render()
+        let head = head.map(|(k, v)| (k.to_string(), Json::Str(v.to_string())));
+        let metrics = self.metrics.fields();
+        let metrics = metrics.map(|(k, v)| (k.to_string(), Json::Num(v.to_string())));
+        Json::Obj(head.into_iter().chain(metrics).collect()).render()
     }
+
+    /// Parse one ledger line, the inverse of [`Snapshot::render_json`]:
+    /// `(circuit, method, snapshot)`.
+    ///
+    /// # Errors
+    /// A `type` other than `"qor"`, a missing `circuit`, `method` or
+    /// `stage` string, an unknown `kind`, or a missing or non-integer
+    /// metric.
+    pub fn from_json(j: &Json) -> Result<(String, String, Snapshot), String> {
+        let text = |key: &str| -> Result<String, String> {
+            j.get(key)
+                .and_then(Json::as_str)
+                .map(str::to_string)
+                .ok_or_else(|| format!("missing string `{key}`"))
+        };
+        let ty = text("type")?;
+        if ty != "qor" {
+            return Err(format!("type `{ty}` is not `qor`"));
+        }
+        let (circuit, method, stage) = (text("circuit")?, text("method")?, text("stage")?);
+        let kind = match text("kind")?.as_str() {
+            "network" => SnapKind::Network,
+            "mapped" => SnapKind::Mapped,
+            other => return Err(format!("unknown kind `{other}`")),
+        };
+        let metrics = Metrics::from_json(j)?;
+        Ok((
+            circuit,
+            method,
+            Snapshot {
+                stage,
+                kind,
+                metrics,
+            },
+        ))
+    }
+}
+
+/// Check the QoR ledger lines among an obs stream's notes, given as
+/// `(line number, text)` the way [`obs::check::check_jsonl`] returns
+/// them: every note whose text is a JSON object with `"type":"qor"` must
+/// parse as a ledger line ([`Snapshot::from_json`]); any other note is
+/// free text. Returns how many ledger lines were checked.
+///
+/// # Errors
+/// The first bad ledger line, named by its line number in the stream.
+pub fn check_ledger_notes(notes: &[(usize, String)]) -> Result<usize, String> {
+    let mut checked = 0;
+    for (line, text) in notes {
+        let Ok(j) = parse_json(text) else { continue };
+        if j.get("type").and_then(Json::as_str) == Some("qor") {
+            Snapshot::from_json(&j).map_err(|e| format!("line {line}: QoR ledger note: {e}"))?;
+            checked += 1;
+        }
+    }
+    Ok(checked)
 }
 
 /// The finished ledger of one `circuit × method` run.
@@ -218,11 +261,6 @@ impl LedgerReport {
         }
     }
 
-    /// The final snapshot's metrics, if any.
-    pub fn final_metrics(&self) -> Option<Metrics> {
-        self.snapshots.last().map(|s| s.metrics)
-    }
-
     /// Render the per-stage waterfall as an aligned text table. Power and
     /// area print in whole units (three decimals), delay in ns; Δ columns
     /// show each stage's attribution.
@@ -273,35 +311,6 @@ impl LedgerReport {
                 e.literals,
             );
         }
-        out
-    }
-
-    /// Render as strict JSONL: one `"qor"` line per snapshot, then one
-    /// `"qor_summary"` line with the stage count, first/last metrics, and
-    /// the end-to-end delta. [`crate::check::check_jsonl`] validates this
-    /// format (including the telescoping identity).
-    pub fn render_jsonl(&self) -> String {
-        let mut out = String::new();
-        for s in &self.snapshots {
-            out.push_str(&s.render_json(&self.circuit, &self.method));
-            out.push('\n');
-        }
-        let mut members = vec![
-            ("type".to_string(), Json::Str("qor_summary".to_string())),
-            ("circuit".to_string(), Json::Str(self.circuit.clone())),
-            ("method".to_string(), Json::Str(self.method.clone())),
-            (
-                "stages".to_string(),
-                Json::Num(self.snapshots.len().to_string()),
-            ),
-        ];
-        if let (Some(f), Some(l)) = (self.snapshots.first(), self.snapshots.last()) {
-            members.push(("first".to_string(), f.metrics.to_json()));
-            members.push(("last".to_string(), l.metrics.to_json()));
-            members.push(("delta".to_string(), l.metrics.delta(&f.metrics).to_json()));
-        }
-        out.push_str(&Json::Obj(members).render());
-        out.push('\n');
         out
     }
 }
@@ -355,18 +364,41 @@ mod tests {
     }
 
     #[test]
-    fn metrics_json_round_trips() {
-        let v = m(-5, 0, 123, 7, 9);
-        let parsed = Metrics::from_json(&v.to_json()).unwrap();
-        assert_eq!(parsed, v);
+    fn ledger_lines_round_trip() {
+        let mut r = report();
+        r.record("negative", SnapKind::Mapped, m(-5, 0, 123, 7, 9));
+        for snap in &r.snapshots {
+            let line = snap.render_json(&r.circuit, &r.method);
+            let parsed = Snapshot::from_json(&parse_json(&line).unwrap()).unwrap();
+            assert_eq!(parsed, (r.circuit.clone(), r.method.clone(), snap.clone()));
+        }
     }
 
     #[test]
-    fn jsonl_lines_parse_and_check() {
-        let text = report().render_jsonl();
-        let stats = crate::check::check_jsonl(&text).unwrap();
-        assert_eq!(stats.snapshot_lines, 3);
-        assert_eq!(stats.runs, 1);
+    fn garbage_rejected() {
+        let parse = |text: &str| Snapshot::from_json(&parse_json(text)?);
+        assert!(parse("not json").is_err());
+        assert!(parse("").is_err());
+        assert!(parse("{\"type\":\"mystery\"}").is_err());
+        assert!(parse("{\"type\":\"qor\"}").is_err());
+        assert!(parse("[1, 2]").is_err());
+        let good = report().snapshots[0].render_json("c", "V");
+        assert!(parse(&good).is_ok());
+        for (from, to, why) in [
+            ("\"type\":\"qor\"", "\"type\":\"qor_summary\"", "type"),
+            ("\"circuit\":\"c\",", "", "circuit"),
+            ("\"method\":\"V\",", "", "method"),
+            ("\"stage\":\"initial\",", "", "stage"),
+            ("\"kind\":\"network\"", "\"kind\":\"netlist\"", "netlist"),
+            ("\"power_muw\":1000", "\"power_muw\":1000.5", "power_muw"),
+            ("\"nodes\":9", "\"nodes\":\"9\"", "nodes"),
+            (",\"literals\":9", "", "literals"),
+        ] {
+            let bad = good.replace(from, to);
+            assert_ne!(bad, good, "replacement of {from} must hit");
+            let err = parse(&bad).unwrap_err();
+            assert!(err.contains(why), "{bad}: {err}");
+        }
     }
 
     #[test]

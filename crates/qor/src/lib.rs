@@ -18,22 +18,23 @@
 //!   produced it, and attributes per-gate power shares to those origins.
 //! * **Baselines** ([`Baseline`], [`baseline::diff`]) — canonical QoR
 //!   snapshots per `circuit × method`, serialized as strict JSON, diffed
-//!   with per-metric relative tolerances so CI can fail on QoR drift.
+//!   with one relative tolerance so CI can fail on QoR drift.
 //!
-//! When an `obs` session is live, every recorded snapshot also rides the
-//! obs JSONL sink as a silent note event ([`obs::note_event`]), so one
-//! trace file carries both timing spans and QoR waterfalls.
+//! The obs JSONL stream is the ledger's only machine-readable form: when
+//! an `obs` session is live, every recorded snapshot rides it as a silent
+//! note event ([`obs::note_event()`]) carrying its ledger line, so one trace
+//! file carries both timing spans and QoR waterfalls, and
+//! [`check_ledger_notes`] validates those lines.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baseline;
-pub mod check;
 pub mod ledger;
 pub mod provenance;
 
-pub use baseline::{Baseline, BaselineEntry, Diff, DiffLine, Tolerance};
-pub use ledger::{fmt_milli, milli, LedgerReport, Metrics, SnapKind, Snapshot};
+pub use baseline::{Baseline, BaselineEntry, Diff, DiffLine};
+pub use ledger::{check_ledger_notes, fmt_milli, milli, LedgerReport, Metrics, SnapKind, Snapshot};
 pub use provenance::{GateShare, Provenance};
 
 use genlib::Library;

@@ -964,7 +964,7 @@ mod tests {
             (r.report.gate_count, r.decomp_depth),
             r.mapped.to_blif(lib, "mapped"),
             findings,
-            r.qor.as_ref().map(qor::LedgerReport::render_jsonl),
+            r.qor.clone(),
         )
     }
 

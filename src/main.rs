@@ -3,7 +3,7 @@
 //! ```text
 //! lowpower synth  --blif CIRCUIT.blif [--lib LIB.genlib] [--method VI]
 //!                 [--required NS] [--out MAPPED.blif] [--correlations]
-//!                 [--verify[=sim|full]] [--lint[=check|deny|off]]
+//!                 [--verify[=sim|full]] [--lint[=check|deny|off]] [--qor]
 //! lowpower report --blif CIRCUIT.blif [--lib LIB.genlib] [--verify[=sim|full]]
 //!                 [--lint[=check|deny|off]]
 //! lowpower decomp --blif CIRCUIT.blif [--style minpower|conventional|bounded]
@@ -13,7 +13,6 @@
 //! lowpower explain --blif CIRCUIT.blif --node NAME [--method VI] [--lib LIB.genlib]
 //! lowpower qor-baseline --blif A.blif [--blif B.blif ...] [--out FILE]
 //! lowpower qor-diff --baseline FILE --against FILE [--tol REL]
-//! lowpower qor-check [--file LEDGER.jsonl]
 //! ```
 //!
 //! `synth` runs optimize → decompose → map → evaluate for one method and
@@ -44,19 +43,18 @@
 //! sink to a file (`-` forces stdout). When a machine sink (json, chrome)
 //! owns stdout, the ordinary result lines move to stderr so the stream
 //! stays clean. `obs-check` validates a recorded stream (`--chrome` for
-//! traces) and with `--strip` prints the timing-stripped snapshot used
-//! for determinism diffs.
+//! traces), including every QoR ledger line riding it as a note, and with
+//! `--strip` prints the timing-stripped snapshot used for determinism
+//! diffs.
 //!
-//! `--qor[=text|json|gate]` records a QoR ledger for `synth`: one
-//! deterministic snapshot after every optimization pass, the
-//! decomposition, and the mapping, each stage's power/area/delay delta
-//! attributed by name. `text` prints the waterfall, `json` emits strict
-//! JSONL (validated by `qor-check`), and `gate` additionally compares the
-//! final QoR against the committed baseline (`--qor-baseline FILE`,
-//! default `results/qor_baseline.json`) with relative tolerance `--tol`
-//! (default 0) and fails on drift. `--qor-out FILE` redirects the ledger.
-//! `qor-baseline` runs all six methods on each `--blif` and writes the
-//! canonical baseline JSON; `qor-diff` compares two baseline files.
+//! `--qor` records a QoR ledger for `synth`: one deterministic snapshot
+//! after every optimization pass, the decomposition, and the mapping,
+//! each stage's power/area/delay delta attributed by name, printed as a
+//! waterfall to stderr. Under `--obs=json` every snapshot also rides the
+//! event stream as a ledger line, which is the ledger's machine-readable
+//! form. `qor-baseline` runs all six methods on each `--blif` and writes
+//! the canonical baseline JSON; `qor-diff` compares two baseline files
+//! with relative tolerance `--tol` (default 0) and fails on drift.
 //! `explain` resolves one optimized-network node: its slack, its
 //! decomposition choice (height, applied bound, emitted nodes), and the
 //! mapped gates — with power shares — that trace back to it.
@@ -93,7 +91,7 @@ fn main() -> ExitCode {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("usage:");
-            eprintln!("  lowpower synth  --blif FILE [--lib FILE] [--method I..VI] [--required NS] [--out FILE] [--correlations] [--verify[=sim|full]] [--lint[=check|deny|off]] [--obs[=summary|json|chrome]] [--obs-out FILE]");
+            eprintln!("  lowpower synth  --blif FILE [--lib FILE] [--method I..VI] [--required NS] [--out FILE] [--correlations] [--verify[=sim|full]] [--lint[=check|deny|off]] [--qor] [--obs[=summary|json|chrome]] [--obs-out FILE]");
             eprintln!("  lowpower report --blif FILE [--lib FILE] [--verify[=sim|full]] [--lint[=check|deny|off]] [--obs[=...]] [--obs-out FILE]");
             eprintln!("  lowpower decomp --blif FILE [--style conventional|minpower|bounded]");
             eprintln!("  lowpower lint   --blif FILE [--lib FILE] [--method I..VI] [--style ...] [--lint=deny] [--json] [--obs[=...]] [--obs-out FILE]");
@@ -101,36 +99,21 @@ fn main() -> ExitCode {
             eprintln!("  lowpower explain --blif FILE --node NAME [--method I..VI] [--lib FILE]");
             eprintln!("  lowpower qor-baseline --blif FILE [--blif FILE ...] [--out FILE]");
             eprintln!("  lowpower qor-diff --baseline FILE --against FILE [--tol REL]");
-            eprintln!("  lowpower qor-check [--file LEDGER.jsonl]");
-            eprintln!("  synth also accepts: --qor[=text|json|gate] [--qor-out FILE] [--qor-baseline FILE] [--tol REL]");
             ExitCode::from(2)
         }
     }
 }
 
-/// QoR ledger mode of the `synth` subcommand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum QorMode {
-    Off,
-    /// Print the per-stage waterfall.
-    Text,
-    /// Emit the ledger as strict JSONL (`qor-check` validates it).
-    Json,
-    /// `Text`, plus fail the run when the final QoR drifts from the
-    /// committed baseline.
-    Gate,
-}
-
+#[derive(Default)]
 struct Opts {
-    blif: Option<String>,
     /// Every `--blif` in order (the subcommands that take one use the
     /// first; `qor-baseline` uses all).
     blifs: Vec<String>,
     lib: Option<String>,
-    method: Method,
+    method: Option<Method>,
     required: Option<f64>,
     out: Option<String>,
-    style: String,
+    style: Option<String>,
     correlations: bool,
     verify: VerifyLevel,
     lint: LintLevel,
@@ -140,124 +123,54 @@ struct Opts {
     file: Option<String>,
     chrome: bool,
     strip: bool,
-    qor: QorMode,
-    qor_out: Option<String>,
+    qor: bool,
     baseline: Option<String>,
     against: Option<String>,
     tol: Option<f64>,
     node: Option<String>,
 }
 
+impl Opts {
+    /// `--method`, VI by default.
+    fn method(&self) -> Method {
+        self.method.unwrap_or(Method::VI)
+    }
+}
+
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
-    let mut o = Opts {
-        blif: None,
-        blifs: Vec::new(),
-        lib: None,
-        method: Method::VI,
-        required: None,
-        out: None,
-        style: "minpower".to_string(),
-        correlations: false,
-        verify: VerifyLevel::Off,
-        lint: LintLevel::Off,
-        json: false,
-        obs: ObsMode::Off,
-        obs_out: None,
-        file: None,
-        chrome: false,
-        strip: false,
-        qor: QorMode::Off,
-        qor_out: None,
-        baseline: None,
-        against: None,
-        tol: None,
-        node: None,
-    };
-    let mut i = 0;
-    while i < args.len() {
-        let need = |i: usize| -> Result<&String, String> {
-            args.get(i + 1)
-                .ok_or_else(|| format!("`{}` needs a value", args[i]))
-        };
-        match args[i].as_str() {
-            "--blif" => {
-                let v = need(i)?.clone();
-                o.blif.get_or_insert_with(|| v.clone());
-                o.blifs.push(v);
-                i += 1;
-            }
-            "--lib" => {
-                o.lib = Some(need(i)?.clone());
-                i += 1;
-            }
+    let mut o = Opts::default();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let mut value = || args.next().cloned().ok_or(format!("`{arg}` needs a value"));
+        let number = |v: String| v.parse().map_err(|_| format!("bad {arg} value"));
+        match arg.as_str() {
+            "--blif" => o.blifs.push(value()?),
+            "--lib" => o.lib = Some(value()?),
             "--method" => {
-                o.method = match need(i)?.as_str() {
-                    "I" | "1" => Method::I,
-                    "II" | "2" => Method::II,
-                    "III" | "3" => Method::III,
-                    "IV" | "4" => Method::IV,
-                    "V" | "5" => Method::V,
-                    "VI" | "6" => Method::VI,
-                    other => return Err(format!("unknown method `{other}`")),
-                };
-                i += 1;
+                let v = value()?;
+                let (_, m) = (1..)
+                    .zip(Method::ALL)
+                    .find(|(k, m)| v == m.to_string() || v == k.to_string())
+                    .ok_or(format!("unknown method `{v}`"))?;
+                o.method = Some(m);
             }
-            "--required" => {
-                o.required = Some(
-                    need(i)?
-                        .parse()
-                        .map_err(|_| "bad --required value".to_string())?,
-                );
-                i += 1;
-            }
-            "--out" => {
-                o.out = Some(need(i)?.clone());
-                i += 1;
-            }
-            "--style" => {
-                o.style = need(i)?.clone();
-                i += 1;
-            }
+            "--required" => o.required = Some(number(value()?)?),
+            "--out" => o.out = Some(value()?),
+            "--style" => o.style = Some(value()?),
             "--correlations" => o.correlations = true,
             "--verify" => o.verify = VerifyLevel::Full,
             "--lint" => o.lint = LintLevel::Check,
             "--json" => o.json = true,
             "--obs" => o.obs = ObsMode::Summary,
-            "--obs-out" => {
-                o.obs_out = Some(need(i)?.clone());
-                i += 1;
-            }
-            "--file" => {
-                o.file = Some(need(i)?.clone());
-                i += 1;
-            }
+            "--obs-out" => o.obs_out = Some(value()?),
+            "--file" => o.file = Some(value()?),
             "--chrome" => o.chrome = true,
             "--strip" => o.strip = true,
-            "--qor" => o.qor = QorMode::Text,
-            "--qor-out" => {
-                o.qor_out = Some(need(i)?.clone());
-                i += 1;
-            }
-            "--qor-baseline" | "--baseline" => {
-                o.baseline = Some(need(i)?.clone());
-                i += 1;
-            }
-            "--against" => {
-                o.against = Some(need(i)?.clone());
-                i += 1;
-            }
-            "--tol" => {
-                o.tol = Some(
-                    need(i)?
-                        .parse()
-                        .map_err(|_| "bad --tol value".to_string())?,
-                );
-                i += 1;
-            }
-            "--node" => {
-                o.node = Some(need(i)?.clone());
-                i += 1;
-            }
+            "--qor" => o.qor = true,
+            "--baseline" => o.baseline = Some(value()?),
+            "--against" => o.against = Some(value()?),
+            "--tol" => o.tol = Some(number(value()?)?),
+            "--node" => o.node = Some(value()?),
             other => {
                 if let Some(level) = other.strip_prefix("--verify=") {
                     o.verify = level.parse()?;
@@ -265,20 +178,11 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                     o.lint = level.parse()?;
                 } else if let Some(mode) = other.strip_prefix("--obs=") {
                     o.obs = mode.parse()?;
-                } else if let Some(mode) = other.strip_prefix("--qor=") {
-                    o.qor = match mode {
-                        "text" => QorMode::Text,
-                        "json" => QorMode::Json,
-                        "gate" => QorMode::Gate,
-                        "off" => QorMode::Off,
-                        other => return Err(format!("unknown qor mode `{other}`")),
-                    };
                 } else {
                     return Err(format!("unknown option `{other}`"));
                 }
             }
         }
-        i += 1;
     }
     Ok(o)
 }
@@ -301,7 +205,7 @@ fn load_blif(path: &str) -> Result<netlist::Network, String> {
 }
 
 fn load_inputs(o: &Opts) -> Result<(netlist::Network, Library), String> {
-    let path = o.blif.as_ref().ok_or("--blif is required")?;
+    let path = o.blifs.first().ok_or("--blif is required")?;
     Ok((load_blif(path)?, load_lib(o)?))
 }
 
@@ -312,9 +216,6 @@ fn run(args: &[String]) -> Result<(), String> {
     let o = parse_opts(&args[1..])?;
     if cmd == "obs-check" {
         return obs_check(&o);
-    }
-    if cmd == "qor-check" {
-        return qor_check(&o);
     }
     if cmd == "qor-diff" {
         return qor_diff(&o);
@@ -345,19 +246,6 @@ fn stdout_owned_by_obs(o: &Opts) -> bool {
         && matches!(o.obs_out.as_deref(), None | Some("-"))
 }
 
-/// Write rendered `text` per an `--*-out` option: `-` forces stdout, any
-/// other value names a file, and without one it goes to stdout when
-/// `default_stdout` holds and to stderr otherwise.
-fn write_out(text: &str, out: Option<&str>, default_stdout: bool) -> Result<(), String> {
-    match out {
-        Some("-") => print!("{text}"),
-        Some(path) => std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?,
-        None if default_stdout => print!("{text}"),
-        None => eprint!("{text}"),
-    }
-    Ok(())
-}
-
 /// The text of `--file`, or of stdin when it is absent or `-`.
 fn read_input(o: &Opts) -> Result<String, String> {
     match o.file.as_deref() {
@@ -373,8 +261,9 @@ fn read_input(o: &Opts) -> Result<String, String> {
     }
 }
 
-/// Render the finished session per `--obs` and write it per `--obs-out`:
-/// summaries default to stderr, machine sinks (JSONL, Chrome) to stdout.
+/// Render the finished session per `--obs` and write it per `--obs-out`
+/// (`-` forces stdout, any other value names a file): without it,
+/// summaries go to stderr and machine sinks (JSONL, Chrome) to stdout.
 fn write_obs_report(o: &Opts, report: &lowpower::obs::Report) -> Result<(), String> {
     let text = match o.obs {
         ObsMode::Off => return Ok(()),
@@ -382,11 +271,18 @@ fn write_obs_report(o: &Opts, report: &lowpower::obs::Report) -> Result<(), Stri
         ObsMode::Json => report.render_jsonl(),
         ObsMode::Chrome => report.render_chrome(),
     };
-    write_out(&text, o.obs_out.as_deref(), o.obs != ObsMode::Summary)
+    match o.obs_out.as_deref() {
+        Some("-") => print!("{text}"),
+        Some(path) => std::fs::write(path, text).map_err(|e| format!("writing {path}: {e}"))?,
+        None if o.obs == ObsMode::Summary => eprint!("{text}"),
+        None => print!("{text}"),
+    }
+    Ok(())
 }
 
 /// `obs-check`: strictly validate an obs JSONL stream (default) or a
-/// Chrome trace (`--chrome`) read from `--file` (default: stdin).
+/// Chrome trace (`--chrome`) read from `--file` (default: stdin). In a
+/// stream, every note carrying a QoR ledger line must parse as one.
 /// `--strip` prints the timing-stripped snapshot used for determinism
 /// diffs instead of the ok line.
 fn obs_check(o: &Opts) -> Result<(), String> {
@@ -397,11 +293,12 @@ fn obs_check(o: &Opts) -> Result<(), String> {
         eprintln!("chrome trace ok");
         return Ok(());
     }
-    let snapshot = check::check_jsonl(&text)?;
+    let (snapshot, notes) = check::check_jsonl(&text)?;
+    let ledger_lines = lowpower::qor::check_ledger_notes(&notes)?;
     if o.strip {
         println!("{}", check::strip_timing(&snapshot));
     } else {
-        eprintln!("obs stream ok");
+        eprintln!("obs stream ok: {ledger_lines} QoR ledger line(s) checked");
     }
     Ok(())
 }
@@ -430,16 +327,12 @@ fn synth(o: &Opts) -> Result<(), String> {
         use_correlations: o.correlations,
         verify: o.verify,
         lint: o.lint,
-        obs: o.obs,
-        qor: o.qor != QorMode::Off,
+        qor: o.qor,
         ..FlowConfig::default()
     };
-    let r = run_flow(&net, &lib, o.method, &cfg).map_err(|e| e.to_string())?;
+    let r = run_flow(&net, &lib, o.method(), &cfg).map_err(|e| e.to_string())?;
     if let Some(ledger) = &r.qor {
-        write_qor_ledger(o, ledger)?;
-        if o.qor == QorMode::Gate {
-            qor_gate(o, ledger)?;
-        }
+        eprint!("{}", ledger.render_text());
     }
     print_findings(o, &r.lint_findings, false);
     say!(
@@ -452,9 +345,9 @@ fn synth(o: &Opts) -> Result<(), String> {
     say!(
         o,
         "method    : {} ({:?} decomposition, {:?} mapping)",
-        o.method,
-        o.method.decomp_style(),
-        o.method.map_objective()
+        o.method(),
+        o.method().decomp_style(),
+        o.method().map_objective()
     );
     say!(o, "gates     : {}", r.report.gate_count);
     say!(o, "area      : {:.1}", r.report.area);
@@ -479,7 +372,6 @@ fn report(o: &Opts) -> Result<(), String> {
         use_correlations: o.correlations,
         verify: o.verify,
         lint: o.lint,
-        obs: o.obs,
         ..FlowConfig::default()
     };
     let (optimized, findings) = optimize_checked(&net, &cfg).map_err(|e| e.to_string())?;
@@ -526,7 +418,7 @@ fn report(o: &Opts) -> Result<(), String> {
 
 fn decomp(o: &Opts) -> Result<(), String> {
     let (net, lib) = load_inputs(o)?;
-    let style = match o.style.as_str() {
+    let style = match o.style.as_deref().unwrap_or("minpower") {
         "conventional" => DecompStyle::Conventional,
         "minpower" => DecompStyle::MinPower,
         "bounded" => DecompStyle::BoundedMinPower,
@@ -578,7 +470,7 @@ fn lint_cmd(o: &Opts) -> Result<(), String> {
             report: input,
         });
     }
-    let r = run_flow(&net, &lib, o.method, &cfg).map_err(|e| e.to_string())?;
+    let r = run_flow(&net, &lib, o.method(), &cfg).map_err(|e| e.to_string())?;
     findings.extend(r.lint_findings);
 
     print_findings(o, &findings, o.json);
@@ -593,51 +485,6 @@ fn lint_cmd(o: &Opts) -> Result<(), String> {
     if o.lint == LintLevel::Deny && errors > 0 {
         return Err(format!("lint found {errors} error-severity finding(s)"));
     }
-    Ok(())
-}
-
-/// Write the finished ledger per `--qor` / `--qor-out`: the text waterfall
-/// defaults to stderr (it is diagnostics, like the obs summary), JSONL to
-/// stdout unless an obs machine sink owns it.
-fn write_qor_ledger(o: &Opts, ledger: &lowpower::qor::LedgerReport) -> Result<(), String> {
-    let text = match o.qor {
-        QorMode::Off => return Ok(()),
-        QorMode::Json => ledger.render_jsonl(),
-        QorMode::Text | QorMode::Gate => ledger.render_text(),
-    };
-    let default_stdout = o.qor == QorMode::Json && !stdout_owned_by_obs(o);
-    write_out(&text, o.qor_out.as_deref(), default_stdout)
-}
-
-/// The `--qor=gate` check of `synth`: compare the run's final QoR against
-/// the committed baseline entry for this `circuit × method` with relative
-/// tolerance `--tol` (default 0, exact) and fail on drift.
-fn qor_gate(o: &Opts, ledger: &lowpower::qor::LedgerReport) -> Result<(), String> {
-    use lowpower::qor::{baseline, Baseline, Tolerance};
-    let path = o.baseline.as_deref().unwrap_or("results/qor_baseline.json");
-    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let base = Baseline::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let metrics = ledger
-        .final_metrics()
-        .ok_or("qor gate: the ledger recorded no snapshots")?;
-    let entry = base.get(&ledger.circuit, &ledger.method).ok_or_else(|| {
-        format!(
-            "qor gate: no baseline entry for {} × {} in {path} (regenerate with `lowpower qor-baseline`)",
-            ledger.circuit, ledger.method
-        )
-    })?;
-    let mut want = Baseline::new();
-    want.insert(&ledger.circuit, &ledger.method, *entry);
-    let mut got = Baseline::new();
-    got.insert(&ledger.circuit, &ledger.method, metrics);
-    let d = baseline::diff(&want, &got, &Tolerance::uniform(o.tol.unwrap_or(0.0)));
-    if !d.passed() {
-        return Err(format!("qor gate failed vs {path}:\n{}", d.render_text()));
-    }
-    eprintln!(
-        "qor gate ok: {} × {} matches {path}",
-        ledger.circuit, ledger.method
-    );
     Ok(())
 }
 
@@ -680,7 +527,7 @@ fn qor_baseline(o: &Opts) -> Result<(), String> {
 
 /// `qor-diff`: compare two baseline files with a relative tolerance.
 fn qor_diff(o: &Opts) -> Result<(), String> {
-    use lowpower::qor::{baseline, Baseline, Tolerance};
+    use lowpower::qor::{baseline, Baseline};
     let bpath = o.baseline.as_deref().ok_or("--baseline is required")?;
     let apath = o.against.as_deref().ok_or("--against is required")?;
     let read = |p: &str| -> Result<Baseline, String> {
@@ -689,22 +536,11 @@ fn qor_diff(o: &Opts) -> Result<(), String> {
     };
     let base = read(bpath)?;
     let against = read(apath)?;
-    let d = baseline::diff(&base, &against, &Tolerance::uniform(o.tol.unwrap_or(0.0)));
+    let d = baseline::diff(&base, &against, o.tol.unwrap_or(0.0));
     eprint!("{}", d.render_text());
     if !d.passed() {
         return Err(format!("qor drift detected ({} problem(s))", d.failures()));
     }
-    Ok(())
-}
-
-/// `qor-check`: strictly validate a QoR ledger JSONL stream from `--file`
-/// (default: stdin), including the telescoping identity of every summary.
-fn qor_check(o: &Opts) -> Result<(), String> {
-    let stats = lowpower::qor::check::check_jsonl(&read_input(o)?)?;
-    eprintln!(
-        "qor ledger ok: {} line(s), {} snapshot(s), {} run(s)",
-        stats.lines, stats.snapshot_lines, stats.runs
-    );
     Ok(())
 }
 
@@ -733,7 +569,7 @@ fn explain(o: &Opts) -> Result<(), String> {
     let arrivals = netlist::traversal::unit_arrival_times(&optimized, &pi_arrival);
     let slacks = netlist::traversal::unit_slacks(&optimized, &pi_arrival, &po_required);
 
-    let r = run_method(&optimized, &lib, o.method, &cfg).map_err(|e| e.to_string())?;
+    let r = run_method(&optimized, &lib, o.method(), &cfg).map_err(|e| e.to_string())?;
     let prov = &r.provenance;
     let shares = prov.gate_shares(&r.mapped, &lib, &cfg.qor_ctx());
     let total_power: f64 = shares.iter().map(|s| s.power_uw).sum();
@@ -746,9 +582,9 @@ fn explain(o: &Opts) -> Result<(), String> {
     );
     println!(
         "method    : {} ({:?} decomposition, {:?} mapping)",
-        o.method,
-        o.method.decomp_style(),
-        o.method.map_objective()
+        o.method(),
+        o.method().decomp_style(),
+        o.method().map_objective()
     );
     let slack = slacks[id.index()];
     if slack == i64::MAX {

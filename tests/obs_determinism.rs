@@ -13,6 +13,9 @@
 //!   checkers in `obs::check`, the stream's stripped snapshot equals
 //!   the report's own timing-free snapshot, and its note events are the
 //!   QoR ledger's snapshot lines;
+//! * `obs-check`'s ledger check (`qor::check_ledger_notes`) passes such a
+//!   stream, progress notes included, and names the line of a tampered
+//!   ledger note;
 //! * `run_flow` and `run_method` record exactly one `verify` span per
 //!   transforming stage and one `lint` span per stage, in stage order, and
 //!   none when both checks are off;
@@ -24,8 +27,9 @@ use genlib::builtin::lib2_like;
 use lowpower::flow::{optimize, run_flow, run_method, FlowConfig, Method};
 use lowpower::lint::LintLevel;
 use lowpower::obs;
-use lowpower::obs::check::{check_chrome, check_jsonl, parse_json, strip_timing};
+use lowpower::obs::check::{check_chrome, check_jsonl, parse_json, strip_timing, Json};
 use lowpower::obs::{ObsMode, SpanNode};
+use lowpower::qor::check_ledger_notes;
 use lowpower::verify::VerifyLevel;
 use proptest::prelude::*;
 
@@ -78,7 +82,7 @@ fn full_flow_sinks_pass_strict_checkers() {
     let r = run_method(&optimized, &lib, Method::VI, &cfg).expect("flow runs");
     let report = session.finish();
 
-    let snap = check_jsonl(&report.render_jsonl()).expect("JSONL stream is well-formed");
+    let (snap, notes) = check_jsonl(&report.render_jsonl()).expect("JSONL stream is well-formed");
     let timing_free = parse_json(&report.snapshot_json(false))
         .expect("snapshot is strict JSON")
         .render();
@@ -92,19 +96,7 @@ fn full_flow_sinks_pass_strict_checkers() {
 
     // The QoR ledger rides the stream: its note events are exactly the
     // ledger's snapshot lines, in recording order.
-    let notes: Vec<String> = report
-        .render_jsonl()
-        .lines()
-        .map(|line| parse_json(line).expect("stream line is strict JSON"))
-        .filter(|event| event.get("type").and_then(|t| t.as_str()) == Some("note"))
-        .map(|event| {
-            event
-                .get("text")
-                .and_then(|t| t.as_str())
-                .unwrap()
-                .to_string()
-        })
-        .collect();
+    let notes: Vec<String> = notes.into_iter().map(|(_, text)| text).collect();
     let ledger = r.qor.expect("cfg.qor yields a ledger");
     let lines: Vec<String> = ledger
         .snapshots
@@ -113,6 +105,98 @@ fn full_flow_sinks_pass_strict_checkers() {
         .collect();
     assert!(!lines.is_empty());
     assert_eq!(notes, lines, "obs note stream must carry the QoR ledger");
+}
+
+/// The obs JSONL stream of `run_flow` (cm42a, method V, QoR ledger on)
+/// and its number of ledger snapshots. With `progress`, the caller's own
+/// session records it between free-text notes, one of them JSON.
+fn ledger_stream(progress: bool) -> (String, usize) {
+    let net = benchgen::suite_circuit("cm42a");
+    let cfg = FlowConfig {
+        sim_vectors: 64,
+        qor: true,
+        obs: ObsMode::Json,
+        ..FlowConfig::default()
+    };
+    let session = progress.then(obs::Session::start);
+    obs::note!("start: {}", net.name());
+    let r = run_flow(&net, &lib2_like(), Method::V, &cfg).expect("flow runs");
+    obs::note_event!("{{\"type\":\"progress\",\"done\":1}}");
+    let report = session.map_or_else(|| r.obs.expect("flow-owned session"), |s| s.finish());
+    (
+        report.render_jsonl(),
+        r.qor.expect("cfg.qor yields a ledger").snapshots.len(),
+    )
+}
+
+#[test]
+fn ledger_notes_of_a_flow_stream_pass() {
+    let (stream, snapshots) = ledger_stream(false);
+    let (_, notes) = check_jsonl(&stream).expect("stream is well-formed");
+    assert!(snapshots >= 5);
+    assert_eq!(check_ledger_notes(&notes), Ok(snapshots));
+}
+
+#[test]
+fn progress_notes_stay_free_text() {
+    let (stream, snapshots) = ledger_stream(true);
+    let (_, notes) = check_jsonl(&stream).expect("stream is well-formed");
+    assert_eq!(notes.len(), snapshots + 2);
+    assert_eq!(notes[0].1, "start: cm42a");
+    assert_eq!(check_ledger_notes(&notes), Ok(snapshots));
+}
+
+/// `stream` with member `key` of its `nth` ledger note set to `value`
+/// (removed when `None`), and the 1-based line of that note.
+fn tamper_ledger_note(stream: &str, nth: usize, key: &str, value: Option<Json>) -> (String, usize) {
+    let mut lines: Vec<String> = stream.lines().map(str::to_string).collect();
+    let at = (0..lines.len())
+        .filter(|&i| lines[i].contains(r#""text":"{\"type\":\"qor\""#))
+        .nth(nth)
+        .expect("enough ledger notes");
+    let text = parse_json(&lines[at])
+        .unwrap()
+        .get("text")
+        .cloned()
+        .unwrap();
+    let Ok(Json::Obj(mut snap)) = parse_json(text.as_str().unwrap()) else {
+        unreachable!("a ledger note is a JSON object")
+    };
+    snap.retain(|(k, _)| k != key);
+    snap.extend(value.map(|v| (key.to_string(), v)));
+    let tampered = Json::Str(Json::Obj(snap).render()).render();
+    lines[at] = lines[at].replace(&text.render(), &tampered);
+    (lines.join("\n") + "\n", at + 1)
+}
+
+#[test]
+fn a_tampered_ledger_note_fails_naming_its_line() {
+    let (stream, snapshots) = ledger_stream(false);
+    let cases = [
+        (
+            snapshots - 1,
+            "kind",
+            Some(Json::Str("gates".into())),
+            "unknown kind `gates`",
+        ),
+        (
+            0,
+            "delay_ps",
+            Some(Json::Num("1.5".into())),
+            "`delay_ps` is not an integer",
+        ),
+        (snapshots / 2, "stage", None, "missing string `stage`"),
+    ];
+    for (nth, key, value, why) in cases {
+        let (tampered, line) = tamper_ledger_note(&stream, nth, key, value);
+        assert_ne!(tampered, stream);
+        let (_, notes) = check_jsonl(&tampered).expect("still a well-formed stream");
+        let err = check_ledger_notes(&notes).unwrap_err();
+        assert!(
+            err.starts_with(&format!("line {line}: ")) && err.contains(why),
+            "{err}"
+        );
+    }
 }
 
 /// `(name, label)` of every `verify` and `lint` span, in preorder.

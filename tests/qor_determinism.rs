@@ -12,7 +12,8 @@
 
 use genlib::builtin::lib2_like;
 use lowpower::flow::{optimize, run_flow, run_method, FlowConfig, Method};
-use qor::Metrics;
+use lowpower::obs::check::parse_json;
+use qor::{LedgerReport, Metrics, Snapshot};
 
 fn qor_cfg(sim_threads: usize) -> FlowConfig {
     FlowConfig {
@@ -33,47 +34,57 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// `(circuit, [digest of the `run_flow` ledger JSONL per method in
-/// `Method::ALL` order], digest of the `run_method` ledger of method V on
-/// the optimized network)`. The ledger is a pure function of the flow; a
+/// The ledger's machine-readable form: its lines as they ride the obs
+/// stream, one [`Snapshot::render_json`] line each, `\n`-terminated.
+fn ledger_lines(ledger: &LedgerReport) -> String {
+    ledger
+        .snapshots
+        .iter()
+        .map(|s| s.render_json(&ledger.circuit, &ledger.method) + "\n")
+        .collect()
+}
+
+/// `(circuit, [digest of the `run_flow` ledger lines per method in
+/// `Method::ALL` order], digest of the `run_method` ledger lines of method
+/// V on the optimized network)`. The ledger is a pure function of the flow; a
 /// change that *intends* to alter it regenerates this table from the
 /// failure message and says so in its description.
 const GOLDEN: [(&str, [u64; 6], u64); 3] = [
     (
         "cm42a",
         [
-            0xc7224df7ecc52a5f,
-            0xf03da3988eb1a0a0,
-            0xa088b569b6c00d99,
-            0x971413aeb920ab8c,
-            0x7cafaa022e8bd645,
-            0x8354550e95b6cd2e,
+            0xbf09a6d92ad0816f,
+            0x2b5e43b93553cdbf,
+            0xcf8b8cbc76012d63,
+            0xeec473f0b54b168a,
+            0x3144d5b1dff9be42,
+            0xe40d137bb5b9cfc6,
         ],
-        0x5d5f558a0663d678,
+        0xc518c3a45204f939,
     ),
     (
         "x2",
         [
-            0x091fb97bf6c93763,
-            0x0c638ace85085d7a,
-            0x659be6a9760ef435,
-            0xe0944ecde30cb6de,
-            0x2834fa552a71f1cd,
-            0x3b3e239a26262560,
+            0xc61c1464dad344a5,
+            0xf000f927207fcb67,
+            0x34a5f7673f85c891,
+            0x56e7c69f6efbd130,
+            0xc436aba2363e8222,
+            0x9e084f7667237f84,
         ],
-        0xdc81163d5ab7f827,
+        0xafd90c42565a6a6b,
     ),
     (
         "s208",
         [
-            0xbb7aae90fbb924a4,
-            0xa7c4fb27ebe6149d,
-            0x57d79c1eff1e1afa,
-            0x58a1b6f29d8ba5c8,
-            0xc6850b14eb46ab4d,
-            0x8d897728cd5bdb95,
+            0x430a38bfd8991fab,
+            0x16e3bbfec2c3c79c,
+            0x0679b56e36840b41,
+            0x299b31e8cadcdd9b,
+            0x2125e894fcd13677,
+            0xedd8a9b16131e1c6,
         ],
-        0xe33c6c9166ef5a31,
+        0x63df54ee1fcf1e5a,
     ),
 ];
 
@@ -91,7 +102,7 @@ fn ledgers_thread_invariant_and_repeatable() {
                     let r = run_flow(&net, &lib, m, &qor_cfg(t))
                         .unwrap_or_else(|e| panic!("method {m} failed on {name}: {e}"));
                     let ledger = r.qor.expect("cfg.qor=true yields a ledger");
-                    (ledger.render_text(), ledger.render_jsonl())
+                    (ledger.render_text(), ledger_lines(&ledger))
                 })
                 .collect();
             for (text, jsonl) in &runs[1..] {
@@ -101,11 +112,14 @@ fn ledgers_thread_invariant_and_repeatable() {
                 );
                 assert_eq!(
                     jsonl, &runs[0].1,
-                    "{name}/{m}: ledger JSONL differs across runs/threads"
+                    "{name}/{m}: ledger lines differ across runs/threads"
                 );
             }
-            qor::check::check_jsonl(&runs[0].1)
-                .unwrap_or_else(|e| panic!("{name}/{m}: invalid ledger JSONL: {e}"));
+            for line in runs[0].1.lines() {
+                parse_json(line)
+                    .and_then(|j| Snapshot::from_json(&j))
+                    .unwrap_or_else(|e| panic!("{name}/{m}: invalid ledger line {line}: {e}"));
+            }
             flow_digests[i] = fnv1a(runs[0].1.as_bytes());
         }
         let ledger = run_method(&optimize(&net), &lib, Method::V, &qor_cfg(1))
@@ -113,7 +127,7 @@ fn ledgers_thread_invariant_and_repeatable() {
             .qor
             .expect("cfg.qor=true yields a ledger");
         assert_eq!(ledger.snapshots[0].stage, "optimized");
-        actual.push((name, flow_digests, fnv1a(ledger.render_jsonl().as_bytes())));
+        actual.push((name, flow_digests, fnv1a(ledger_lines(&ledger).as_bytes())));
     }
     let table: String = actual
         .iter()
