@@ -53,6 +53,16 @@ for f in examples/blif/*.blif; do
     cmp "$TMP/cli.txt" "results/cli/$b.report.txt"
 done
 
+echo "==> CLI option gate (a subcommand rejects options it does not read)"
+for args in "report --blif examples/blif/mux4.blif --qor" \
+    "decomp --blif examples/blif/mux4.blif --verify"; do
+    # Each string is one command line, split into words on purpose.
+    if cargo run --release --quiet -- $args > /dev/null 2>&1; then
+        echo "lowpower $args exited 0 but must fail"
+        exit 1
+    fi
+done
+
 echo "==> lint gate (examples/blif, --lint=deny)"
 for f in examples/blif/*.blif; do
     echo "    lint $f"

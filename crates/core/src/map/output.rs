@@ -23,7 +23,7 @@ impl MappedNetwork {
     /// [`netlist::parse_blif`] with identical function.
     ///
     /// # Panics
-    /// Panics if a cell has more than 16 inputs (truth-table enumeration).
+    /// Panics if a cell has more than 16 inputs ([`genlib::Gate::truth_table`]).
     pub fn to_blif(&self, lib: &Library, model_name: &str) -> String {
         let mut out = String::new();
         let _ = writeln!(out, ".model {model_name}");
@@ -39,19 +39,14 @@ impl MappedNetwork {
         for inst in &self.instances {
             let gate = &lib.gates()[inst.gate];
             let k = gate.inputs().len();
-            assert!(k <= 16, "cell too wide for truth-table emission");
             let ins: Vec<String> = inst.inputs.iter().map(&net_name).collect();
             let _ = writeln!(out, "# cell {}", gate.name());
             let _ = writeln!(out, ".names {} {}", ins.join(" "), inst.name);
-            for bits in 0..(1u32 << k) {
-                let assignment: Vec<bool> = (0..k).map(|i| bits >> i & 1 == 1).collect();
-                if gate.eval(&assignment) {
-                    let row: String = assignment
-                        .iter()
-                        .map(|&v| if v { '1' } else { '0' })
-                        .collect();
-                    let _ = writeln!(out, "{row} 1");
-                }
+            for x in minterms(&gate.truth_table(), k) {
+                let row: String = (0..k)
+                    .map(|j| if x >> j & 1 == 1 { '1' } else { '0' })
+                    .collect();
+                let _ = writeln!(out, "{row} 1");
             }
         }
         for (name, r) in &self.outputs {
@@ -71,7 +66,7 @@ impl MappedNetwork {
     /// into the `verify` equivalence checker.
     ///
     /// # Panics
-    /// Panics if a cell has more than 16 inputs (truth-table enumeration)
+    /// Panics if a cell has more than 16 inputs ([`genlib::Gate::truth_table`])
     /// or if instance/input names collide — both indicate a corrupt mapped
     /// netlist.
     pub fn to_network(&self, lib: &Library, model_name: &str) -> Network {
@@ -88,7 +83,6 @@ impl MappedNetwork {
         for inst in &self.instances {
             let gate = &lib.gates()[inst.gate];
             let k = gate.inputs().len();
-            assert!(k <= 16, "cell too wide for truth-table emission");
             let fanins: Vec<NodeId> = inst
                 .inputs
                 .iter()
@@ -97,17 +91,14 @@ impl MappedNetwork {
                     NetRef::Inst(i) => insts[*i],
                 })
                 .collect();
-            let mut cubes = Vec::new();
-            for bits in 0..(1u32 << k) {
-                let assignment: Vec<bool> = (0..k).map(|i| bits >> i & 1 == 1).collect();
-                if gate.eval(&assignment) {
-                    let lits = assignment
-                        .iter()
-                        .map(|&v| if v { Lit::Pos } else { Lit::Neg })
+            let cubes = minterms(&gate.truth_table(), k)
+                .map(|x| {
+                    let lits = (0..k)
+                        .map(|j| if x >> j & 1 == 1 { Lit::Pos } else { Lit::Neg })
                         .collect();
-                    cubes.push(Cube::new(lits));
-                }
-            }
+                    Cube::new(lits)
+                })
+                .collect();
             let sop = Sop::from_cubes(k, cubes);
             insts.push(
                 net.add_logic(&inst.name, fanins, sop)
@@ -123,6 +114,12 @@ impl MappedNetwork {
         }
         net
     }
+}
+
+/// The assignments `x` of a `k`-input cell whose packed truth `table`
+/// ([`genlib::Gate::truth_table`]) outputs 1, in increasing order.
+fn minterms(table: &[u64], k: usize) -> impl Iterator<Item = usize> + '_ {
+    (0..1usize << k).filter(move |x| table[x / 64] >> (x % 64) & 1 == 1)
 }
 
 #[cfg(test)]

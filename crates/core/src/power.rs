@@ -220,8 +220,8 @@ impl<'a> GlitchSim<'a> {
     ///
     /// # Panics
     /// Panics if an instance's input count differs from its cell's, or a
-    /// cell used by the netlist has more than 16 inputs (truth-table
-    /// enumeration, the bound of [`MappedNetwork::to_blif`]).
+    /// cell used by the netlist has more than 16 inputs
+    /// ([`genlib::Gate::truth_table`]).
     fn compile(
         m: &MappedNetwork,
         lib: &Library,
@@ -253,16 +253,8 @@ impl<'a> GlitchSim<'a> {
                 fanins.push(s);
             }
             let at = *table_at[inst.gate].get_or_insert_with(|| {
-                assert!(k <= 16, "cell too wide for truth-table simulation");
                 let at = tables.len();
-                tables.resize(at + (1usize << k).div_ceil(64), 0);
-                let mut assignment = vec![false; k];
-                for x in 0..1usize << k {
-                    for (j, a) in assignment.iter_mut().enumerate() {
-                        *a = x >> j & 1 == 1;
-                    }
-                    tables[at + x / 64] |= u64::from(gate.eval(&assignment)) << (x % 64);
-                }
+                tables.extend(gate.truth_table());
                 at
             });
             table_of.push(at);

@@ -94,6 +94,26 @@ impl Gate {
         self.function.eval(inputs)
     }
 
+    /// The gate's truth table, packed 64 entries to a word: bit `x % 64`
+    /// of word `x / 64` is the output when pin `j` carries bit `j` of `x`.
+    ///
+    /// # Panics
+    /// Panics on a gate with more than 16 inputs. Only
+    /// [`Gate::raw_for_test`] builds one: the parser rejects wider cells.
+    pub fn truth_table(&self) -> Vec<u64> {
+        let k = self.inputs.len();
+        assert!(k <= 16, "cell `{}` too wide for a truth table", self.name);
+        let mut table = vec![0; (1usize << k).div_ceil(64)];
+        let mut assignment = vec![false; k];
+        for x in 0..1usize << k {
+            for (j, a) in assignment.iter_mut().enumerate() {
+                *a = x >> j & 1 == 1;
+            }
+            table[x / 64] |= u64::from(self.eval(&assignment)) << (x % 64);
+        }
+        table
+    }
+
     /// True if the gate is a single-input inverter.
     pub fn is_inverter(&self) -> bool {
         self.inputs.len() == 1 && !self.eval(&[true]) && self.eval(&[false])
@@ -215,6 +235,20 @@ mod tests {
             assert_eq!(g.inputs().len(), g.pins().len());
             for p in g.pins() {
                 assert!(p.input_cap > 0.0 && p.intrinsic >= 0.0 && p.drive > 0.0);
+            }
+        }
+    }
+
+    #[test]
+    fn truth_tables_agree_with_eval() {
+        for g in lib2_like().gates() {
+            let k = g.inputs().len();
+            let table = g.truth_table();
+            assert_eq!(table.len(), (1usize << k).div_ceil(64), "{}", g.name());
+            for x in 0..1usize << k {
+                let assignment: Vec<bool> = (0..k).map(|j| x >> j & 1 == 1).collect();
+                let bit = table[x / 64] >> (x % 64) & 1 == 1;
+                assert_eq!(bit, g.eval(&assignment), "{} at {x:#b}", g.name());
             }
         }
     }

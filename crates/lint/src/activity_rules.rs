@@ -31,10 +31,9 @@ fn check_pair(
     e: f64,
     model: TransitionModel,
     provenance: &Provenance,
-    cfg: &LintConfig,
     report: &mut LintReport,
 ) {
-    if cfg.enabled("ACT001") && (!(0.0..=1.0).contains(&p) || p.is_nan()) {
+    if !(0.0..=1.0).contains(&p) || p.is_nan() {
         report.push(
             "ACT001",
             severity_of("ACT001"),
@@ -43,21 +42,19 @@ fn check_pair(
         );
         return; // the bound below is meaningless for an invalid p
     }
-    if cfg.enabled("ACT002") {
-        let max = bound(model, p);
-        if e.is_nan() || e < -TOL || e > max + TOL {
-            report.push(
-                "ACT002",
-                severity_of("ACT002"),
-                provenance.clone(),
-                format!("switching {e} outside the {model:?} bound [0, {max:.6}] for p = {p}"),
-            );
-        }
+    let max = bound(model, p);
+    if e.is_nan() || e < -TOL || e > max + TOL {
+        report.push(
+            "ACT002",
+            severity_of("ACT002"),
+            provenance.clone(),
+            format!("switching {e} outside the {model:?} bound [0, {max:.6}] for p = {p}"),
+        );
     }
 }
 
 /// Run all `ACT*` rules over a network's activity annotations.
-pub fn lint_activity(net: &Network, act: &ActivityMap, cfg: &LintConfig) -> LintReport {
+pub fn lint_activity(net: &Network, act: &ActivityMap, _cfg: &LintConfig) -> LintReport {
     let mut report = LintReport::new(format!("activity of `{}`", net.name()));
     for id in net.node_ids() {
         let node = net.try_node(id).expect("live id");
@@ -67,7 +64,6 @@ pub fn lint_activity(net: &Network, act: &ActivityMap, cfg: &LintConfig) -> Lint
             act.switching(id),
             act.model(),
             &provenance,
-            cfg,
             &mut report,
         );
     }
@@ -83,7 +79,7 @@ pub fn lint_activity_slices(
     p_one: &[f64],
     switching: &[f64],
     model: TransitionModel,
-    cfg: &LintConfig,
+    _cfg: &LintConfig,
 ) -> LintReport {
     let mut report = LintReport::new(format!("activity slices ({} entries)", p_one.len()));
     if p_one.len() != switching.len() {
@@ -104,7 +100,7 @@ pub fn lint_activity_slices(
             id: Some(i),
             slot: None,
         };
-        check_pair(p, e, model, &provenance, cfg, &mut report);
+        check_pair(p, e, model, &provenance, &mut report);
     }
     report
 }

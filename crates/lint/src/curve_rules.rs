@@ -10,7 +10,7 @@ use crate::{severity_of, LintConfig};
 use lowpower_core::map::{Curve, CurveDefect};
 
 /// Run all `CRV*` rules over a finalized power-delay curve.
-pub fn lint_curve(curve: &Curve, cfg: &LintConfig) -> LintReport {
+pub fn lint_curve(curve: &Curve, _cfg: &LintConfig) -> LintReport {
     let mut report = LintReport::new(format!("curve ({} points)", curve.points().len()));
     for defect in curve.invariant_defects() {
         let (rule, point, message) = match defect {
@@ -46,18 +46,16 @@ pub fn lint_curve(curve: &Curve, cfg: &LintConfig) -> LintReport {
                 )
             }
         };
-        if cfg.enabled(rule) {
-            report.push(
-                rule,
-                severity_of(rule),
-                Provenance {
-                    node: None,
-                    id: Some(point),
-                    slot: None,
-                },
-                message,
-            );
-        }
+        report.push(
+            rule,
+            severity_of(rule),
+            Provenance {
+                node: None,
+                id: Some(point),
+                slot: None,
+            },
+            message,
+        );
     }
     report
 }

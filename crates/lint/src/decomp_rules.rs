@@ -14,49 +14,45 @@ pub fn lint_decomposed(decomp: &DecomposedNetwork, cfg: &LintConfig) -> LintRepo
 
     // DEC001: technology decomposition emits 2-input gates only (plus
     // inverters and width-0 constants).
-    if cfg.enabled("DEC001") {
-        for id in net.logic_ids() {
-            let node = net.try_node(id).expect("live id");
-            if node.fanins().len() > 2 {
-                report.push(
-                    "DEC001",
-                    severity_of("DEC001"),
-                    Provenance::node(node.name(), id.index()),
-                    format!(
-                        "{} fanins; decomposition must emit gates of arity <= 2",
-                        node.fanins().len()
-                    ),
-                );
-            }
+    for id in net.logic_ids() {
+        let node = net.try_node(id).expect("live id");
+        if node.fanins().len() > 2 {
+            report.push(
+                "DEC001",
+                severity_of("DEC001"),
+                Provenance::node(node.name(), id.index()),
+                format!(
+                    "{} fanins; decomposition must emit gates of arity <= 2",
+                    node.fanins().len()
+                ),
+            );
         }
     }
 
     // DEC002: when bounded decomposition applied a height bound to a node
     // (§2.3), the node root's recorded arrival level must honor it.
-    if cfg.enabled("DEC002") {
-        // In `node_heights` order: the bounds map's order is not stable.
-        for (name, height, _) in &decomp.node_heights {
-            let Some(bound) = decomp.applied_bounds.get(name) else {
-                continue;
-            };
-            if height > bound {
-                report.push(
-                    "DEC002",
-                    severity_of("DEC002"),
-                    Provenance {
-                        node: Some(name.clone()),
-                        id: None,
-                        slot: None,
-                    },
-                    format!("root at level {height} exceeds the applied bound {bound}"),
-                );
-            }
+    // In `node_heights` order: the bounds map's order is not stable.
+    for (name, height, _) in &decomp.node_heights {
+        let Some(bound) = decomp.applied_bounds.get(name) else {
+            continue;
+        };
+        if height > bound {
+            report.push(
+                "DEC002",
+                severity_of("DEC002"),
+                Provenance {
+                    node: Some(name.clone()),
+                    id: None,
+                    slot: None,
+                },
+                format!("root at level {height} exceeds the applied bound {bound}"),
+            );
         }
     }
 
     // DEC003: the recorded depth must match a fresh recomputation. Skipped
     // on cyclic networks (NET001 already fired; `depth` would panic).
-    if cfg.enabled("DEC003") && net.find_cycle().is_none() {
+    if net.find_cycle().is_none() {
         let recomputed = netlist::traversal::depth(net);
         if decomp.depth != recomputed {
             report.push(

@@ -14,7 +14,8 @@ pub enum Severity {
     Info,
     /// Suspicious but not invariant-breaking.
     Warn,
-    /// Invariant violation; fails `--lint=deny` and the debug certifier.
+    /// Invariant violation; fails `--lint=deny` and, in debug builds, the
+    /// flow's checkpoints at every lint level.
     Error,
 }
 
@@ -74,7 +75,7 @@ impl Provenance {
 pub struct Diagnostic {
     /// Stable rule id, e.g. `NET003`.
     pub rule: &'static str,
-    /// Effective severity (after any configuration overrides).
+    /// The rule's registered severity.
     pub severity: Severity,
     /// Human-readable description of the violation.
     pub message: String,

@@ -5,68 +5,64 @@ use crate::{severity_of, LintConfig};
 use genlib::{Expr, Library};
 
 /// Run all `LIB*` rules over a gate library.
-pub fn lint_library(lib: &Library, cfg: &LintConfig) -> LintReport {
+pub fn lint_library(lib: &Library, _cfg: &LintConfig) -> LintReport {
     let mut report = LintReport::new(format!("library `{}`", lib.name()));
 
     for (gi, gate) in lib.gates().iter().enumerate() {
         // LIB001: the function may only reference declared inputs, and
         // there must be exactly one pin record per input.
-        if cfg.enabled("LIB001") {
-            if gate.inputs().len() != gate.pins().len() {
+        if gate.inputs().len() != gate.pins().len() {
+            report.push(
+                "LIB001",
+                severity_of("LIB001"),
+                Provenance::node(gate.name(), gi),
+                format!(
+                    "{} input(s) but {} pin record(s)",
+                    gate.inputs().len(),
+                    gate.pins().len()
+                ),
+            );
+        }
+        if let Some(var) = max_var(gate.function()) {
+            if var >= gate.inputs().len() {
                 report.push(
                     "LIB001",
                     severity_of("LIB001"),
                     Provenance::node(gate.name(), gi),
                     format!(
-                        "{} input(s) but {} pin record(s)",
-                        gate.inputs().len(),
-                        gate.pins().len()
+                        "function references variable {var} but only {} input(s) exist",
+                        gate.inputs().len()
                     ),
                 );
-            }
-            if let Some(var) = max_var(gate.function()) {
-                if var >= gate.inputs().len() {
-                    report.push(
-                        "LIB001",
-                        severity_of("LIB001"),
-                        Provenance::node(gate.name(), gi),
-                        format!(
-                            "function references variable {var} but only {} input(s) exist",
-                            gate.inputs().len()
-                        ),
-                    );
-                }
             }
         }
 
         // LIB002: electrical values must be finite; area and caps
         // non-negative; delays non-negative.
-        if cfg.enabled("LIB002") {
-            let sev = severity_of("LIB002");
-            if !gate.area().is_finite() || gate.area() < 0.0 {
-                report.push(
-                    "LIB002",
-                    sev,
-                    Provenance::node(gate.name(), gi),
-                    format!("area {} is negative or non-finite", gate.area()),
-                );
-            }
-            for (pi, pin) in gate.pins().iter().enumerate() {
-                let fields = [
-                    ("input_cap", pin.input_cap),
-                    ("max_load", pin.max_load),
-                    ("intrinsic", pin.intrinsic),
-                    ("drive", pin.drive),
-                ];
-                for (what, v) in fields {
-                    if !v.is_finite() || v < 0.0 {
-                        report.push(
-                            "LIB002",
-                            sev,
-                            Provenance::slot(gate.name(), gi, pi),
-                            format!("pin `{}` {what} {v} is negative or non-finite", pin.name),
-                        );
-                    }
+        let sev = severity_of("LIB002");
+        if !gate.area().is_finite() || gate.area() < 0.0 {
+            report.push(
+                "LIB002",
+                sev,
+                Provenance::node(gate.name(), gi),
+                format!("area {} is negative or non-finite", gate.area()),
+            );
+        }
+        for (pi, pin) in gate.pins().iter().enumerate() {
+            let fields = [
+                ("input_cap", pin.input_cap),
+                ("max_load", pin.max_load),
+                ("intrinsic", pin.intrinsic),
+                ("drive", pin.drive),
+            ];
+            for (what, v) in fields {
+                if !v.is_finite() || v < 0.0 {
+                    report.push(
+                        "LIB002",
+                        sev,
+                        Provenance::slot(gate.name(), gi, pi),
+                        format!("pin `{}` {what} {v} is negative or non-finite", pin.name),
+                    );
                 }
             }
         }
@@ -77,20 +73,18 @@ pub fn lint_library(lib: &Library, cfg: &LintConfig) -> LintReport {
     // `MapError::NoInverter`. `Gate::is_inverter` evaluates the function,
     // which panics when it references out-of-range variables (a LIB001
     // violation), so only well-formed gates are probed.
-    if cfg.enabled("LIB003") {
-        let has_inverter = lib.gates().iter().any(|g| {
-            g.inputs().len() == 1
-                && max_var(g.function()).is_none_or(|v| v < g.inputs().len())
-                && g.is_inverter()
-        });
-        if !has_inverter {
-            report.push(
-                "LIB003",
-                severity_of("LIB003"),
-                Provenance::none(),
-                "library has no inverter; technology mapping will fail",
-            );
-        }
+    let has_inverter = lib.gates().iter().any(|g| {
+        g.inputs().len() == 1
+            && max_var(g.function()).is_none_or(|v| v < g.inputs().len())
+            && g.is_inverter()
+    });
+    if !has_inverter {
+        report.push(
+            "LIB003",
+            severity_of("LIB003"),
+            Provenance::none(),
+            "library has no inverter; technology mapping will fail",
+        );
     }
 
     report

@@ -14,15 +14,15 @@ pub fn lint_mapped(
     mapped: &MappedNetwork,
     lib: &Library,
     po_load: f64,
-    cfg: &LintConfig,
+    _cfg: &LintConfig,
 ) -> LintReport {
     let mut report = LintReport::new("mapped netlist".to_string());
-    check_refs(mapped, cfg, &mut report);
-    check_pin_arity(mapped, lib, cfg, &mut report);
-    check_dead_instances(mapped, cfg, &mut report);
-    check_probabilities(mapped, cfg, &mut report);
-    check_loads(mapped, lib, po_load, cfg, &mut report);
-    check_duplicate_names(mapped, cfg, &mut report);
+    check_refs(mapped, &mut report);
+    check_pin_arity(mapped, lib, &mut report);
+    check_dead_instances(mapped, &mut report);
+    check_probabilities(mapped, &mut report);
+    check_loads(mapped, lib, po_load, &mut report);
+    check_duplicate_names(mapped, &mut report);
     report
 }
 
@@ -37,10 +37,7 @@ fn ref_ok(r: NetRef, at: usize, mapped: &MappedNetwork) -> bool {
 
 /// MAP001: instance inputs may only reference earlier instances or valid
 /// primary inputs; outputs may reference any valid instance or PI.
-fn check_refs(mapped: &MappedNetwork, cfg: &LintConfig, report: &mut LintReport) {
-    if !cfg.enabled("MAP001") {
-        return;
-    }
+fn check_refs(mapped: &MappedNetwork, report: &mut LintReport) {
     let sev = severity_of("MAP001");
     for (i, inst) in mapped.instances.iter().enumerate() {
         for (slot, &r) in inst.inputs.iter().enumerate() {
@@ -79,15 +76,7 @@ fn check_refs(mapped: &MappedNetwork, cfg: &LintConfig, report: &mut LintReport)
 
 /// MAP002: the instance's input count must equal its gate's pin count, and
 /// the gate index must be valid.
-fn check_pin_arity(
-    mapped: &MappedNetwork,
-    lib: &Library,
-    cfg: &LintConfig,
-    report: &mut LintReport,
-) {
-    if !cfg.enabled("MAP002") {
-        return;
-    }
+fn check_pin_arity(mapped: &MappedNetwork, lib: &Library, report: &mut LintReport) {
     let sev = severity_of("MAP002");
     for (i, inst) in mapped.instances.iter().enumerate() {
         match lib.gates().get(inst.gate) {
@@ -119,10 +108,7 @@ fn check_pin_arity(
 
 /// MAP003: every instance should drive another instance or a primary
 /// output.
-fn check_dead_instances(mapped: &MappedNetwork, cfg: &LintConfig, report: &mut LintReport) {
-    if !cfg.enabled("MAP003") {
-        return;
-    }
+fn check_dead_instances(mapped: &MappedNetwork, report: &mut LintReport) {
     let mut used = vec![false; mapped.instances.len()];
     for inst in &mapped.instances {
         for &r in &inst.inputs {
@@ -154,10 +140,7 @@ fn check_dead_instances(mapped: &MappedNetwork, cfg: &LintConfig, report: &mut L
 
 /// MAP004: probabilities must lie in [0, 1] and the PI probability table
 /// must align with the PI name table.
-fn check_probabilities(mapped: &MappedNetwork, cfg: &LintConfig, report: &mut LintReport) {
-    if !cfg.enabled("MAP004") {
-        return;
-    }
+fn check_probabilities(mapped: &MappedNetwork, report: &mut LintReport) {
     let sev = severity_of("MAP004");
     if mapped.pi_p_one.len() != mapped.pi_names.len() {
         report.push(
@@ -196,16 +179,7 @@ fn check_probabilities(mapped: &MappedNetwork, cfg: &LintConfig, report: &mut Li
 /// MAP005: the load on each instance output (sum of driven pin caps plus
 /// `po_load` per primary output driven) must not exceed the driving gate's
 /// tightest pin `max_load` rating.
-fn check_loads(
-    mapped: &MappedNetwork,
-    lib: &Library,
-    po_load: f64,
-    cfg: &LintConfig,
-    report: &mut LintReport,
-) {
-    if !cfg.enabled("MAP005") {
-        return;
-    }
+fn check_loads(mapped: &MappedNetwork, lib: &Library, po_load: f64, report: &mut LintReport) {
     let mut load = vec![0.0f64; mapped.instances.len()];
     for inst in &mapped.instances {
         let Some(gate) = lib.gates().get(inst.gate) else {
@@ -252,10 +226,7 @@ fn check_loads(
 }
 
 /// MAP006: net names (primary inputs plus instance outputs) must be unique.
-fn check_duplicate_names(mapped: &MappedNetwork, cfg: &LintConfig, report: &mut LintReport) {
-    if !cfg.enabled("MAP006") {
-        return;
-    }
+fn check_duplicate_names(mapped: &MappedNetwork, report: &mut LintReport) {
     let mut seen: HashMap<&str, String> = HashMap::new();
     let names = mapped
         .pi_names

@@ -9,24 +9,21 @@ use crate::{severity_of, LintConfig};
 use netlist::{Network, NodeId};
 
 /// Run all `NET*` rules over a network.
-pub fn lint_network(net: &Network, cfg: &LintConfig) -> LintReport {
+pub fn lint_network(net: &Network, _cfg: &LintConfig) -> LintReport {
     let mut report = LintReport::new(format!("network `{}`", net.name()));
-    check_cycles(net, cfg, &mut report);
-    check_link_symmetry(net, cfg, &mut report);
-    check_duplicate_fanins(net, cfg, &mut report);
-    check_dangling(net, cfg, &mut report);
-    check_cover_minimality(net, cfg, &mut report);
-    check_reachability(net, cfg, &mut report);
-    check_widths(net, cfg, &mut report);
-    check_name_map(net, cfg, &mut report);
+    check_cycles(net, &mut report);
+    check_link_symmetry(net, &mut report);
+    check_duplicate_fanins(net, &mut report);
+    check_dangling(net, &mut report);
+    check_cover_minimality(net, &mut report);
+    check_reachability(net, &mut report);
+    check_widths(net, &mut report);
+    check_name_map(net, &mut report);
     report
 }
 
 /// NET001: acyclicity, reporting the full cycle path.
-fn check_cycles(net: &Network, cfg: &LintConfig, report: &mut LintReport) {
-    if !cfg.enabled("NET001") {
-        return;
-    }
+fn check_cycles(net: &Network, report: &mut LintReport) {
     if let Some(cycle) = net.find_cycle() {
         let names: Vec<&str> = cycle
             .iter()
@@ -44,10 +41,7 @@ fn check_cycles(net: &Network, cfg: &LintConfig, report: &mut LintReport) {
 
 /// NET002: every fanin edge has a matching fanout edge and vice versa, and
 /// neither side references a dead or out-of-range node.
-fn check_link_symmetry(net: &Network, cfg: &LintConfig, report: &mut LintReport) {
-    if !cfg.enabled("NET002") {
-        return;
-    }
+fn check_link_symmetry(net: &Network, report: &mut LintReport) {
     let sev = severity_of("NET002");
     for id in net.node_ids() {
         let node = net.try_node(id).expect("live id from node_ids");
@@ -97,10 +91,7 @@ fn check_link_symmetry(net: &Network, cfg: &LintConfig, report: &mut LintReport)
 
 /// NET003: no node may list the same fanin at two SOP positions — the
 /// construction hole behind the PR-1 `Cube::remap` bug.
-fn check_duplicate_fanins(net: &Network, cfg: &LintConfig, report: &mut LintReport) {
-    if !cfg.enabled("NET003") {
-        return;
-    }
+fn check_duplicate_fanins(net: &Network, report: &mut LintReport) {
     for id in net.node_ids() {
         let node = net.try_node(id).expect("live id");
         let fanins = node.fanins();
@@ -119,10 +110,7 @@ fn check_duplicate_fanins(net: &Network, cfg: &LintConfig, report: &mut LintRepo
 }
 
 /// NET004: logic nodes with no fanouts that are not primary outputs.
-fn check_dangling(net: &Network, cfg: &LintConfig, report: &mut LintReport) {
-    if !cfg.enabled("NET004") {
-        return;
-    }
+fn check_dangling(net: &Network, report: &mut LintReport) {
     for id in net.logic_ids() {
         let node = net.try_node(id).expect("live id");
         let is_po = net.outputs().iter().any(|(_, o)| *o == id);
@@ -139,10 +127,7 @@ fn check_dangling(net: &Network, cfg: &LintConfig, report: &mut LintReport) {
 
 /// NET005: the cover should be single-cube-containment minimal — no
 /// duplicate or contained cubes.
-fn check_cover_minimality(net: &Network, cfg: &LintConfig, report: &mut LintReport) {
-    if !cfg.enabled("NET005") {
-        return;
-    }
+fn check_cover_minimality(net: &Network, report: &mut LintReport) {
     for id in net.logic_ids() {
         let node = net.try_node(id).expect("live id");
         let Some(sop) = node.sop() else { continue };
@@ -166,10 +151,7 @@ fn check_cover_minimality(net: &Network, cfg: &LintConfig, report: &mut LintRepo
 /// NET006: logic nodes not in the transitive fanin of any primary output.
 ///
 /// Walks fanin edges only (no reliance on fanout symmetry).
-fn check_reachability(net: &Network, cfg: &LintConfig, report: &mut LintReport) {
-    if !cfg.enabled("NET006") {
-        return;
-    }
+fn check_reachability(net: &Network, report: &mut LintReport) {
     let mut reachable = vec![false; net.arena_len()];
     let mut stack: Vec<NodeId> = Vec::new();
     for (_, o) in net.outputs() {
@@ -203,10 +185,7 @@ fn check_reachability(net: &Network, cfg: &LintConfig, report: &mut LintReport) 
 }
 
 /// NET007: SOP width must equal the fanin count.
-fn check_widths(net: &Network, cfg: &LintConfig, report: &mut LintReport) {
-    if !cfg.enabled("NET007") {
-        return;
-    }
+fn check_widths(net: &Network, report: &mut LintReport) {
     for id in net.logic_ids() {
         let node = net.try_node(id).expect("live id");
         let Some(sop) = node.sop() else { continue };
@@ -227,10 +206,7 @@ fn check_widths(net: &Network, cfg: &LintConfig, report: &mut LintReport) {
 
 /// NET008: the name map must resolve every live node's name back to it,
 /// and the output list must reference live nodes.
-fn check_name_map(net: &Network, cfg: &LintConfig, report: &mut LintReport) {
-    if !cfg.enabled("NET008") {
-        return;
-    }
+fn check_name_map(net: &Network, report: &mut LintReport) {
     let sev = severity_of("NET008");
     for id in net.node_ids() {
         let node = net.try_node(id).expect("live id");
@@ -258,7 +234,7 @@ fn check_name_map(net: &Network, cfg: &LintConfig, report: &mut LintReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netlist::{parse_blif, Sop};
+    use netlist::parse_blif;
 
     fn clean_net() -> Network {
         parse_blif(
@@ -273,21 +249,5 @@ mod tests {
     fn clean_network_is_clean() {
         let report = lint_network(&clean_net(), &LintConfig::new());
         assert!(report.is_clean(), "{}", report.render_text());
-    }
-
-    #[test]
-    fn disabled_rule_does_not_fire() {
-        let mut net = clean_net();
-        let a = net.find("a").unwrap();
-        let y = net
-            .add_logic("dangling", vec![a], Sop::parse(1, &["1"]).unwrap())
-            .unwrap();
-        // `dangling` has no fanouts and is not a PO: NET004 + NET006 fire.
-        let full = lint_network(&net, &LintConfig::new());
-        assert_eq!(full.by_rule("NET004").count(), 1);
-        assert_eq!(full.by_rule("NET006").count(), 1);
-        let cfg = LintConfig::new().disable("NET004").disable("NET006");
-        assert!(lint_network(&net, &cfg).is_clean());
-        let _ = y;
     }
 }

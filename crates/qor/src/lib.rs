@@ -39,7 +39,7 @@ pub use provenance::{GateShare, Provenance};
 
 use genlib::Library;
 use lowpower_core::map::MappedNetwork;
-use lowpower_core::power::evaluate;
+use lowpower_core::power::{evaluate, MappedReport};
 use netlist::Network;
 
 use activity::{ActivityMap, PowerEnv, TransitionModel};
@@ -113,7 +113,12 @@ pub fn measure_network_with(net: &Network, act: &ActivityMap, ctx: &Ctx) -> Metr
 /// area, library-model delay, gate count) in fixed-point [`Metrics`]
 /// units; `literals` counts total gate input pins.
 pub fn measure_mapped(m: &MappedNetwork, lib: &Library, ctx: &Ctx) -> Metrics {
-    let rep = evaluate(m, lib, &ctx.env, ctx.model, ctx.po_load);
+    mapped_metrics(m, &evaluate(m, lib, &ctx.env, ctx.model, ctx.po_load))
+}
+
+/// [`measure_mapped`] from `rep`, the evaluation of `m` the caller already
+/// made under `ctx`'s environment, model and output load.
+pub fn mapped_metrics(m: &MappedNetwork, rep: &MappedReport) -> Metrics {
     Metrics {
         power_muw: milli(rep.power_uw),
         area_milli: milli(rep.area),

@@ -309,7 +309,6 @@ struct Snapshots {
 #[derive(Debug, Clone)]
 struct Checkpoints<'c> {
     cfg: &'c FlowConfig,
-    lint_cfg: LintConfig,
     findings: Vec<StageLint>,
     snapshots: Option<Snapshots>,
 }
@@ -318,7 +317,6 @@ impl<'c> Checkpoints<'c> {
     fn new(cfg: &'c FlowConfig) -> Self {
         Checkpoints {
             cfg,
-            lint_cfg: LintConfig::new(),
             findings: Vec::new(),
             snapshots: None,
         }
@@ -333,6 +331,7 @@ impl<'c> Checkpoints<'c> {
         input: &Network,
         opening: &str,
     ) -> Result<Self, FlowError> {
+        assert_clean_input(input);
         let mut checks = Checkpoints::new(cfg);
         if cfg.qor {
             checks.snapshots = Some(Snapshots {
@@ -385,7 +384,13 @@ impl<'c> Checkpoints<'c> {
     /// runs under a `verify` span and any disagreement aborts the flow.
     /// When `cfg.lint` is not [`LintLevel::Off`], `lint` runs under a
     /// `lint` span: at [`LintLevel::Deny`] `Error`-severity findings abort
-    /// the flow; otherwise a non-empty report is kept.
+    /// the flow; otherwise a non-empty report is kept. At
+    /// [`LintLevel::Off`] a debug build still runs `lint`, with no span and
+    /// no record, so a stage that breaks an invariant fails at its source.
+    ///
+    /// # Panics
+    /// In a debug build at [`LintLevel::Off`], panics naming `stage` when
+    /// `lint` reports an `Error`-severity finding.
     fn check(
         &mut self,
         stage: &'static str,
@@ -407,11 +412,19 @@ impl<'c> Checkpoints<'c> {
             }
         }
         if self.cfg.lint == LintLevel::Off {
+            if cfg!(debug_assertions) {
+                let report = lint(&LintConfig::new());
+                assert!(
+                    !report.has_errors(),
+                    "lint: the {stage} stage broke invariants\n{}",
+                    report.render_text()
+                );
+            }
             return Ok(());
         }
         let report = {
             let _span = obs::span!("lint", "{stage}");
-            lint(&self.lint_cfg)
+            lint(&LintConfig::new())
         };
         if self.cfg.lint == LintLevel::Deny && report.has_errors() {
             return Err(FlowError::Lint {
@@ -440,22 +453,37 @@ impl<'c> Checkpoints<'c> {
     }
 }
 
-/// Optimize a network with the rugged-like script (shared starting point of
-/// all methods, as in the paper's Section 4). In debug builds the script
-/// runs under the lint certifier and panics if it corrupts a structural
-/// invariant.
-pub fn optimize(net: &Network) -> Network {
-    optimize_with(net, &mut |_, _| {})
+/// In a debug build, panic when `input`, the network a run starts from,
+/// already carries an `Error`-severity lint finding: the first checkpoint
+/// would otherwise blame its stage for the caller's corrupt network.
+fn assert_clean_input(input: &Network) {
+    if cfg!(debug_assertions) {
+        let report = lint_network(input, &LintConfig::new());
+        assert!(
+            !report.has_errors(),
+            "lint: the input network already violates invariants\n{}",
+            report.render_text()
+        );
+    }
 }
 
-/// [`optimize`] with `hook(label, net)` run after every pass of the script
+/// Optimize a network with the rugged-like script (shared starting point of
+/// all methods, as in the paper's Section 4), followed by the optimize
+/// checkpoint at the default [`FlowConfig`]. So in a debug build it lints
+/// its input and its result, and panics if either breaks a structural
+/// invariant; a release build runs the script alone.
+pub fn optimize(net: &Network) -> Network {
+    let (optimized, _) = optimize_checked(net, &FlowConfig::default())
+        .expect("the default configuration neither verifies nor denies");
+    optimized
+}
+
+/// The rugged-like script with `hook(label, net)` run after every pass
 /// (labels `<round>.<pass>`, see [`logicopt::rugged_like_with`]).
 fn optimize_with(net: &Network, hook: &mut dyn FnMut(&str, &Network)) -> Network {
     let _span = obs::span!("optimize");
     let mut n = net.clone();
-    lint::certify::certified_pass("rugged_like", &mut n, |n| {
-        logicopt::rugged_like_with(n, hook)
-    });
+    logicopt::rugged_like_with(&mut n, hook);
     n
 }
 
@@ -470,6 +498,7 @@ pub fn optimize_checked(
     net: &Network,
     cfg: &FlowConfig,
 ) -> Result<(Network, Vec<StageLint>), FlowError> {
+    assert_clean_input(net);
     let mut checks = Checkpoints::new(cfg);
     let optimized = checks.optimize(net)?;
     Ok((optimized, checks.findings))
@@ -480,6 +509,10 @@ pub fn optimize_checked(
 /// anyway. Returns the mappable network and the `(name, value)` constant
 /// outputs. A constant node that also feeds logic stays in the network (the
 /// optimizer's sweep folds such nodes); the mapper then rejects it.
+///
+/// # Panics
+/// Panics if `net` fails [`Network::check`], for instance if it is cyclic.
+/// The flow only passes it decompositions, which are checked when built.
 pub fn strip_constant_outputs(net: &Network) -> (Network, Vec<(String, bool)>) {
     let (out, const_outputs, _) = strip_constants(net);
     (out, const_outputs)
@@ -769,9 +802,7 @@ fn decompose_stages<'c>(
     let (decomposed, bdds) = {
         let _s = obs::span!("decompose");
         let mut bdds = NetworkBdds::build(optimized, &pi_probs);
-        let d = lint::certify::certified_decomposition(optimized, |n| {
-            decompose_network_with(n, &dopts, &mut bdds)
-        });
+        let d = decompose_network_with(optimized, &dopts, &mut bdds);
         checks.snapshot_network("decompose", &d.network);
         (d, bdds)
     };
@@ -829,9 +860,6 @@ fn map_stages(
         let _s = obs::span!("map");
         map_network(&d.subject, lib, &mopts)?
     };
-    checks.snapshot("map", qor::SnapKind::Mapped, |ctx| {
-        qor::measure_mapped(&mapped, lib, ctx)
-    });
     checks.check(
         "map",
         Some(&|o| check_equiv(&d.mappable, &mapped.to_network(lib, d.mappable.name()), o)),
@@ -841,6 +869,10 @@ fn map_stages(
         let _s = obs::span!("evaluate");
         evaluate(&mapped, lib, &cfg.env, cfg.model, cfg.po_load)
     };
+    // The flow evaluates under its `qor_ctx`, so this equals `measure_mapped`.
+    checks.snapshot("map", qor::SnapKind::Mapped, |_| {
+        qor::mapped_metrics(&mapped, &report)
+    });
     let glitch = {
         let _s = obs::span!("glitch_sim");
         lowpower_core::power::simulate_glitch_power(
@@ -1067,6 +1099,38 @@ mod tests {
         )
         .unwrap()
         .network
+    }
+
+    /// A network whose node `x` lists fanin `a` twice (NET003) without the
+    /// fanout edges to match (NET002).
+    #[cfg(debug_assertions)]
+    fn corrupt_network() -> Network {
+        let mut net = netlist::parse_blif(
+            ".model t\n.inputs a b c\n.outputs f\n.names a b x\n11 1\n\
+             .names x c f\n10 1\n01 1\n.end\n",
+        )
+        .unwrap()
+        .network;
+        let (x, a) = (net.find("x").unwrap(), net.find("a").unwrap());
+        net.corrupt_function_for_test(x, vec![a, a], netlist::Sop::parse(2, &["11"]).unwrap());
+        net
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "the optimize stage broke invariants")]
+    fn an_error_finding_panics_at_lint_off_in_debug_builds() {
+        let cfg = FlowConfig::default();
+        let net = corrupt_network();
+        let _ = Checkpoints::new(&cfg).check("optimize", None, |c| lint_network(&net, c));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "the input network already violates invariants")]
+    fn a_corrupt_input_panics_in_debug_builds() {
+        let lib = genlib::builtin::lib2_like();
+        let _ = run_flow(&corrupt_network(), &lib, Method::I, &FlowConfig::default());
     }
 
     #[test]

@@ -1,19 +1,8 @@
 //! `lowpower` — command-line front end for the synthesis flow.
 //!
-//! ```text
-//! lowpower synth  --blif CIRCUIT.blif [--lib LIB.genlib] [--method VI]
-//!                 [--required NS] [--out MAPPED.blif] [--correlations]
-//!                 [--verify[=sim|full]] [--lint[=check|deny|off]] [--qor]
-//! lowpower report --blif CIRCUIT.blif [--lib LIB.genlib] [--verify[=sim|full]]
-//!                 [--lint[=check|deny|off]]
-//! lowpower decomp --blif CIRCUIT.blif [--style minpower|conventional|bounded]
-//! lowpower lint   --blif CIRCUIT.blif [--lib LIB.genlib] [--method VI]
-//!                 [--style …] [--lint=deny] [--json]
-//! lowpower obs-check [--file TRACE] [--chrome] [--strip]
-//! lowpower explain --blif CIRCUIT.blif --node NAME [--method VI] [--lib LIB.genlib]
-//! lowpower qor-baseline --blif A.blif [--blif B.blif ...] [--out FILE]
-//! lowpower qor-diff --baseline FILE --against FILE [--tol REL]
-//! ```
+//! [`COMMANDS`] lists the subcommands and the options each one reads;
+//! the same lists print the usage lines (run `lowpower` with no
+//! arguments), and a subcommand rejects any option not in its list.
 //!
 //! `synth` runs optimize → decompose → map → evaluate for one method and
 //! prints area / delay / power (zero-delay and glitch-aware); with `--out`
@@ -91,16 +80,80 @@ fn main() -> ExitCode {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("usage:");
-            eprintln!("  lowpower synth  --blif FILE [--lib FILE] [--method I..VI] [--required NS] [--out FILE] [--correlations] [--verify[=sim|full]] [--lint[=check|deny|off]] [--qor] [--obs[=summary|json|chrome]] [--obs-out FILE]");
-            eprintln!("  lowpower report --blif FILE [--lib FILE] [--verify[=sim|full]] [--lint[=check|deny|off]] [--obs[=...]] [--obs-out FILE]");
-            eprintln!("  lowpower decomp --blif FILE [--style conventional|minpower|bounded]");
-            eprintln!("  lowpower lint   --blif FILE [--lib FILE] [--method I..VI] [--style ...] [--lint=deny] [--json] [--obs[=...]] [--obs-out FILE]");
-            eprintln!("  lowpower obs-check [--file TRACE] [--chrome] [--strip]");
-            eprintln!("  lowpower explain --blif FILE --node NAME [--method I..VI] [--lib FILE]");
-            eprintln!("  lowpower qor-baseline --blif FILE [--blif FILE ...] [--out FILE]");
-            eprintln!("  lowpower qor-diff --baseline FILE --against FILE [--tol REL]");
+            for cmd in COMMANDS {
+                eprintln!("  {}", cmd.usage());
+            }
             ExitCode::from(2)
         }
+    }
+}
+
+/// A subcommand and the options it reads, as the usage fragments of its
+/// usage line: the flag, its value, and brackets when it is optional. The
+/// flags the fragments name are the only ones the subcommand accepts.
+struct Command {
+    name: &'static str,
+    run: fn(&Opts) -> Result<(), String>,
+    options: &'static str,
+}
+
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "synth",
+        run: synth,
+        options: "--blif FILE [--lib FILE] [--method I..VI] [--required NS] [--out FILE] [--correlations] [--verify[=sim|full]] [--lint[=check|deny|off]] [--qor] [--obs[=summary|json|chrome]] [--obs-out FILE]",
+    },
+    Command {
+        name: "report",
+        run: report,
+        options: "--blif FILE [--lib FILE] [--required NS] [--correlations] [--verify[=sim|full]] [--lint[=check|deny|off]] [--obs[=summary|json|chrome]] [--obs-out FILE]",
+    },
+    Command {
+        name: "decomp",
+        run: decomp,
+        options: "--blif FILE [--lib FILE] [--style conventional|minpower|bounded] [--correlations]",
+    },
+    Command {
+        name: "lint",
+        run: lint_cmd,
+        options: "--blif FILE [--lib FILE] [--method I..VI] [--correlations] [--lint=deny] [--json] [--obs[=summary|json|chrome]] [--obs-out FILE]",
+    },
+    Command {
+        name: "obs-check",
+        run: obs_check,
+        options: "[--file TRACE] [--chrome] [--strip]",
+    },
+    Command {
+        name: "explain",
+        run: explain,
+        options: "--blif FILE --node NAME [--method I..VI] [--lib FILE] [--required NS] [--correlations]",
+    },
+    Command {
+        name: "qor-baseline",
+        run: qor_baseline,
+        options: "--blif FILE [--blif FILE ...] [--lib FILE] [--required NS] [--correlations] [--out FILE]",
+    },
+    Command {
+        name: "qor-diff",
+        run: qor_diff,
+        options: "--baseline FILE --against FILE [--tol REL]",
+    },
+];
+
+impl Command {
+    /// `lowpower NAME` and the usage fragments of its options.
+    fn usage(&self) -> String {
+        format!("lowpower {:<6} {}", self.name, self.options)
+    }
+
+    /// The flags of the options, in usage order: `--verify` for the
+    /// fragment `[--verify[=sim|full]]`.
+    fn flags(&self) -> impl Iterator<Item = &'static str> {
+        self.options.split(' ').filter_map(|word| {
+            let word = word.trim_start_matches('[');
+            let end = word.find(['[', '=', ']']).unwrap_or(word.len());
+            word.starts_with("--").then(|| &word[..end])
+        })
     }
 }
 
@@ -137,10 +190,15 @@ impl Opts {
     }
 }
 
-fn parse_opts(args: &[String]) -> Result<Opts, String> {
+/// Parse the options of `cmd`, rejecting any it does not read.
+fn parse_opts(cmd: &Command, args: &[String]) -> Result<Opts, String> {
     let mut o = Opts::default();
     let mut args = args.iter();
     while let Some(arg) = args.next() {
+        let flag = arg.split('=').next().unwrap_or(arg);
+        if !cmd.flags().any(|f| f == flag) {
+            return Err(format!("`{}` does not take `{flag}`", cmd.name));
+        }
         let mut value = || args.next().cloned().ok_or(format!("`{arg}` needs a value"));
         let number = |v: String| v.parse().map_err(|_| format!("bad {arg} value"));
         match arg.as_str() {
@@ -213,26 +271,16 @@ fn run(args: &[String]) -> Result<(), String> {
     let Some(cmd) = args.first() else {
         return Err("missing subcommand".to_string());
     };
-    let o = parse_opts(&args[1..])?;
-    if cmd == "obs-check" {
-        return obs_check(&o);
-    }
-    if cmd == "qor-diff" {
-        return qor_diff(&o);
-    }
+    let command = COMMANDS
+        .iter()
+        .find(|c| c.name == cmd)
+        .ok_or(format!("unknown subcommand `{cmd}`"))?;
+    let o = parse_opts(command, &args[1..])?;
     // The CLI owns the obs session so one recording covers the whole
     // subcommand (including the multi-method `report` loop); `flow` sees
     // it active and does not start its own.
     let session = (o.obs != ObsMode::Off).then(lowpower::obs::Session::start);
-    let outcome = match cmd.as_str() {
-        "synth" => synth(&o),
-        "report" => report(&o),
-        "decomp" => decomp(&o),
-        "lint" => lint_cmd(&o),
-        "explain" => explain(&o),
-        "qor-baseline" => qor_baseline(&o),
-        other => Err(format!("unknown subcommand `{other}`")),
-    };
+    let outcome = (command.run)(&o);
     if let Some(session) = session {
         write_obs_report(&o, &session.finish())?;
     }
@@ -631,4 +679,57 @@ fn explain(o: &Opts) -> Result<(), String> {
     };
     println!("power     : {mine_power:.3} µW of {total_power:.3} µW total ({pct:.1}%)");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    /// Arguments setting `flag` to a valid value.
+    fn sample(flag: &str) -> Vec<String> {
+        match flag {
+            "--method" => args("--method V"),
+            "--required" | "--tol" => args(&format!("{flag} 0.5")),
+            "--style" => args("--style bounded"),
+            "--verify" => args("--verify=sim"),
+            "--lint" => args("--lint=deny"),
+            "--obs" => args("--obs=json"),
+            "--blif" | "--lib" | "--out" | "--obs-out" | "--file" | "--node" | "--baseline"
+            | "--against" => args(&format!("{flag} x")),
+            _ => args(flag),
+        }
+    }
+
+    #[test]
+    fn every_listed_option_parses() {
+        for cmd in COMMANDS {
+            let mut all = Vec::new();
+            for flag in cmd.flags() {
+                let one = sample(flag);
+                let parsed = parse_opts(cmd, &one);
+                assert!(parsed.is_ok(), "{} {one:?}: {:?}", cmd.name, parsed.err());
+                all.extend(one);
+            }
+            assert!(parse_opts(cmd, &all).is_ok(), "{} {all:?}", cmd.name);
+        }
+    }
+
+    #[test]
+    fn options_a_subcommand_does_not_read_are_rejected() {
+        for (line, flag) in [
+            ("report --blif examples/blif/mux4.blif --qor", "--qor"),
+            ("decomp --verify --method II", "--verify"),
+            ("lint --blif f.blif --style bounded", "--style"),
+            ("obs-check --obs=json", "--obs"),
+            ("synth --blif f.blif --bogus", "--bogus"),
+        ] {
+            let cmd = line.split(' ').next().unwrap();
+            let err = run(&args(line)).unwrap_err();
+            assert_eq!(err, format!("`{cmd}` does not take `{flag}`"), "{line}");
+        }
+    }
 }

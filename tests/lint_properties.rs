@@ -1,8 +1,7 @@
 //! Property-based self-tests of the lint subsystem (proptest).
 //!
-//! * Every certified logicopt pass, run on any generated network, must
-//!   leave it lint-clean (the debug-build certifier would panic first, but
-//!   these assertions also hold in release).
+//! * Every logicopt pass, run on any generated network, must leave it
+//!   lint-clean.
 //! * Decomposition of any generated network must be lint-clean, including
 //!   the DEC arity/depth rules.
 //! * The full flow at [`LintLevel::Deny`] must complete for every method
@@ -12,7 +11,6 @@
 use genlib::builtin::lib2_like;
 use lowpower::core::decomp::{decompose_network, DecompOptions, DecompStyle};
 use lowpower::flow::{optimize, run_method, FlowConfig, Method};
-use lowpower::lint::certify::{certified_decomposition, certified_pass};
 use lowpower::lint::{lint_decomposed, lint_network, LintConfig, LintLevel};
 use proptest::prelude::*;
 
@@ -35,10 +33,10 @@ fn gen_net(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Certified passes preserve structural invariants: the network is
+    /// The optimize passes preserve structural invariants: the network is
     /// lint-clean after each pass, in any order of application.
     #[test]
-    fn certified_passes_leave_networks_lint_clean(
+    fn passes_leave_networks_lint_clean(
         inputs in 3usize..8,
         outputs in 1usize..5,
         nodes in 4usize..30,
@@ -48,15 +46,15 @@ proptest! {
         let mut net = gen_net(inputs, outputs, nodes, 3, seed);
         prop_assert!(!lint_network(&net, &cfg).has_errors());
 
-        certified_pass("sweep", &mut net, logicopt::sweep::sweep);
+        logicopt::sweep::sweep(&mut net);
         prop_assert!(!lint_network(&net, &cfg).has_errors(), "sweep broke invariants");
-        certified_pass("simplify", &mut net, logicopt::simplify::simplify_network);
+        logicopt::simplify::simplify_network(&mut net);
         prop_assert!(!lint_network(&net, &cfg).has_errors(), "simplify broke invariants");
-        certified_pass("eliminate", &mut net, |n| logicopt::eliminate::eliminate(n, 0));
+        logicopt::eliminate::eliminate(&mut net, 0);
         prop_assert!(!lint_network(&net, &cfg).has_errors(), "eliminate broke invariants");
-        certified_pass("extract", &mut net, |n| logicopt::extract(n, 4));
+        logicopt::extract(&mut net, 4);
         prop_assert!(!lint_network(&net, &cfg).has_errors(), "extract broke invariants");
-        certified_pass("rugged_like", &mut net, logicopt::rugged_like);
+        logicopt::rugged_like(&mut net);
         prop_assert!(!lint_network(&net, &cfg).has_errors(), "rugged broke invariants");
     }
 
@@ -77,9 +75,7 @@ proptest! {
             DecompStyle::BoundedMinPower,
         ][style_ix];
         let net = gen_net(inputs, outputs, nodes, 4, seed);
-        let decomposed = certified_decomposition(&net, |n| {
-            decompose_network(n, &DecompOptions::new(style))
-        });
+        let decomposed = decompose_network(&net, &DecompOptions::new(style));
         let report = lint_decomposed(&decomposed, &LintConfig::new());
         prop_assert!(
             !report.has_errors(),
