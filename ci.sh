@@ -103,6 +103,9 @@ cargo bench --quiet -p lowpower-bench --bench bdd_prob > /dev/null
 echo "==> mapper smoke (criterion micro-bench: optimized x3, both objectives)"
 cargo bench --quiet -p lowpower-bench --bench map_sweep > /dev/null
 
+echo "==> decomposition smoke (criterion micro-bench: tree builders, s510 styles, optimized x3 bounded)"
+cargo bench --quiet -p lowpower-bench --bench decomp > /dev/null
+
 echo "==> qor gate (regenerate example-circuit QoR, zero-tolerance diff vs baseline)"
 cargo run --release --quiet -- qor-baseline \
     --blif examples/blif/fulladd.blif --blif examples/blif/mux4.blif \

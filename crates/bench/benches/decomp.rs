@@ -1,7 +1,8 @@
 //! Runtime scaling of the decomposition algorithms (Section 2):
 //! Huffman (`O(n log n)`-class), Modified Huffman (`O(n² log n)`, Algorithm
 //! 2.2), the feasibility-guarded bounded greedy, the Larmore–Hirschberg
-//! package-merge, and the Figure-1-sized exhaustive oracle.
+//! package-merge, the Figure-1-sized exhaustive oracle, and whole-network
+//! decomposition in each style, including the §2.3 bounded-height loop.
 
 use activity::TransitionModel;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -56,8 +57,11 @@ fn bench_exhaustive_oracle(c: &mut Criterion) {
 }
 
 fn bench_network_decomposition(c: &mut Criterion) {
+    use activity::NetworkBdds;
     use lowpower::flow::optimize;
-    use lowpower_core::decomp::{decompose_network, DecompOptions, DecompStyle};
+    use lowpower_core::decomp::{
+        decompose_network, decompose_network_with, DecompOptions, DecompStyle,
+    };
     let net = optimize(&benchgen::suite_circuit("s510"));
     let mut g = c.benchmark_group("network_decomposition_s510");
     for (label, style) in [
@@ -69,6 +73,19 @@ fn bench_network_decomposition(c: &mut Criterion) {
             b.iter(|| black_box(decompose_network(&net, &DecompOptions::new(style))))
         });
     }
+    g.finish();
+
+    // s510 meets its timing target after the MINPOWER pass; optimized x3
+    // runs the §2.3 loop for 74 rounds. Its BDDs are built once, outside
+    // the measurement (without correlations the decomposition only reads
+    // them).
+    let net = optimize(&benchgen::suite_circuit("x3"));
+    let mut bdds = NetworkBdds::build(&net, &vec![0.5; net.inputs().len()]);
+    let opts = DecompOptions::new(DecompStyle::BoundedMinPower);
+    let mut g = c.benchmark_group("network_decomposition_x3");
+    g.bench_function("bounded", |b| {
+        b.iter(|| black_box(decompose_network_with(&net, &opts, &mut bdds)))
+    });
     g.finish();
 }
 

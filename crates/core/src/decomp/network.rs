@@ -21,6 +21,11 @@
 //! `depth_surplus`-proportional slack distribution (which estimates the
 //! same per-node budget without exact timing — see DESIGN.md §5), and the
 //! surplus values are still reported in [`DecomposedNetwork::node_heights`].
+//!
+//! A decomposition is first a [`Plan`]: the gates to create, in creation
+//! order, with their fanins and levels, and no names. The §2.3 loop runs
+//! on the plan — a round rebuilds only the trees its new bound reaches and
+//! re-times the plan's gates — and every style emits its network once.
 
 use crate::decomp::bounded::{bounded_minpower_tree_with_heights, min_height};
 use crate::decomp::huffman::minpower_tree;
@@ -28,9 +33,12 @@ use crate::decomp::modified::modified_huffman_correlated;
 use crate::decomp::objective::{DecompObjective, GateKind};
 use crate::decomp::tree::{DecompTree, TreeNode};
 use activity::{ActivityMap, CorrelationMatrix, NetworkBdds, TransitionModel};
-use netlist::traversal::{unit_arrival_times, unit_slacks};
 use netlist::{Lit, Network, NodeId, Sop};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::ops::Range;
+
+#[cfg(test)]
+mod reference;
 
 /// Tree-shape policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,7 +119,7 @@ pub struct DecomposedNetwork {
     pub roots: HashMap<NodeId, NodeId>,
 }
 
-/// Per-node tree policy used by the builder.
+/// Per-node tree policy used by the planner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum NodePolicy {
     Balanced,
@@ -150,43 +158,40 @@ pub fn decompose_network_with(
     let corr = opts.use_correlations.then_some(bdds);
 
     match opts.style {
-        DecompStyle::Conventional => build(net, &act, opts.model, corr, &|_| NodePolicy::Balanced),
-        DecompStyle::MinPower => build(net, &act, opts.model, corr, &|_| NodePolicy::MinPower),
+        DecompStyle::Conventional => {
+            Plan::new(net, &act, opts.model, corr, NodePolicy::Balanced).emit()
+        }
+        DecompStyle::MinPower => {
+            Plan::new(net, &act, opts.model, corr, NodePolicy::MinPower).emit()
+        }
         DecompStyle::BoundedMinPower => bounded_decompose(net, &act, corr, opts),
     }
 }
 
 /// The §2.3 loop: unrestricted MINPOWER first; while the unit-delay
 /// requirement is violated, re-decompose the most negative-slack original
-/// node with its root's exact required time as the arrival bound.
+/// node with its root's exact required time as the arrival bound. Slacks
+/// are those of the network the plan emits; it is emitted once, at the end.
 fn bounded_decompose(
     net: &Network,
     act: &ActivityMap,
-    mut corr: Option<&mut NetworkBdds>,
+    corr: Option<&mut NetworkBdds>,
     opts: &DecompOptions,
 ) -> DecomposedNetwork {
-    let balanced = build(net, act, opts.model, None, &|_| NodePolicy::Balanced);
-    let required = opts.required_time.unwrap_or(balanced.depth);
-
-    let mut bounds: HashMap<NodeId, usize> = HashMap::new();
-    let mut redecomposed: HashSet<NodeId> = HashSet::new();
-    let mut current = build(
-        net,
-        act,
-        opts.model,
-        corr.as_deref_mut(),
-        &policy_fn(&bounds),
-    );
+    let required = opts.required_time.unwrap_or_else(|| {
+        let balanced = Plan::new(net, act, opts.model, None, NodePolicy::Balanced);
+        balanced.depth(&balanced.arrivals())
+    });
+    let mut plan = Plan::new(net, act, opts.model, corr, NodePolicy::MinPower);
+    let mut redecomposed = vec![false; net.arena_len()];
 
     loop {
-        if current.depth <= required {
+        let arrival = plan.arrivals();
+        if plan.depth(&arrival) <= required {
             break;
         }
         obs::counter!("decomp.slack.iterations");
-        let zeros = vec![0i64; current.network.inputs().len()];
-        let reqs = vec![required; current.network.outputs().len()];
-        let slack = unit_slacks(&current.network, &zeros, &reqs);
-        let arrival = unit_arrival_times(&current.network, &zeros);
+        let req = plan.required_times(required);
 
         // Most negative slack at an original node's root, among nodes not
         // yet re-decomposed; ties broken toward higher fanout (the paper:
@@ -194,119 +199,252 @@ fn bounded_decompose(
         // first").
         let mut cand: Option<(i64, i64, NodeId)> = None;
         for id in net.logic_ids() {
-            if redecomposed.contains(&id) {
+            let root = plan.root[id.index()];
+            if redecomposed[id.index()] || req[root] == i64::MAX {
                 continue;
             }
-            let root = current.roots[&id];
-            let s = slack[root.index()];
-            if s >= 0 || s == i64::MAX {
+            let s = req[root] - arrival[root] as i64;
+            if s >= 0 {
                 continue;
             }
             let key = (s, -(net.node(id).fanouts().len() as i64));
-            if cand.is_none() || (key.0, key.1) < (cand.expect("some").0, cand.expect("some").1) {
+            if cand.is_none_or(|(s0, f0, _)| key < (s0, f0)) {
                 cand = Some((key.0, key.1, id));
             }
         }
         let Some((_, _, n)) = cand else { break };
         obs::counter!("decomp.redecomp.rounds");
-        redecomposed.insert(n);
-        let root = current.roots[&n];
         // Exact required arrival level at this node's root.
-        let bound = (arrival[root.index()] + slack[root.index()]).max(0) as usize;
-        bounds.insert(n, bound);
-        current = build(
-            net,
-            act,
-            opts.model,
-            corr.as_deref_mut(),
-            &policy_fn(&bounds),
+        let bound = req[plan.root[n.index()]].max(0) as usize;
+        redecomposed[n.index()] = true;
+        plan.rebound(n, bound);
+    }
+
+    let mut d = plan.emit();
+    if d.depth > required {
+        obs::counter!("decomp.required.unmet");
+        obs::note_event!(
+            "decomp: {} misses its unit-delay target: depth {} > required {}",
+            net.name(),
+            d.depth,
+            required
         );
     }
-
-    current.applied_bounds = bounds
+    d.applied_bounds = plan
+        .nodes
         .iter()
-        .map(|(id, b)| (net.node(*id).name().to_string(), *b))
+        .filter_map(|n| match n.policy {
+            NodePolicy::Bounded(b) => Some((net.node(n.id).name().to_string(), b)),
+            _ => None,
+        })
         .collect();
-    current
+    d
 }
 
-fn policy_fn(bounds: &HashMap<NodeId, usize>) -> impl Fn(NodeId) -> NodePolicy + '_ {
-    move |id| match bounds.get(&id) {
-        Some(&b) => NodePolicy::Bounded(b),
-        None => NodePolicy::MinPower,
-    }
+/// What a planned gate computes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Op {
+    /// A primary input.
+    Input,
+    /// A fanin-less constant node: 1 when `true`.
+    Const(bool),
+    /// The inverter of a source signal, shared by its negative literals.
+    Inv,
+    /// A gate of a cube's AND tree.
+    And,
+    /// A gate of a node's OR tree over its cubes.
+    Or,
+    /// A buffer giving a node's name to a signal that is not its own (a
+    /// node whose function is a single literal).
+    Buf,
 }
 
-const AND2: &[&str] = &["11"];
-const OR2: &[&str] = &["1-", "-1"];
-const INV: &[&str] = &["0"];
-
-/// Build the decomposed network with a per-original-node policy. With
-/// `corr`, AND trees of MinPower-policy nodes use the correlation-aware
-/// Modified Huffman construction (eqs. 7–9) seeded with exact joint
-/// probabilities from the original network's global BDDs.
-fn build(
-    net: &Network,
-    act: &ActivityMap,
-    model: TransitionModel,
-    mut corr: Option<&mut NetworkBdds>,
-    policy: &dyn Fn(NodeId) -> NodePolicy,
-) -> DecomposedNetwork {
-    let mut e = Emitter {
-        out: Network::new(format!("{}_decomp", net.name())),
-        level: HashMap::new(),
-        created: Vec::new(),
-        source: net,
-    };
-    // original node -> node in `out` carrying its function
-    let mut root: HashMap<NodeId, NodeId> = HashMap::new();
-    // inverter cache in `out`
-    let mut inv_cache: HashMap<NodeId, NodeId> = HashMap::new();
-    let mut node_heights = Vec::new();
-    // `out` node -> original node it descends from (provenance)
-    let mut prov: HashMap<NodeId, NodeId> = HashMap::new();
-
-    for &pi in net.inputs() {
-        let id = e
-            .out
-            .add_input(net.node(pi).name().to_string())
-            .expect("unique input name");
-        root.insert(pi, id);
-        e.level.insert(id, 0);
-    }
-
-    let and_obj = DecompObjective::new(model, GateKind::And);
-    let or_obj = DecompObjective::new(model, GateKind::Or);
-
-    for id in net.topo_order().expect("acyclic") {
-        let node = net.node(id);
-        let Some(sop) = node.sop() else { continue };
-        let pol = policy(id);
-        let fanins = node.fanins();
-
-        // Constants.
-        if sop.is_zero() || sop.has_tautology_cube() {
-            let w = if sop.is_zero() {
-                Sop::zero(0)
-            } else {
-                Sop::one(0)
-            };
-            let nid = e
-                .out
-                .add_logic(node.name().to_string(), vec![], w)
-                .expect("unique node name");
-            root.insert(id, nid);
-            e.level.insert(nid, 0);
-            prov.insert(nid, id);
-            node_heights.push((node.name().to_string(), 0, 0));
-            continue;
+impl Op {
+    fn arity(self) -> usize {
+        match self {
+            Op::Input | Op::Const(_) => 0,
+            Op::Inv | Op::Buf => 1,
+            Op::And | Op::Or => 2,
         }
+    }
+}
 
+/// A decomposition before it is a network: the gates the emitter creates,
+/// in creation order (every fanin precedes its consumer), with their
+/// fanins and levels, and no names. Which gates exist and in what order
+/// depends on the source network alone; a node's policy only shapes its
+/// trees, that is how the AND and OR gates it reserves are wired.
+struct Plan<'a> {
+    net: &'a Network,
+    act: &'a ActivityMap,
+    and_obj: DecompObjective,
+    or_obj: DecompObjective,
+    /// Per gate: what it computes, its fanin gates (the first
+    /// [`Op::arity`]), its unit-delay level with constants at 0 (the level
+    /// tree leaves are placed at), and the source node whose decomposition
+    /// emits it (for an inverter, the node it inverts).
+    op: Vec<Op>,
+    fanin: Vec<[usize; 2]>,
+    level: Vec<usize>,
+    owner: Vec<NodeId>,
+    /// Per source node, by [`NodeId::index`]: the gate computing its
+    /// function.
+    root: Vec<usize>,
+    /// Logic nodes in topological order.
+    nodes: Vec<NodePlan>,
+    /// Cubes of all nodes, node by node.
+    cubes: Vec<CubePlan>,
+    /// Literal leaves of all cubes, cube by cube.
+    leaves: Vec<Leaf>,
+}
+
+/// One logic node of the source network.
+struct NodePlan {
+    id: NodeId,
+    policy: NodePolicy,
+    /// Its gates: the inverters it is the first to need, its AND gates,
+    /// then its OR gates and its buffer, or its constant. The last one is
+    /// its root.
+    gates: Range<usize>,
+    /// Its cubes (none for a constant) and their leaves.
+    cubes: Range<usize>,
+    leaves: Range<usize>,
+}
+
+/// One cube: its leaves and its first AND gate.
+struct CubePlan {
+    leaves: Range<usize>,
+    and_start: usize,
+}
+
+/// A literal of a cube.
+struct Leaf {
+    /// The gate it reads: the source signal's root or its inverter.
+    gate: usize,
+    /// The source signal and the literal's phase (`true` = positive).
+    src: NodeId,
+    phase: bool,
+    /// `P(literal = 1)`.
+    p: f64,
+    /// The gate's level when the cube's tree was last built.
+    built_at: usize,
+}
+
+impl<'a> Plan<'a> {
+    /// Lay out the gates of `net` and build every node's trees under
+    /// `policy`; with `corr`, MINPOWER AND trees are correlation-aware
+    /// (Modified Huffman, eqs. 7–9, seeded with exact joint probabilities
+    /// from the source network's global BDDs).
+    fn new(
+        net: &'a Network,
+        act: &'a ActivityMap,
+        model: TransitionModel,
+        mut corr: Option<&mut NetworkBdds>,
+        policy: NodePolicy,
+    ) -> Plan<'a> {
+        let mut plan = Plan {
+            net,
+            act,
+            and_obj: DecompObjective::new(model, GateKind::And),
+            or_obj: DecompObjective::new(model, GateKind::Or),
+            op: Vec::new(),
+            fanin: Vec::new(),
+            level: Vec::new(),
+            owner: Vec::new(),
+            root: vec![usize::MAX; net.arena_len()],
+            nodes: Vec::new(),
+            cubes: Vec::new(),
+            leaves: Vec::new(),
+        };
+        let mut inverter = vec![usize::MAX; net.arena_len()];
+        for &pi in net.inputs() {
+            plan.root[pi.index()] = plan.push(Op::Input, 0, pi);
+        }
+        for id in net.topo_order().expect("acyclic") {
+            let node = net.node(id);
+            let Some(sop) = node.sop() else { continue };
+            let (gates, cubes, leaves) = (plan.op.len(), plan.cubes.len(), plan.leaves.len());
+            if sop.is_zero() || sop.has_tautology_cube() {
+                plan.push(Op::Const(!sop.is_zero()), 0, id);
+            } else {
+                for cube in sop.cubes() {
+                    let first = plan.leaves.len();
+                    for (pos, lit) in cube.bound_lits() {
+                        let src = node.fanins()[pos];
+                        let phase = lit == Lit::Pos;
+                        let mut gate = plan.root[src.index()];
+                        if !phase {
+                            if inverter[src.index()] == usize::MAX {
+                                inverter[src.index()] = plan.push(Op::Inv, gate, src);
+                            }
+                            gate = inverter[src.index()];
+                        }
+                        let p = act.p_one(src);
+                        plan.leaves.push(Leaf {
+                            gate,
+                            src,
+                            phase,
+                            p: if phase { p } else { 1.0 - p },
+                            built_at: 0,
+                        });
+                    }
+                    let and_start = plan.reserve(Op::And, plan.leaves.len() - first - 1, id);
+                    plan.cubes.push(CubePlan {
+                        leaves: first..plan.leaves.len(),
+                        and_start,
+                    });
+                }
+                plan.reserve(Op::Or, sop.cube_count() - 1, id);
+                if sop.cube_count() == 1 && sop.literal_count() == 1 {
+                    let leaf = plan.leaves[leaves].gate;
+                    plan.push(Op::Buf, leaf, id);
+                }
+            }
+            plan.root[id.index()] = plan.op.len() - 1;
+            plan.nodes.push(NodePlan {
+                id,
+                policy,
+                gates: gates..plan.op.len(),
+                cubes: cubes..plan.cubes.len(),
+                leaves: leaves..plan.leaves.len(),
+            });
+            plan.grow(plan.nodes.len() - 1, corr.as_deref_mut());
+        }
+        plan
+    }
+
+    /// Append `n` gates for `owner`, to be wired by [`Plan::wire`]; returns
+    /// the first.
+    fn reserve(&mut self, op: Op, n: usize, owner: NodeId) -> usize {
+        let first = self.op.len();
+        for _ in 0..n {
+            self.op.push(op);
+            self.fanin.push([0, 0]);
+            self.level.push(0);
+            self.owner.push(owner);
+        }
+        first
+    }
+
+    /// Append a gate with at most one fanin (inputs and constants ignore
+    /// `fanin`); returns it.
+    fn push(&mut self, op: Op, fanin: usize, owner: NodeId) -> usize {
+        let g = self.reserve(op, 1, owner);
+        self.fanin[g] = [fanin, fanin];
+        self.settle(g..g + 1);
+        g
+    }
+
+    /// Build node `k`'s trees under its policy over the current levels of
+    /// its leaves, and wire them into its gates.
+    fn grow(&mut self, k: usize, mut corr: Option<&mut NetworkBdds>) {
+        let node = &self.nodes[k];
+        let (policy, cubes, gates_end) = (node.policy, node.cubes.clone(), node.gates.end);
         // Split the arrival budget between the cube AND trees and the OR
         // tree above them (bounded style only).
-        let (and_pol, or_pol) = match pol {
+        let (and_pol, or_pol) = match policy {
             NodePolicy::Bounded(l) => {
-                let m = sop.cube_count();
+                let m = cubes.len();
                 let or_levels = if m <= 1 {
                     0
                 } else {
@@ -319,202 +457,266 @@ fn build(
             }
             p => (p, p),
         };
-
-        // Literal leaves per cube: (out node, p_one, arrival level), plus
-        // the original source signal for correlation lookups.
-        let mut cube_roots: Vec<(NodeId, f64, usize)> = Vec::new();
-        for cube in sop.cubes() {
-            let mut leaves: Vec<(NodeId, f64, usize)> = Vec::new();
-            let mut sources: Vec<(NodeId, bool)> = Vec::new();
-            for (pos, lit) in cube.bound_lits() {
-                let src_orig = fanins[pos];
-                let src = root[&src_orig];
-                let p_src = act.p_one(src_orig);
-                match lit {
-                    Lit::Pos => {
-                        leaves.push((src, p_src, e.level[&src]));
-                        sources.push((src_orig, true));
-                    }
-                    Lit::Neg => {
-                        let inv = *inv_cache.entry(src).or_insert_with(|| {
-                            let name = e.fresh_name("inv_");
-                            let inv = e
-                                .out
-                                .add_logic(name, vec![src], Sop::parse(1, INV).expect("inv sop"))
-                                .expect("fresh name");
-                            e.level.insert(inv, e.level[&src] + 1);
-                            // Shared across consumers: attributed to the
-                            // driver, not the node being decomposed.
-                            prov.insert(inv, src_orig);
-                            inv
-                        });
-                        leaves.push((inv, 1.0 - p_src, e.level[&inv]));
-                        sources.push((src_orig, false));
-                    }
-                    Lit::Free => unreachable!(),
-                }
+        // (root gate, P(root = 1)) of every cube.
+        let mut cube_roots: Vec<(usize, f64)> = Vec::with_capacity(cubes.len());
+        for c in cubes {
+            let CubePlan {
+                ref leaves,
+                and_start,
+            } = self.cubes[c];
+            let leaves = &mut self.leaves[leaves.clone()];
+            for leaf in leaves.iter_mut() {
+                leaf.built_at = self.level[leaf.gate];
             }
-            let correlated = match (&mut corr, and_pol) {
+            if let [leaf] = leaves {
+                cube_roots.push((leaf.gate, leaf.p));
+                continue;
+            }
+            let gates: Vec<usize> = leaves.iter().map(|l| l.gate).collect();
+            let tree = match (&mut corr, and_pol) {
                 (Some(bdds), NodePolicy::MinPower) if leaves.len() >= 3 => {
-                    Some(correlated_and_tree(bdds, act, &sources, and_obj))
+                    let sources: Vec<(NodeId, bool)> =
+                        leaves.iter().map(|l| (l.src, l.phase)).collect();
+                    correlated_and_tree(bdds, self.act, &sources, self.and_obj)
                 }
-                _ => None,
-            };
-            let (cube_node, p_cube, l_cube) = match correlated {
-                Some(tree) => {
-                    let p = tree.p_root();
-                    let (root_node, lv) = e.instantiate(&tree, tree.root(), &leaves, AND2);
-                    (root_node, p, lv)
+                _ => {
+                    let probs: Vec<f64> = leaves.iter().map(|l| l.p).collect();
+                    let heights: Vec<usize> = leaves.iter().map(|l| l.built_at).collect();
+                    grow_tree(&probs, &heights, self.and_obj, and_pol)
                 }
-                None => e.emit_tree(&leaves, and_obj, and_pol, AND2),
             };
-            cube_roots.push((cube_node, p_cube, l_cube));
+            let mut next = and_start;
+            let root = self.wire(&tree, tree.root(), &gates, &mut next);
+            cube_roots.push((root, tree.p_root()));
         }
-
-        // OR tree over cube roots.
-        let (node_root, _p, _l_root) = e.emit_tree(&cube_roots, or_obj, or_pol, OR2);
-
-        // Rename / alias the root to the original node's name.
-        let final_id = e.alias_with_name(node_root, node.name());
-        root.insert(id, final_id);
-        for c in e.created.drain(..) {
-            prov.insert(c, id);
-        }
-        prov.insert(final_id, id);
-
-        // Balanced-height reference of this node in isolation (for the
-        // depth_surplus report).
-        let hb = balanced_height_estimate(sop);
-        node_heights.push((node.name().to_string(), e.level[&final_id], hb));
-    }
-
-    let mut out = e.out;
-    for (name, o) in net.outputs() {
-        out.add_output(name.clone(), root[o]);
-    }
-    out.check()
-        .expect("decomposed network must be structurally sound");
-    obs::counter!("decomp.nodes.emitted", out.logic_ids().count() as u64);
-    let depth = netlist::traversal::depth(&out);
-    // Renames are done: freeze the provenance map under final names.
-    let provenance = prov
-        .iter()
-        .map(|(nid, orig)| {
-            (
-                out.node(*nid).name().to_string(),
-                net.node(*orig).name().to_string(),
-            )
-        })
-        .collect();
-    DecomposedNetwork {
-        network: out,
-        node_heights,
-        applied_bounds: HashMap::new(),
-        depth,
-        provenance,
-        roots: root,
-    }
-}
-
-/// The decomposed network under construction, with the per-node state
-/// the builder tracks.
-struct Emitter<'s> {
-    out: Network,
-    /// Absolute unit-delay arrival level of every `out` node.
-    level: HashMap<NodeId, usize>,
-    /// Fresh tree gates of the original node currently being decomposed.
-    created: Vec<NodeId>,
-    /// The network being decomposed. Fresh names avoid its node names,
-    /// which the roots of its nodes take.
-    source: &'s Network,
-}
-
-impl Emitter<'_> {
-    /// A name with `prefix` that is unused in `out` and that no node of
-    /// the source network claims later.
-    fn fresh_name(&mut self, prefix: &str) -> String {
-        loop {
-            let name = self.out.fresh_name(prefix);
-            if self.source.find(&name).is_none() {
-                return name;
-            }
+        if cube_roots.len() > 1 {
+            let gates: Vec<usize> = cube_roots.iter().map(|&(g, _)| g).collect();
+            let probs: Vec<f64> = cube_roots.iter().map(|&(_, p)| p).collect();
+            let heights: Vec<usize> = gates.iter().map(|&g| self.level[g]).collect();
+            let tree = grow_tree(&probs, &heights, self.or_obj, or_pol);
+            // The OR gates close the node's range.
+            let mut next = gates_end + 1 - gates.len();
+            self.wire(&tree, tree.root(), &gates, &mut next);
         }
     }
 
-    /// Emit a tree over `leaves` (node, probability, arrival level);
-    /// returns `(root node, root probability, root arrival level)`.
-    fn emit_tree(
-        &mut self,
-        leaves: &[(NodeId, f64, usize)],
-        obj: DecompObjective,
-        pol: NodePolicy,
-        gate_sop: &[&str],
-    ) -> (NodeId, f64, usize) {
-        assert!(!leaves.is_empty(), "tree needs leaves");
-        if leaves.len() == 1 {
-            return leaves[0];
-        }
-        let probs: Vec<f64> = leaves.iter().map(|&(_, p, _)| p).collect();
-        let heights: Vec<usize> = leaves.iter().map(|&(_, _, h)| h).collect();
-        let tree = match pol {
-            NodePolicy::Balanced => balanced_tree(&probs, &heights, obj),
-            NodePolicy::MinPower => minpower_tree(&probs, obj),
-            NodePolicy::Bounded(bound) => {
-                let feasible = min_height(&heights).max(bound);
-                bounded_minpower_tree_with_heights(&probs, &heights, obj, feasible)
-                    .expect("bound made feasible by construction")
-            }
-        };
-        let (root, root_level) = self.instantiate(&tree, tree.root(), leaves, gate_sop);
-        (root, tree.p_root(), root_level)
-    }
-
-    /// Materialize the subtree of a [`DecompTree`] at `idx` as 2-input
-    /// gates; returns `(root, level)`.
-    fn instantiate(
-        &mut self,
-        tree: &DecompTree,
-        idx: usize,
-        leaves: &[(NodeId, f64, usize)],
-        gate_sop: &[&str],
-    ) -> (NodeId, usize) {
+    /// Wire the subtree of `tree` at `idx` over the leaf gates `leaves`
+    /// into the reserved gates from `next` on, in the order the emitter
+    /// creates them (left subtree, right subtree, gate), and settle their
+    /// levels; returns the subtree's root gate.
+    fn wire(&mut self, tree: &DecompTree, idx: usize, leaves: &[usize], next: &mut usize) -> usize {
         match tree.nodes()[idx] {
-            TreeNode::Leaf { input, .. } => (leaves[input].0, leaves[input].2),
+            TreeNode::Leaf { input, .. } => leaves[input],
             TreeNode::Internal { left, right, .. } => {
-                let (l, ll) = self.instantiate(tree, left, leaves, gate_sop);
-                let (r, lr) = self.instantiate(tree, right, leaves, gate_sop);
-                let name = self.fresh_name("d_");
-                let sop = Sop::parse(2, gate_sop).expect("gate sop");
-                let id = self
-                    .out
-                    .add_logic(name, vec![l, r], sop)
-                    .expect("fresh name");
-                let lv = ll.max(lr) + 1;
-                self.level.insert(id, lv);
-                self.created.push(id);
-                (id, lv)
+                let l = self.wire(tree, left, leaves, next);
+                let r = self.wire(tree, right, leaves, next);
+                let g = *next;
+                *next += 1;
+                self.fanin[g] = [l, r];
+                self.settle(g..g + 1);
+                g
             }
         }
     }
 
-    /// Give `node` the name `name`. A fresh tree gate of the node being
-    /// decomposed is renamed in place; shared nodes (inputs, cached
-    /// inverters, other nodes' roots) get an aliasing buffer instead, since
-    /// they may serve several original nodes.
-    fn alias_with_name(&mut self, node: NodeId, name: &str) -> NodeId {
-        if self.created.contains(&node) {
-            self.out
-                .rename_node(node, name)
-                .expect("original names are unique");
-            return node;
+    /// Recompute the levels of `gates` from their fanins' levels.
+    fn settle(&mut self, gates: Range<usize>) {
+        for g in gates {
+            self.level[g] = self.level_of(g, &self.level, 0);
         }
-        let sop = Sop::parse(1, &["1"]).expect("buffer sop");
-        let buf = self
-            .out
-            .add_logic(name.to_string(), vec![node], sop)
-            .expect("original names are unique");
-        self.level.insert(buf, self.level[&node] + 1);
-        buf
+    }
+
+    /// The unit-delay level of gate `g` over `lv`, the levels of the gates
+    /// before it, with a constant at level `constant`.
+    fn level_of(&self, g: usize, lv: &[usize], constant: usize) -> usize {
+        let [a, b] = self.fanin[g];
+        match self.op[g] {
+            Op::Input => 0,
+            Op::Const(_) => constant,
+            Op::Inv | Op::Buf => lv[a] + 1,
+            Op::And | Op::Or => lv[a].max(lv[b]) + 1,
+        }
+    }
+
+    /// Unit-delay arrival times of the gates, as
+    /// [`netlist::traversal::unit_arrival_times`] gives them on the emitted
+    /// network: there a fanin-less constant arrives at 1, not 0.
+    fn arrivals(&self) -> Vec<usize> {
+        let mut arrival = vec![0; self.op.len()];
+        for g in 0..arrival.len() {
+            arrival[g] = self.level_of(g, &arrival, 1);
+        }
+        arrival
+    }
+
+    /// Depth of the emitted network: its latest output arrival.
+    fn depth(&self, arrival: &[usize]) -> i64 {
+        self.net
+            .outputs()
+            .iter()
+            .map(|(_, o)| arrival[self.root[o.index()]] as i64)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Unit-delay required times of the gates for outputs required at
+    /// `required`, as [`netlist::traversal::unit_required_times`] gives
+    /// them: the minimum over a gate's consumers, `i64::MAX` for a gate
+    /// that reaches no output.
+    fn required_times(&self, required: i64) -> Vec<i64> {
+        let mut req = vec![i64::MAX; self.op.len()];
+        for (_, o) in self.net.outputs() {
+            req[self.root[o.index()]] = required;
+        }
+        for g in (0..req.len()).rev() {
+            if req[g] == i64::MAX {
+                continue;
+            }
+            for &f in &self.fanin[g][..self.op[g].arity()] {
+                req[f] = req[f].min(req[g] - 1);
+            }
+        }
+        req
+    }
+
+    /// Bound the root arrival of source node `n` by `bound` and re-plan:
+    /// rebuild its trees, then re-level every later node, rebuilding the
+    /// trees of a bounded node whose leaf levels moved. MINPOWER trees
+    /// depend on probabilities alone and are kept.
+    fn rebound(&mut self, n: NodeId, bound: usize) {
+        let k = self
+            .nodes
+            .iter()
+            .position(|p| p.id == n)
+            .expect("logic node");
+        self.nodes[k].policy = NodePolicy::Bounded(bound);
+        self.grow(k, None);
+        for j in k + 1..self.nodes.len() {
+            let node = &self.nodes[j];
+            let (gates, leaves) = (node.gates.clone(), node.leaves.clone());
+            self.settle(gates);
+            let moved = self.leaves[leaves]
+                .iter()
+                .any(|l| self.level[l.gate] != l.built_at);
+            if moved && matches!(self.nodes[j].policy, NodePolicy::Bounded(_)) {
+                self.grow(j, None);
+            }
+        }
+    }
+
+    /// Emit the planned network. Gates are created in plan order and draw
+    /// their fresh names in that order; a node's root tree gate takes the
+    /// node's name as soon as it exists.
+    fn emit(&self) -> DecomposedNetwork {
+        let net = self.net;
+        let mut out = Network::new(format!("{}_decomp", net.name()));
+        let sop = |width, rows: &[&str]| Sop::parse(width, rows).expect("gate sop");
+        let (and2, or2) = (sop(2, &["11"]), sop(2, &["1-", "-1"]));
+        let (inv, buf) = (sop(1, &["0"]), sop(1, &["1"]));
+        let mut ids: Vec<NodeId> = Vec::with_capacity(self.op.len());
+        let mut provenance = HashMap::new();
+        for (g, &op) in self.op.iter().enumerate() {
+            let owner = self.owner[g];
+            let name = net.node(owner).name();
+            let fanins: Vec<NodeId> = self.fanin[g][..op.arity()]
+                .iter()
+                .map(|&f| ids[f])
+                .collect();
+            let id = match op {
+                Op::Input => out.add_input(name),
+                Op::Const(one) => {
+                    let value = if one { Sop::one(0) } else { Sop::zero(0) };
+                    out.add_logic(name, fanins, value)
+                }
+                Op::Inv => {
+                    let fresh = fresh_name(&mut out, net, "inv_");
+                    out.add_logic(fresh, fanins, inv.clone())
+                }
+                Op::And | Op::Or => {
+                    let fresh = fresh_name(&mut out, net, "d_");
+                    let gate = if op == Op::And { &and2 } else { &or2 };
+                    out.add_logic(fresh, fanins, gate.clone())
+                }
+                Op::Buf => out.add_logic(name, fanins, buf.clone()),
+            }
+            .expect("planned names are unique");
+            if self.root[owner.index()] == g && matches!(op, Op::And | Op::Or) {
+                out.rename_node(id, name)
+                    .expect("original names are unique");
+            }
+            if op != Op::Input {
+                provenance.insert(out.node(id).name().to_string(), name.to_string());
+            }
+            ids.push(id);
+        }
+        for (name, o) in net.outputs() {
+            out.add_output(name.clone(), ids[self.root[o.index()]]);
+        }
+        out.check()
+            .expect("decomposed network must be structurally sound");
+        obs::counter!("decomp.nodes.emitted", out.logic_ids().count() as u64);
+
+        let node_heights = self
+            .nodes
+            .iter()
+            .map(|n| {
+                let node = net.node(n.id);
+                // Balanced-height reference of the node in isolation (for
+                // the depth_surplus report).
+                let hb = match node.sop() {
+                    Some(sop) if !n.cubes.is_empty() => balanced_height_estimate(sop),
+                    _ => 0,
+                };
+                let level = self.level[self.root[n.id.index()]];
+                (node.name().to_string(), level, hb)
+            })
+            .collect();
+        let roots = net
+            .inputs()
+            .iter()
+            .copied()
+            .chain(self.nodes.iter().map(|n| n.id))
+            .map(|id| (id, ids[self.root[id.index()]]))
+            .collect();
+        DecomposedNetwork {
+            depth: netlist::traversal::depth(&out),
+            network: out,
+            node_heights,
+            applied_bounds: HashMap::new(),
+            provenance,
+            roots,
+        }
+    }
+}
+
+/// A name with `prefix` that is unused in `out` and that no node of
+/// `source` claims later (the roots of its nodes take their names).
+fn fresh_name(out: &mut Network, source: &Network, prefix: &str) -> String {
+    loop {
+        let name = out.fresh_name(prefix);
+        if source.find(&name).is_none() {
+            return name;
+        }
+    }
+}
+
+/// Build a tree over leaves with the given 1-probabilities and arrival
+/// levels under `pol`.
+fn grow_tree(
+    probs: &[f64],
+    heights: &[usize],
+    obj: DecompObjective,
+    pol: NodePolicy,
+) -> DecompTree {
+    obs::counter!("decomp.trees.built");
+    match pol {
+        NodePolicy::Balanced => balanced_tree(probs, heights, obj),
+        NodePolicy::MinPower => minpower_tree(probs, obj),
+        NodePolicy::Bounded(bound) => {
+            let feasible = min_height(heights).max(bound);
+            bounded_minpower_tree_with_heights(probs, heights, obj, feasible)
+                .expect("bound made feasible by construction")
+        }
     }
 }
 
@@ -528,6 +730,7 @@ fn correlated_and_tree(
     sources: &[(NodeId, bool)],
     obj: DecompObjective,
 ) -> DecompTree {
+    obs::counter!("decomp.trees.built");
     let n = sources.len();
     let p: Vec<f64> = sources
         .iter()
@@ -754,6 +957,38 @@ mod tests {
         let d = decompose_network(&net, &opts);
         assert!(d.depth <= conv.depth);
         d.network.check().unwrap();
+    }
+
+    #[test]
+    fn an_unmet_unit_delay_target_is_counted_and_noted() {
+        let net = sample();
+        let conv = decompose_network(&net, &DecompOptions::new(DecompStyle::Conventional));
+        for (required, unmet) in [(None, false), (Some(conv.depth - 1), true)] {
+            let opts = DecompOptions {
+                required_time: required,
+                ..DecompOptions::new(DecompStyle::BoundedMinPower)
+            };
+            let session = obs::Session::start();
+            let d = decompose_network(&net, &opts);
+            let report = session.finish();
+            let (_, notes) = obs::check::check_jsonl(&report.render_jsonl()).unwrap();
+            let count = report.metrics.counters.get("decomp.required.unmet");
+            if unmet {
+                assert!(
+                    d.depth > conv.depth - 1,
+                    "test premise: the target is infeasible"
+                );
+                assert_eq!(count, Some(&1));
+                let text = format!(
+                    "decomp: s misses its unit-delay target: depth {} > required {}",
+                    d.depth,
+                    conv.depth - 1
+                );
+                assert_eq!(notes.iter().map(|n| &n.1).collect::<Vec<_>>(), [&text]);
+            } else {
+                assert_eq!((count, notes.len()), (None, 0));
+            }
+        }
     }
 
     #[test]
