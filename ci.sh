@@ -53,6 +53,17 @@ for f in examples/blif/*.blif; do
     cmp "$TMP/cli.txt" "results/cli/$b.report.txt"
 done
 
+echo "==> explain byte-identity (VI on each example's first output, README's mux4 V run, vs results/cli/)"
+for f in examples/blif/*.blif; do
+    b=$(basename "$f" .blif)
+    node=$(sed -n 's/^\.outputs \([^ ]*\).*/\1/p' "$f")
+    cargo run --release --quiet -- explain --blif "$f" --method VI --node "$node" > "$TMP/cli.txt"
+    cmp "$TMP/cli.txt" "results/cli/$b.explain.txt"
+done
+cargo run --release --quiet -- explain --blif examples/blif/mux4.blif --method V --node f \
+    > "$TMP/cli.txt"
+cmp "$TMP/cli.txt" results/cli/mux4.explain-V.txt
+
 echo "==> CLI option gate (a subcommand rejects options it does not read)"
 for args in "report --blif examples/blif/mux4.blif --qor" \
     "decomp --blif examples/blif/mux4.blif --verify"; do

@@ -31,6 +31,7 @@ pub use huffman::{huffman_tree, minpower_tree};
 pub use modified::{modified_huffman_correlated, modified_huffman_tree};
 pub use network::{
     decompose_network, decompose_network_with, DecompOptions, DecompStyle, DecomposedNetwork,
+    SourceNode,
 };
 pub use objective::{DecompObjective, GateKind};
 pub use package_merge::package_merge_levels;

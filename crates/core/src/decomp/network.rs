@@ -20,7 +20,7 @@
 //! its root's required time as the bound; this subsumes the paper's
 //! `depth_surplus`-proportional slack distribution (which estimates the
 //! same per-node budget without exact timing — see DESIGN.md §5), and the
-//! surplus values are still reported in [`DecomposedNetwork::node_heights`].
+//! surplus values are still reported per source node ([`SourceNode`]).
 //!
 //! A decomposition is first a [`Plan`]: the gates to create, in creation
 //! order, with their fanins and levels, and no names. The §2.3 loop runs
@@ -34,7 +34,6 @@ use crate::decomp::objective::{DecompObjective, GateKind};
 use crate::decomp::tree::{DecompTree, TreeNode};
 use activity::{ActivityMap, CorrelationMatrix, NetworkBdds, TransitionModel};
 use netlist::{Lit, Network, NodeId, Sop};
-use std::collections::HashMap;
 use std::ops::Range;
 
 #[cfg(test)]
@@ -99,24 +98,37 @@ impl DecompOptions {
 pub struct DecomposedNetwork {
     /// The AND/OR/INV network (every logic node has ≤ 2 inputs).
     pub network: Network,
-    /// Per-original-node `(name, root arrival level, balanced-height
-    /// estimate)` — the difference of the last two is the paper's
-    /// `depth_surplus`.
-    pub node_heights: Vec<(String, usize, usize)>,
-    /// Root-arrival bounds applied by the bounded pass (empty otherwise).
-    pub applied_bounds: HashMap<String, usize>,
     /// Depth (unit-delay levels) of the decomposed network.
     pub depth: i64,
-    /// Provenance: decomposed logic-node name → name of the original node
-    /// whose decomposition emitted it. Tree gates (`d_*`, later possibly
-    /// renamed) and aliasing buffers map to the node being decomposed;
-    /// shared inverters (`inv_*`) map to the node that *drives* them.
-    /// Primary inputs are their own provenance and are omitted.
-    pub provenance: HashMap<String, String>,
-    /// Source node → the node of [`DecomposedNetwork::network`] computing
-    /// its function (its tree root, aliasing buffer, constant or input).
-    /// Holds every input and logic node of the source network.
-    pub roots: HashMap<NodeId, NodeId>,
+    /// One record per node of the source network: its primary inputs in
+    /// order, then its logic nodes in topological order.
+    pub sources: Vec<SourceNode>,
+    /// Provenance: per node of [`DecomposedNetwork::network`], by
+    /// [`NodeId::index`], the position in `sources` of the node whose
+    /// decomposition emitted it. Tree gates and aliasing buffers belong to
+    /// the node being decomposed, shared inverters (`inv_*`) to the node
+    /// that *drives* them, and an input to itself.
+    pub origin: Vec<usize>,
+}
+
+/// What the decomposition made of one source node.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SourceNode {
+    /// The node in the source network.
+    pub id: NodeId,
+    /// Its name, which its root carries too.
+    pub name: String,
+    /// The node of [`DecomposedNetwork::network`] computing its function:
+    /// its tree root, aliasing buffer, constant or input.
+    pub root: NodeId,
+    /// The unit-delay level of `root`, with constants at 0.
+    pub level: usize,
+    /// The balanced height of the node's decomposition in isolation (0
+    /// for an input or a constant); `level` minus this is the paper's
+    /// `depth_surplus`.
+    pub balanced: usize,
+    /// The root-level bound the §2.3 loop applied (bounded style only).
+    pub bound: Option<usize>,
 }
 
 /// Per-node tree policy used by the planner.
@@ -220,7 +232,7 @@ fn bounded_decompose(
         plan.rebound(n, bound);
     }
 
-    let mut d = plan.emit();
+    let d = plan.emit();
     if d.depth > required {
         obs::counter!("decomp.required.unmet");
         obs::note_event!(
@@ -230,14 +242,6 @@ fn bounded_decompose(
             required
         );
     }
-    d.applied_bounds = plan
-        .nodes
-        .iter()
-        .filter_map(|n| match n.policy {
-            NodePolicy::Bounded(b) => Some((net.node(n.id).name().to_string(), b)),
-            _ => None,
-        })
-        .collect();
     d
 }
 
@@ -613,8 +617,19 @@ impl<'a> Plan<'a> {
         let sop = |width, rows: &[&str]| Sop::parse(width, rows).expect("gate sop");
         let (and2, or2) = (sop(2, &["11"]), sop(2, &["1-", "-1"]));
         let (inv, buf) = (sop(1, &["0"]), sop(1, &["1"]));
+        // The source nodes in record order, and each one's position in it.
+        let order: Vec<(NodeId, Option<&NodePlan>)> = net
+            .inputs()
+            .iter()
+            .map(|&pi| (pi, None))
+            .chain(self.nodes.iter().map(|n| (n.id, Some(n))))
+            .collect();
+        let mut position = vec![usize::MAX; net.arena_len()];
+        for (k, &(id, _)) in order.iter().enumerate() {
+            position[id.index()] = k;
+        }
         let mut ids: Vec<NodeId> = Vec::with_capacity(self.op.len());
-        let mut provenance = HashMap::new();
+        let mut origin = vec![usize::MAX; self.op.len()];
         for (g, &op) in self.op.iter().enumerate() {
             let owner = self.owner[g];
             let name = net.node(owner).name();
@@ -644,9 +659,7 @@ impl<'a> Plan<'a> {
                 out.rename_node(id, name)
                     .expect("original names are unique");
             }
-            if op != Op::Input {
-                provenance.insert(out.node(id).name().to_string(), name.to_string());
-            }
+            origin[id.index()] = position[owner.index()];
             ids.push(id);
         }
         for (name, o) in net.outputs() {
@@ -656,35 +669,31 @@ impl<'a> Plan<'a> {
             .expect("decomposed network must be structurally sound");
         obs::counter!("decomp.nodes.emitted", out.logic_ids().count() as u64);
 
-        let node_heights = self
-            .nodes
-            .iter()
-            .map(|n| {
-                let node = net.node(n.id);
-                // Balanced-height reference of the node in isolation (for
-                // the depth_surplus report).
-                let hb = match node.sop() {
-                    Some(sop) if !n.cubes.is_empty() => balanced_height_estimate(sop),
-                    _ => 0,
-                };
-                let level = self.level[self.root[n.id.index()]];
-                (node.name().to_string(), level, hb)
+        let sources = order
+            .into_iter()
+            .map(|(id, plan)| {
+                let (node, root) = (net.node(id), self.root[id.index()]);
+                SourceNode {
+                    id,
+                    name: node.name().to_string(),
+                    root: ids[root],
+                    level: self.level[root],
+                    balanced: plan
+                        .filter(|n| !n.cubes.is_empty())
+                        .and(node.sop())
+                        .map_or(0, balanced_height_estimate),
+                    bound: match plan.map(|n| n.policy) {
+                        Some(NodePolicy::Bounded(b)) => Some(b),
+                        _ => None,
+                    },
+                }
             })
-            .collect();
-        let roots = net
-            .inputs()
-            .iter()
-            .copied()
-            .chain(self.nodes.iter().map(|n| n.id))
-            .map(|id| (id, ids[self.root[id.index()]]))
             .collect();
         DecomposedNetwork {
             depth: netlist::traversal::depth(&out),
             network: out,
-            node_heights,
-            applied_bounds: HashMap::new(),
-            provenance,
-            roots,
+            sources,
+            origin,
         }
     }
 }
@@ -1087,9 +1096,10 @@ mod tests {
         ] {
             let d = decompose_network(&net, &DecompOptions::new(style));
             assert!(equivalent(&net, &d.network), "style {style:?}");
-            for id in net.node_ids() {
-                let root = d.network.node(d.roots[&id]);
-                assert_eq!(root.name(), net.node(id).name(), "style {style:?}");
+            assert_eq!(d.sources.len(), net.node_ids().count(), "style {style:?}");
+            for s in &d.sources {
+                assert_eq!(d.network.node(s.root).name(), s.name, "style {style:?}");
+                assert_eq!(net.node(s.id).name(), s.name, "style {style:?}");
             }
         }
     }

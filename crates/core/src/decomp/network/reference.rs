@@ -6,7 +6,7 @@
 
 use super::{
     balanced_height_estimate, balanced_tree, correlated_and_tree, DecompOptions, DecompStyle,
-    DecomposedNetwork, NodePolicy,
+    DecomposedNetwork, NodePolicy, SourceNode,
 };
 use crate::decomp::bounded::{bounded_minpower_tree_with_heights, min_height};
 use crate::decomp::huffman::minpower_tree;
@@ -70,12 +70,14 @@ fn bounded_decompose(
         // yet re-decomposed; ties broken toward higher fanout (the paper:
         // "the node shared by a maximum number of paths is processed
         // first").
+        let roots: HashMap<NodeId, NodeId> =
+            current.sources.iter().map(|s| (s.id, s.root)).collect();
         let mut cand: Option<(i64, i64, NodeId)> = None;
         for id in net.logic_ids() {
             if redecomposed.contains(&id) {
                 continue;
             }
-            let root = current.roots[&id];
+            let root = roots[&id];
             let s = slack[root.index()];
             if s >= 0 || s == i64::MAX {
                 continue;
@@ -88,7 +90,7 @@ fn bounded_decompose(
         let Some((_, _, n)) = cand else { break };
         obs::counter!("decomp.redecomp.rounds");
         redecomposed.insert(n);
-        let root = current.roots[&n];
+        let root = roots[&n];
         // Exact required arrival level at this node's root.
         let bound = (arrival[root.index()] + slack[root.index()]).max(0) as usize;
         bounds.insert(n, bound);
@@ -101,10 +103,9 @@ fn bounded_decompose(
         );
     }
 
-    current.applied_bounds = bounds
-        .iter()
-        .map(|(id, b)| (net.node(*id).name().to_string(), *b))
-        .collect();
+    for s in &mut current.sources {
+        s.bound = bounds.get(&s.id).copied();
+    }
     current
 }
 
@@ -140,7 +141,8 @@ fn build(
     let mut root: HashMap<NodeId, NodeId> = HashMap::new();
     // inverter cache in `out`
     let mut inv_cache: HashMap<NodeId, NodeId> = HashMap::new();
-    let mut node_heights = Vec::new();
+    // logic node -> (root level, balanced height), in topological order
+    let mut heights: Vec<(NodeId, usize, usize)> = Vec::new();
     // `out` node -> original node it descends from (provenance)
     let mut prov: HashMap<NodeId, NodeId> = HashMap::new();
 
@@ -151,6 +153,7 @@ fn build(
             .expect("unique input name");
         root.insert(pi, id);
         e.level.insert(id, 0);
+        prov.insert(id, pi);
     }
 
     let and_obj = DecompObjective::new(model, GateKind::And);
@@ -176,7 +179,7 @@ fn build(
             root.insert(id, nid);
             e.level.insert(nid, 0);
             prov.insert(nid, id);
-            node_heights.push((node.name().to_string(), 0, 0));
+            heights.push((id, 0, 0));
             continue;
         }
 
@@ -263,7 +266,7 @@ fn build(
         // Balanced-height reference of this node in isolation (for the
         // depth_surplus report).
         let hb = balanced_height_estimate(sop);
-        node_heights.push((node.name().to_string(), e.level[&final_id], hb));
+        heights.push((id, e.level[&final_id], hb));
     }
 
     let mut out = e.out;
@@ -274,23 +277,30 @@ fn build(
         .expect("decomposed network must be structurally sound");
     obs::counter!("decomp.nodes.emitted", out.logic_ids().count() as u64);
     let depth = netlist::traversal::depth(&out);
-    // Renames are done: freeze the provenance map under final names.
-    let provenance = prov
+    // Inputs first, then the logic nodes; an input is its own origin.
+    let sources: Vec<SourceNode> = net
+        .inputs()
         .iter()
-        .map(|(nid, orig)| {
-            (
-                out.node(*nid).name().to_string(),
-                net.node(*orig).name().to_string(),
-            )
+        .map(|&pi| (pi, 0, 0))
+        .chain(heights)
+        .map(|(id, level, balanced)| SourceNode {
+            id,
+            name: net.node(id).name().to_string(),
+            root: root[&id],
+            level,
+            balanced,
+            bound: None,
         })
         .collect();
+    let position: HashMap<NodeId, usize> =
+        sources.iter().enumerate().map(|(k, s)| (s.id, k)).collect();
+    // Nothing is removed from `out`, so its ids run in arena order.
+    let origin = out.node_ids().map(|id| position[&prov[&id]]).collect();
     DecomposedNetwork {
         network: out,
-        node_heights,
-        applied_bounds: HashMap::new(),
         depth,
-        provenance,
-        roots: root,
+        sources,
+        origin,
     }
 }
 
@@ -440,10 +450,8 @@ mod tests {
             write_blif(&old.network),
             "{case}: network"
         );
-        assert_eq!(new.applied_bounds, old.applied_bounds, "{case}: bounds");
-        assert_eq!(new.node_heights, old.node_heights, "{case}: heights");
-        assert_eq!(new.roots, old.roots, "{case}: roots");
-        assert_eq!(new.provenance, old.provenance, "{case}: provenance");
+        assert_eq!(new.sources, old.sources, "{case}: source records");
+        assert_eq!(new.origin, old.origin, "{case}: origins");
         assert_eq!(new.depth, old.depth, "{case}: depth");
         assert_eq!(new_rounds, old_rounds, "{case}: §2.3 iterations and rounds");
     }

@@ -31,21 +31,20 @@ pub fn lint_decomposed(decomp: &DecomposedNetwork, cfg: &LintConfig) -> LintRepo
 
     // DEC002: when bounded decomposition applied a height bound to a node
     // (§2.3), the node root's recorded arrival level must honor it.
-    // In `node_heights` order: the bounds map's order is not stable.
-    for (name, height, _) in &decomp.node_heights {
-        let Some(bound) = decomp.applied_bounds.get(name) else {
+    for s in &decomp.sources {
+        let (level, Some(bound)) = (s.level, s.bound) else {
             continue;
         };
-        if height > bound {
+        if level > bound {
             report.push(
                 "DEC002",
                 severity_of("DEC002"),
                 Provenance {
-                    node: Some(name.clone()),
+                    node: Some(s.name.clone()),
                     id: None,
                     slot: None,
                 },
-                format!("root at level {height} exceeds the applied bound {bound}"),
+                format!("root at level {level} exceeds the applied bound {bound}"),
             );
         }
     }

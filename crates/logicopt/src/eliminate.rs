@@ -139,18 +139,8 @@ pub fn eliminate(net: &mut Network, threshold: i64) -> EliminateReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::equivalent;
     use netlist::parse_blif;
-
-    fn equivalent(a: &Network, b: &Network) -> bool {
-        let n = a.inputs().len();
-        for bits in 0..(1u64 << n) {
-            let v: Vec<bool> = (0..n).map(|i| bits >> i & 1 == 1).collect();
-            if a.eval_outputs(&v) != b.eval_outputs(&v) {
-                return false;
-            }
-        }
-        true
-    }
 
     #[test]
     fn compose_positive_and_negative() {

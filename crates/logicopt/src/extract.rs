@@ -361,18 +361,8 @@ fn apply_divisor(net: &mut Network, divisor: &[GCube]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::equivalent;
     use netlist::parse_blif;
-
-    fn equivalent(a: &Network, b: &Network) -> bool {
-        let n = a.inputs().len();
-        for bits in 0..(1u64 << n) {
-            let v: Vec<bool> = (0..n).map(|i| bits >> i & 1 == 1).collect();
-            if a.eval_outputs(&v) != b.eval_outputs(&v) {
-                return false;
-            }
-        }
-        true
-    }
 
     #[test]
     fn shared_kernel_is_extracted() {
@@ -467,19 +457,9 @@ mod tests {
 #[cfg(test)]
 mod power_aware_tests {
     use super::*;
+    use crate::equivalent;
     use activity::{analyze, TransitionModel};
     use netlist::parse_blif;
-
-    fn equivalent(a: &Network, b: &Network) -> bool {
-        let n = a.inputs().len();
-        for bits in 0..(1u64 << n) {
-            let v: Vec<bool> = (0..n).map(|i| bits >> i & 1 == 1).collect();
-            if a.eval_outputs(&v) != b.eval_outputs(&v) {
-                return false;
-            }
-        }
-        true
-    }
 
     #[test]
     fn power_aware_extraction_preserves_function() {

@@ -29,3 +29,18 @@ pub mod sweep;
 
 pub use extract::{extract, extract_power_aware, ExtractReport};
 pub use script::{rugged_like, rugged_like_with, ScriptReport};
+
+/// `true` when `a` and `b` agree on every input vector (exhaustive, so
+/// for small networks only).
+#[cfg(test)]
+fn equivalent(a: &netlist::Network, b: &netlist::Network) -> bool {
+    let n = a.inputs().len();
+    assert!(n <= 10, "exhaustive check only for small nets");
+    for bits in 0..(1u64 << n) {
+        let v: Vec<bool> = (0..n).map(|i| bits >> i & 1 == 1).collect();
+        if a.eval_outputs(&v) != b.eval_outputs(&v) {
+            return false;
+        }
+    }
+    true
+}

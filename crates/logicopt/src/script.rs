@@ -62,18 +62,8 @@ pub fn rugged_like_with(net: &mut Network, hook: &mut dyn FnMut(&str, &Network))
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::equivalent;
     use netlist::parse_blif;
-
-    fn equivalent(a: &Network, b: &Network) -> bool {
-        let n = a.inputs().len();
-        for bits in 0..(1u64 << n) {
-            let v: Vec<bool> = (0..n).map(|i| bits >> i & 1 == 1).collect();
-            if a.eval_outputs(&v) != b.eval_outputs(&v) {
-                return false;
-            }
-        }
-        true
-    }
 
     #[test]
     fn rugged_preserves_function_and_reduces_cost() {

@@ -186,19 +186,8 @@ fn collapse_inverter(net: &mut Network, id: NodeId, src: NodeId) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::equivalent;
     use netlist::parse_blif;
-
-    fn equivalent(a: &Network, b: &Network) -> bool {
-        let n = a.inputs().len();
-        assert!(n <= 10, "exhaustive check only for small nets");
-        for bits in 0..(1u64 << n) {
-            let v: Vec<bool> = (0..n).map(|i| bits >> i & 1 == 1).collect();
-            if a.eval_outputs(&v) != b.eval_outputs(&v) {
-                return false;
-            }
-        }
-        true
-    }
 
     #[test]
     fn constants_fold() {

@@ -13,9 +13,11 @@
 //!   consecutive integer differences, so they telescope — the sum of all
 //!   deltas equals `final − initial` *exactly*, and reports render
 //!   byte-identically on every run and thread count.
-//! * **Provenance** ([`Provenance`]) — resolves every mapped gate instance
-//!   back to the node of the optimized source network whose decomposition
-//!   produced it, and attributes per-gate power shares to those origins.
+//! * **Provenance** ([`Provenance`]) — a view borrowing a decomposition
+//!   result that reads its per-source-node record in place: it resolves
+//!   every mapped gate instance back to the node of the optimized source
+//!   network whose decomposition produced it, and attributes per-gate
+//!   power shares to those origins.
 //! * **Baselines** ([`Baseline`], [`baseline::diff`]) — canonical QoR
 //!   snapshots per `circuit × method`, serialized as strict JSON, diffed
 //!   with one relative tolerance so CI can fail on QoR drift.

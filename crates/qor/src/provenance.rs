@@ -5,30 +5,26 @@
 //!
 //! 1. every [`MappedInstance`](lowpower_core::map::mapper::MappedInstance)
 //!    carries `source`, the subject-network (decomposed) node it covers;
-//! 2. every [`DecomposedNetwork`](lowpower_core::decomp::DecomposedNetwork)
-//!    carries `provenance`, mapping each decomposition-emitted node back
-//!    to the optimized-network node whose tree produced it.
+//! 2. every [`DecomposedNetwork`] carries `origin`, the optimized-network
+//!    node whose decomposition emitted each of its nodes, as a position in
+//!    its per-source-node record (`sources`).
 //!
-//! [`Provenance::resolve`] composes the hops (identity for primary inputs
-//! and nodes the decomposition passed through unchanged), so every mapped
-//! gate attributes its power to a node the designer can actually find in
-//! the optimized network.
+//! [`Provenance`] is a view of the decomposition that reads both in place.
+//! [`Provenance::resolve`] composes the hops (identity for names the
+//! decomposition did not emit), so every mapped gate attributes its power
+//! to a node the designer can actually find in the optimized network.
 
 use crate::Ctx;
 use genlib::Library;
 use lowpower_core::decomp::DecomposedNetwork;
 use lowpower_core::map::MappedNetwork;
 use lowpower_core::power::per_instance_power;
-use std::collections::HashMap;
 
-/// Provenance data of one decomposition, queryable by node name.
-#[derive(Debug, Clone, Default)]
-pub struct Provenance {
-    map: HashMap<String, String>,
-    /// origin node → (root arrival level, balanced-height estimate).
-    heights: HashMap<String, (usize, usize)>,
-    /// origin node → applied root-arrival bound (bounded style only).
-    bounds: HashMap<String, usize>,
+/// The provenance of one decomposition, queryable by node name: a view of
+/// the [`DecomposedNetwork`].
+#[derive(Debug, Clone, Copy)]
+pub struct Provenance<'d> {
+    d: &'d DecomposedNetwork,
 }
 
 /// One mapped gate with its resolved origin and power share.
@@ -46,53 +42,60 @@ pub struct GateShare {
     pub power_uw: f64,
 }
 
-impl Provenance {
-    /// Capture the provenance of a decomposition result.
-    pub fn from_decomposed(d: &DecomposedNetwork) -> Provenance {
-        Provenance {
-            map: d.provenance.clone(),
-            heights: d
-                .node_heights
-                .iter()
-                .map(|(name, root, balanced)| (name.clone(), (*root, *balanced)))
-                .collect(),
-            bounds: d.applied_bounds.clone(),
-        }
+impl<'d> Provenance<'d> {
+    /// The provenance of a decomposition result.
+    pub fn from_decomposed(d: &'d DecomposedNetwork) -> Provenance<'d> {
+        Provenance { d }
+    }
+
+    /// The position of an origin node's record.
+    fn position(&self, origin: &str) -> Option<usize> {
+        self.d.sources.iter().position(|s| s.name == origin)
     }
 
     /// Resolve a subject-network node name to its optimized-network
-    /// origin. Names the decomposition did not emit (primary inputs,
-    /// untouched nodes) resolve to themselves.
+    /// origin. Names the decomposition did not emit resolve to themselves.
     pub fn resolve<'a>(&'a self, subject: &'a str) -> &'a str {
-        self.map.get(subject).map(String::as_str).unwrap_or(subject)
+        let id = self.d.network.find(subject);
+        let k = id.and_then(|id| self.d.origin.get(id.index()));
+        k.map_or(subject, |&k| &self.d.sources[k].name)
     }
 
-    /// Number of recorded subject → origin edges.
+    /// Number of recorded subject → origin edges: the emitted nodes other
+    /// than primary inputs.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.d.network.logic_count()
     }
 
-    /// `true` when no edges are recorded (identity provenance).
+    /// `true` when no edges are recorded.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
 
     /// Number of subject-network nodes the decomposition emitted for an
     /// origin node (tree gates, buffers, and its shared inverters).
     pub fn subject_count(&self, origin: &str) -> usize {
-        self.map.values().filter(|v| v.as_str() == origin).count()
+        let Some(k) = self.position(origin) else {
+            return 0;
+        };
+        let emitted = self.d.network.logic_ids();
+        emitted
+            .filter(|id| self.d.origin.get(id.index()) == Some(&k))
+            .count()
     }
 
-    /// `(root arrival level, balanced-height estimate)` of an origin node,
-    /// if the decomposition recorded one. The difference is the paper's
-    /// `depth_surplus` — the slack the bounded style spends on power.
+    /// `(root arrival level, balanced-height estimate)` of a logic origin
+    /// node. The difference is the paper's `depth_surplus` — the slack the
+    /// bounded style spends on power.
     pub fn height(&self, origin: &str) -> Option<(usize, usize)> {
-        self.heights.get(origin).copied()
+        let s = &self.d.sources[self.position(origin)?];
+        let logic = !self.d.network.node(s.root).is_input();
+        logic.then_some((s.level, s.balanced))
     }
 
     /// The root-arrival bound the bounded pass applied to an origin node.
     pub fn bound(&self, origin: &str) -> Option<usize> {
-        self.bounds.get(origin).copied()
+        self.d.sources[self.position(origin)?].bound
     }
 
     /// Per-gate power shares with resolved origins, in instance order.
@@ -127,7 +130,7 @@ mod tests {
                           .names x d f\n11 1\n\
                           .names x c g\n1- 1\n-1 1\n.end\n";
 
-    fn flow() -> (Provenance, MappedNetwork, Library, Vec<String>) {
+    fn flow() -> (DecomposedNetwork, MappedNetwork, Library, Vec<String>) {
         let net = parse_blif(SAMPLE).unwrap().network;
         let opts = DecompOptions {
             style: DecompStyle::MinPower,
@@ -137,7 +140,6 @@ mod tests {
             use_correlations: false,
         };
         let d = decompose_network(&net, &opts);
-        let prov = Provenance::from_decomposed(&d);
         let act = analyze(&d.network, &[0.5; 4], TransitionModel::StaticCmos);
         let aig = SubjectAig::from_network(&d.network, &act).unwrap();
         let lib = genlib::builtin::lib2_like();
@@ -146,13 +148,13 @@ mod tests {
             .node_ids()
             .map(|id| net.node(id).name().to_string())
             .collect();
-        (prov, m, lib, originals)
+        (d, m, lib, originals)
     }
 
     #[test]
     fn every_gate_resolves_to_an_original_node() {
-        let (prov, m, lib, originals) = flow();
-        let shares = prov.gate_shares(&m, &lib, &Ctx::default());
+        let (d, m, lib, originals) = flow();
+        let shares = Provenance::from_decomposed(&d).gate_shares(&m, &lib, &Ctx::default());
         assert_eq!(shares.len(), m.instances.len());
         for s in &shares {
             assert!(
@@ -167,9 +169,9 @@ mod tests {
 
     #[test]
     fn shares_sum_to_evaluate_power() {
-        let (prov, m, lib, _) = flow();
+        let (d, m, lib, _) = flow();
         let ctx = Ctx::default();
-        let shares = prov.gate_shares(&m, &lib, &ctx);
+        let shares = Provenance::from_decomposed(&d).gate_shares(&m, &lib, &ctx);
         let total: f64 = shares.iter().map(|s| s.power_uw).sum();
         let rep = evaluate(&m, &lib, &ctx.env, ctx.model, ctx.po_load);
         assert!(
@@ -181,28 +183,46 @@ mod tests {
 
     #[test]
     fn identity_provenance_resolves_to_self() {
-        let prov = Provenance::default();
-        assert!(prov.is_empty());
+        let (d, ..) = flow();
+        let prov = Provenance::from_decomposed(&d);
+        assert!(!prov.is_empty());
         assert_eq!(prov.resolve("anything"), "anything");
+        for &pi in d.network.inputs() {
+            let name = d.network.node(pi).name();
+            assert_eq!((prov.resolve(name), prov.height(name)), (name, None));
+        }
     }
 
     #[test]
     fn heights_and_bounds_query_by_origin() {
-        let net = parse_blif(SAMPLE).unwrap().network;
+        // An 8-input AND over skewed probabilities: its MINPOWER tree is a
+        // chain, so the bounded pass must bound it.
+        let net = parse_blif(
+            ".model w\n.inputs a b c d e f g h\n.outputs o\n\
+             .names a b c d e f g h o\n11111111 1\n.end\n",
+        )
+        .unwrap()
+        .network;
         let opts = DecompOptions {
             style: DecompStyle::BoundedMinPower,
             model: TransitionModel::StaticCmos,
-            pi_probs: None,
+            pi_probs: Some((0..8).map(|i| 0.1 + 0.1 * i as f64).collect()),
             required_time: None,
             use_correlations: false,
         };
         let d = decompose_network(&net, &opts);
         let prov = Provenance::from_decomposed(&d);
-        for (name, root, balanced) in &d.node_heights {
-            assert_eq!(prov.height(name), Some((*root, *balanced)));
-        }
-        for (name, b) in &d.applied_bounds {
-            assert_eq!(prov.bound(name), Some(*b));
+        assert!(d.sources.iter().any(|s| s.bound.is_some()));
+        let arrival = netlist::traversal::unit_arrival_times(&d.network, &[0; 8]);
+        for s in &d.sources {
+            assert_eq!(prov.bound(&s.name), s.bound, "{}", s.name);
+            if d.network.node(s.root).is_input() {
+                assert_eq!(prov.height(&s.name), None, "{}", s.name);
+                continue;
+            }
+            assert_eq!(prov.height(&s.name), Some((s.level, s.balanced)));
+            assert_eq!(s.level as i64, arrival[s.root.index()], "{}", s.name);
+            assert!(s.level <= s.bound.unwrap_or(usize::MAX), "{}", s.name);
         }
     }
 }

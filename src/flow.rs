@@ -587,9 +587,9 @@ fn mappable_activity(
     model: TransitionModel,
 ) -> ActivityMap {
     let carried = decomposed
-        .roots
+        .sources
         .iter()
-        .filter_map(|(src, root)| Some((*src, *stripped.get(root)?)));
+        .filter_map(|s| Some((s.id, *stripped.get(&s.root)?)));
     bdds.rebase(mappable, carried);
     bdds.activity(mappable, model)
 }
@@ -624,11 +624,6 @@ pub struct MethodResult {
     /// [`run_method`] and [`decompose`]) followed by one snapshot per
     /// stage.
     pub qor: Option<qor::LedgerReport>,
-    /// Provenance of the decomposition: resolves every mapped gate's
-    /// source node back to the optimized network
-    /// ([`qor::Provenance::resolve`]). Always populated — provenance
-    /// recording is free.
-    pub provenance: qor::Provenance,
 }
 
 /// One decomposition style applied to an optimized network: everything
@@ -647,7 +642,6 @@ pub struct Decomposition<'c> {
     mappable: Network,
     switching: f64,
     subject: SubjectAig,
-    provenance: qor::Provenance,
     checks: Checkpoints<'c>,
 }
 
@@ -694,22 +688,8 @@ pub fn decompose<'c>(
     decompose_stages(optimized, style, checks)
 }
 
-/// Map `d` under `objective`, then evaluate and simulate the result: the
-/// last stages of the method combining `d`'s style with `objective`. The
-/// result carries `d`'s lint findings and QoR snapshots followed by the
-/// map stage's, so it equals that method's [`run_method`] result.
-///
-/// # Errors
-/// Returns [`FlowError`] when mapping or the map checkpoint fails.
-pub fn map(
-    d: &Decomposition<'_>,
-    lib: &Library,
-    objective: MapObjective,
-) -> Result<MethodResult, FlowError> {
-    map_stages(d, d.checks.clone(), d.provenance.clone(), lib, objective)
-}
-
-/// Run one method on an **already optimized** network.
+/// Run one method on an **already optimized** network: [`decompose`]
+/// under its style, then [`map`] under its objective.
 ///
 /// # Errors
 /// Returns [`FlowError::Config`] when `cfg` cannot be used for
@@ -723,10 +703,10 @@ pub fn run_method(
     method: Method,
     cfg: &FlowConfig,
 ) -> Result<MethodResult, FlowError> {
-    cfg.check(optimized.inputs().len())?;
     with_obs(cfg, || {
-        let checks = Checkpoints::open(cfg, lib, optimized, "optimized")?;
-        method_stages(optimized, lib, method, checks)
+        let _method_span = obs::span!("method", "{method}");
+        let d = decompose(optimized, lib, method.decomp_style(), cfg)?;
+        map(&d, lib, method.map_objective())
     })
 }
 
@@ -744,7 +724,9 @@ pub fn run_flow(
     with_obs(cfg, || {
         let mut checks = Checkpoints::open(cfg, lib, net, "initial")?;
         let optimized = checks.optimize(net)?;
-        method_stages(&optimized, lib, method, checks)
+        let _method_span = obs::span!("method", "{method}");
+        let d = decompose_stages(&optimized, method.decomp_style(), checks)?;
+        map(&d, lib, method.map_objective())
     })
 }
 
@@ -762,22 +744,6 @@ fn with_obs(
     let mut result = result?;
     result.obs = obs;
     Ok(result)
-}
-
-/// The stages of one method after optimization, under its `method` span:
-/// the decomposition of its style, mapped once under its objective.
-fn method_stages(
-    optimized: &Network,
-    lib: &Library,
-    method: Method,
-    checks: Checkpoints<'_>,
-) -> Result<MethodResult, FlowError> {
-    let _method_span = obs::span!("method", "{method}");
-    let mut d = decompose_stages(optimized, method.decomp_style(), checks)?;
-    // The only mapping of `d` takes its findings, snapshots and provenance.
-    let checks = std::mem::replace(&mut d.checks, Checkpoints::new(d.cfg));
-    let provenance = std::mem::take(&mut d.provenance);
-    map_stages(&d, checks, provenance, lib, method.map_objective())
 }
 
 /// Decompose, strip constant outputs, carry the activity over and build
@@ -811,7 +777,6 @@ fn decompose_stages<'c>(
         Some(&|o| check_equiv(optimized, &decomposed.network, o)),
         |c| lint_decomposed(&decomposed, c),
     )?;
-    let provenance = qor::Provenance::from_decomposed(&decomposed);
     let (mappable, _const_outputs, stripped) = strip_constants(&decomposed.network);
     let act = {
         let _s = obs::span!("activity");
@@ -831,20 +796,23 @@ fn decompose_stages<'c>(
         mappable,
         switching,
         subject,
-        provenance,
         checks,
     })
 }
 
-/// Map, evaluate and simulate `d` under `objective`, continuing the run
-/// `checks` recorded so far.
-fn map_stages(
+/// Map `d` under `objective`, then evaluate and simulate the result: the
+/// last stages of the method combining `d`'s style with `objective`. The
+/// result carries `d`'s lint findings and QoR snapshots followed by the
+/// map stage's, so it equals that method's [`run_method`] result.
+///
+/// # Errors
+/// Returns [`FlowError`] when mapping or the map checkpoint fails.
+pub fn map(
     d: &Decomposition<'_>,
-    mut checks: Checkpoints<'_>,
-    provenance: qor::Provenance,
     lib: &Library,
     objective: MapObjective,
 ) -> Result<MethodResult, FlowError> {
+    let mut checks = d.checks.clone();
     let cfg = d.cfg;
     obs::counter!("flow.methods");
     let mopts = MapOptions {
@@ -895,7 +863,6 @@ fn map_stages(
         qor: checks.ledger(Method::new(d.style, objective)),
         lint_findings: checks.findings,
         obs: None,
-        provenance,
     })
 }
 

@@ -50,10 +50,10 @@
 
 use genlib::{builtin::lib2_like, Library};
 use lowpower::core::decomp::DecompStyle;
-use lowpower::core::map::MapObjective;
+use lowpower::core::map::{map_network, MapObjective, MapOptions};
 use lowpower::flow::{
-    decompose, map, optimize, optimize_checked, run_flow, run_method, Decomposition, FlowConfig,
-    Method, StageLint,
+    decompose, map, optimize, optimize_checked, run_flow, Decomposition, FlowConfig, Method,
+    StageLint,
 };
 use lowpower::lint::LintLevel;
 use lowpower::obs::ObsMode;
@@ -424,10 +424,14 @@ fn report(o: &Opts) -> Result<(), String> {
     };
     let (optimized, findings) = optimize_checked(&net, &cfg).map_err(|e| e.to_string())?;
     print_findings(o, &findings, false);
-    // Shared timing target: the conventional ad-map flow's fastest + 10 %.
-    let probe = run_method(&optimized, &lib, Method::I, &FlowConfig::default())
-        .map_err(|e| e.to_string())?;
-    cfg.required_time = Some(o.required.unwrap_or(probe.mapped.estimated_fastest * 1.10));
+    // Shared timing target: the conventional ad-map flow's fastest + 10 %,
+    // mapped as method I maps it at the default configuration.
+    let probe_cfg = FlowConfig::default();
+    let fastest = decompose(&optimized, &lib, DecompStyle::Conventional, &probe_cfg)
+        .and_then(|d| Ok(map_network(d.subject(), &lib, &MapOptions::area())?))
+        .map_err(|e| e.to_string())?
+        .estimated_fastest;
+    cfg.required_time = Some(o.required.unwrap_or(fastest * 1.10));
     say!(
         o,
         "{:<7} {:>8} {:>9} {:>12} {:>12}",
@@ -482,11 +486,9 @@ fn decomp(o: &Opts) -> Result<(), String> {
     println!("nodes            : {}", decomposed.network.logic_count());
     println!("depth            : {} levels", decomposed.depth);
     println!("total switching  : {:.3} transitions/cycle", d.switching());
-    if !decomposed.applied_bounds.is_empty() {
-        println!(
-            "height bounds applied to {} nodes",
-            decomposed.applied_bounds.len()
-        );
+    let bounded = decomposed.sources.iter().filter_map(|s| s.bound).count();
+    if bounded > 0 {
+        println!("height bounds applied to {bounded} nodes");
     }
     println!("{}", netlist::write_blif(&decomposed.network));
     Ok(())
@@ -617,8 +619,10 @@ fn explain(o: &Opts) -> Result<(), String> {
     let arrivals = netlist::traversal::unit_arrival_times(&optimized, &pi_arrival);
     let slacks = netlist::traversal::unit_slacks(&optimized, &pi_arrival, &po_required);
 
-    let r = run_method(&optimized, &lib, o.method(), &cfg).map_err(|e| e.to_string())?;
-    let prov = &r.provenance;
+    let method = o.method();
+    let d = decompose(&optimized, &lib, method.decomp_style(), &cfg).map_err(|e| e.to_string())?;
+    let r = map(&d, &lib, method.map_objective()).map_err(|e| e.to_string())?;
+    let prov = lowpower::qor::Provenance::from_decomposed(d.network());
     let shares = prov.gate_shares(&r.mapped, &lib, &cfg.qor_ctx());
     let total_power: f64 = shares.iter().map(|s| s.power_uw).sum();
     let mine: Vec<_> = shares.iter().filter(|s| s.origin == node).collect();
@@ -629,10 +633,9 @@ fn explain(o: &Opts) -> Result<(), String> {
         if is_pi { "primary input" } else { "logic" }
     );
     println!(
-        "method    : {} ({:?} decomposition, {:?} mapping)",
-        o.method(),
-        o.method().decomp_style(),
-        o.method().map_objective()
+        "method    : {method} ({:?} decomposition, {:?} mapping)",
+        method.decomp_style(),
+        method.map_objective()
     );
     let slack = slacks[id.index()];
     if slack == i64::MAX {

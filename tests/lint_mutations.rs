@@ -11,11 +11,10 @@ use lint::{
     lint_activity_slices, lint_curve, lint_decomposed, lint_library, lint_mapped, lint_network,
     LintConfig, LintReport,
 };
-use lowpower::core::decomp::DecomposedNetwork;
+use lowpower::core::decomp::{DecomposedNetwork, SourceNode};
 use lowpower::core::map::mapper::{MappedInstance, MappedNetwork, NetRef};
 use lowpower::core::map::{BindingRange, Curve, Point};
 use netlist::{parse_blif, Network, Sop};
-use std::collections::HashMap;
 
 fn cfg() -> LintConfig {
     LintConfig::new()
@@ -290,11 +289,16 @@ fn clean_decomposed() -> DecomposedNetwork {
     let depth = netlist::traversal::depth(&net);
     DecomposedNetwork {
         network: net,
-        node_heights: vec![("f".to_string(), 1, 1)],
-        applied_bounds: HashMap::new(),
         depth,
-        provenance: HashMap::new(),
-        roots: HashMap::new(),
+        sources: vec![SourceNode {
+            id: f,
+            name: "f".to_string(),
+            root: f,
+            level: 1,
+            balanced: 1,
+            bound: None,
+        }],
+        origin: Vec::new(),
     }
 }
 
@@ -317,11 +321,9 @@ fn dec001_fires_on_wide_gate() {
     let depth = netlist::traversal::depth(&net);
     let decomp = DecomposedNetwork {
         network: net,
-        node_heights: vec![],
-        applied_bounds: HashMap::new(),
         depth,
-        provenance: HashMap::new(),
-        roots: HashMap::new(),
+        sources: Vec::new(),
+        origin: Vec::new(),
     };
     let report = lint_decomposed(&decomp, &cfg());
     assert_fires(&report, "DEC001");
@@ -331,8 +333,9 @@ fn dec001_fires_on_wide_gate() {
 #[test]
 fn dec002_fires_on_violated_bound() {
     let mut d = clean_decomposed();
-    d.node_heights = vec![("f".to_string(), 5, 5)];
-    d.applied_bounds.insert("f".to_string(), 2);
+    d.sources[0].level = 5;
+    d.sources[0].balanced = 5;
+    d.sources[0].bound = Some(2);
     assert_fires(&lint_decomposed(&d, &cfg()), "DEC002");
 }
 

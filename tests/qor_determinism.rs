@@ -11,9 +11,9 @@
 //! assignment infeasible).
 
 use genlib::builtin::lib2_like;
-use lowpower::flow::{optimize, run_flow, run_method, FlowConfig, Method};
+use lowpower::flow::{decompose, map, optimize, run_flow, run_method, FlowConfig, Method};
 use lowpower::obs::check::parse_json;
-use qor::{LedgerReport, Metrics, Snapshot};
+use qor::{LedgerReport, Metrics, Provenance, Snapshot};
 
 fn qor_cfg(sim_threads: usize) -> FlowConfig {
     FlowConfig {
@@ -176,6 +176,7 @@ fn per_stage_deltas_telescope_exactly() {
 #[test]
 fn every_mapped_gate_resolves_to_an_optimized_node() {
     let lib = lib2_like();
+    let cfg = qor_cfg(1);
     for name in ["s208", "cm42a", "x2"] {
         let net = benchgen::suite_circuit(name);
         let optimized = optimize(&net);
@@ -190,10 +191,13 @@ fn every_mapped_gate_resolves_to_an_optimized_node() {
                 .map(|id| optimized.node(*id).name().to_string()),
         );
         for m in Method::ALL {
-            let r = run_flow(&net, &lib, m, &qor_cfg(1))
+            let d = decompose(&optimized, &lib, m.decomp_style(), &cfg)
                 .unwrap_or_else(|e| panic!("method {m} failed on {name}: {e}"));
+            let r = map(&d, &lib, m.map_objective())
+                .unwrap_or_else(|e| panic!("method {m} failed on {name}: {e}"));
+            let provenance = Provenance::from_decomposed(d.network());
             for inst in &r.mapped.instances {
-                let origin = r.provenance.resolve(&inst.source);
+                let origin = provenance.resolve(&inst.source);
                 assert!(
                     known.iter().any(|k| k == origin),
                     "{name}/{m}: gate {} (subject {}) resolved to `{origin}`, \
