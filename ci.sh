@@ -117,6 +117,9 @@ cargo bench --quiet -p lowpower-bench --bench map_sweep > /dev/null
 echo "==> decomposition smoke (criterion micro-bench: tree builders, s510 styles, optimized x3 bounded)"
 cargo bench --quiet -p lowpower-bench --bench decomp > /dev/null
 
+echo "==> logicopt smoke (criterion micro-bench: rugged_like on suite circuits and a 2 000-node network, s344 passes)"
+cargo bench --quiet -p lowpower-bench --bench logicopt_speed > /dev/null
+
 echo "==> qor gate (regenerate example-circuit QoR, zero-tolerance diff vs baseline)"
 cargo run --release --quiet -- qor-baseline \
     --blif examples/blif/fulladd.blif --blif examples/blif/mux4.blif \

@@ -8,15 +8,15 @@
 use crate::division::divide;
 use crate::kernels::kernels;
 use netlist::{Cube, Lit, Network, NodeId, Sop};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 /// A literal over a *network node* rather than a local position.
-type GLit = (NodeId, bool);
+pub(crate) type GLit = (NodeId, bool);
 
 /// A cube as a sorted set of global literals.
-type GCube = Vec<GLit>;
+pub(crate) type GCube = Vec<GLit>;
 
-fn to_gcubes(net: &Network, id: NodeId) -> Vec<GCube> {
+pub(crate) fn to_gcubes(net: &Network, id: NodeId) -> Vec<GCube> {
     let node = net.node(id);
     let sop = node.sop().expect("logic node");
     sop.cubes()
@@ -32,7 +32,7 @@ fn to_gcubes(net: &Network, id: NodeId) -> Vec<GCube> {
         .collect()
 }
 
-fn from_gcubes(gcubes: &[GCube]) -> (Vec<NodeId>, Sop) {
+pub(crate) fn from_gcubes(gcubes: &[GCube]) -> (Vec<NodeId>, Sop) {
     let mut fanins: Vec<NodeId> = Vec::new();
     for c in gcubes {
         for &(n, _) in c {
@@ -67,23 +67,18 @@ fn divisor_key(cubes: &[GCube]) -> Vec<GCube> {
     k
 }
 
-/// Literal savings of rewriting `node_cubes` through divisor `d` (multi-cube
-/// case, via algebraic division in the global-literal space).
-fn division_saving(node_cubes: &[GCube], d: &[GCube]) -> usize {
-    division_saving_weighted(node_cubes, d, &|_| 1.0, 1.0) as usize
-}
-
-/// Weighted variant: each removed literal of signal `s` saves `weight(s)`;
-/// each created reference to the new divisor node costs `divisor_weight`.
-/// Returns the (possibly fractional) weighted saving, 0 when the divisor
-/// does not divide the cover.
-fn division_saving_weighted(
-    node_cubes: &[GCube],
+/// Weighted literal savings of rewriting a cover built by [`from_gcubes`]
+/// through divisor `d` (multi-cube case, via algebraic division in the
+/// global-literal space): each removed literal of signal `s` saves
+/// `weight(s)`; each created reference to the new divisor node costs
+/// `divisor_weight`. Returns the (possibly fractional) weighted saving, 0
+/// when the divisor does not divide the cover.
+pub(crate) fn division_saving_weighted(
+    (fanins, f): &(Vec<NodeId>, Sop),
     d: &[GCube],
     weight: &dyn Fn(NodeId) -> f64,
     divisor_weight: f64,
 ) -> f64 {
-    let (fanins, f) = from_gcubes(node_cubes);
     // Express divisor over the same fanins; bail out if it uses others.
     let width = fanins.len();
     let mut dcubes = Vec::new();
@@ -98,7 +93,7 @@ fn division_saving_weighted(
         dcubes.push(cube);
     }
     let dsop = Sop::from_cubes(width, dcubes);
-    let (q, r) = divide(&f, &dsop);
+    let (q, r) = divide(f, &dsop);
     if q.is_zero() {
         return 0.0;
     }
@@ -108,7 +103,7 @@ fn division_saving_weighted(
             .map(|c| c.bound_lits().map(|(i, _)| weight(fanins[i])).sum::<f64>())
             .sum()
     };
-    let old = lits_weight(&f);
+    let old = lits_weight(f);
     let new = lits_weight(&q) + q.cube_count() as f64 * divisor_weight + lits_weight(&r);
     (old - new).max(0.0)
 }
@@ -126,25 +121,7 @@ pub struct ExtractReport {
 ///
 /// `max_rounds` bounds the number of extracted divisors (0 = unlimited).
 pub fn extract(net: &mut Network, max_rounds: usize) -> ExtractReport {
-    let mut report = ExtractReport::default();
-    let mut rounds = 0;
-    loop {
-        if max_rounds != 0 && rounds >= max_rounds {
-            break;
-        }
-        let Some((divisor, saving)) = best_divisor(net, None) else {
-            break;
-        };
-        if saving <= 0.0 {
-            break;
-        }
-        apply_divisor(net, &divisor);
-        report.divisors_created += 1;
-        report.literals_saved += saving as usize;
-        rounds += 1;
-    }
-    net.sweep_dangling();
-    report
+    extract_rounds(net, None, max_rounds, best_divisor)
 }
 
 /// **Power-aware extraction** — the paper's §5 future-work direction
@@ -162,55 +139,74 @@ pub fn extract_power_aware(
     pi_probs: &[f64],
     max_rounds: usize,
 ) -> ExtractReport {
-    use activity::{analyze, TransitionModel};
     assert_eq!(
         pi_probs.len(),
         net.inputs().len(),
         "PI probability count mismatch"
     );
+    extract_rounds(net, Some(pi_probs), max_rounds, best_divisor)
+}
+
+/// Picks one round's divisor: [`best_divisor`]'s signature.
+pub(crate) type Scorer = fn(&Network, Option<&[f64]>) -> Option<(Vec<GCube>, f64)>;
+
+/// The greedy loop of [`extract`] (`pi_probs` = None) and
+/// [`extract_power_aware`]: extract `best`'s divisor until it saves
+/// nothing or `max_rounds` divisors exist (0 = unlimited).
+pub(crate) fn extract_rounds(
+    net: &mut Network,
+    pi_probs: Option<&[f64]>,
+    max_rounds: usize,
+    best: Scorer,
+) -> ExtractReport {
+    use activity::{analyze, TransitionModel};
     let mut report = ExtractReport::default();
-    let mut rounds = 0;
-    loop {
-        if max_rounds != 0 && rounds >= max_rounds {
-            break;
-        }
-        let act = analyze(net, pi_probs, TransitionModel::StaticCmos);
+    while max_rounds == 0 || report.divisors_created < max_rounds {
         // Per-net switching weights (phase-independent: literals of either
         // polarity load the same net), indexed by arena position.
-        let mut weights = vec![0.0f64; net.arena_len()];
-        for id in net.node_ids() {
-            weights[id.index()] = act.switching(id);
-        }
-        let Some((divisor, saving)) = best_divisor(net, Some(&weights)) else {
+        let weights = pi_probs.map(|probs| {
+            let act = analyze(net, probs, TransitionModel::StaticCmos);
+            let mut weights = vec![0.0f64; net.arena_len()];
+            for id in net.node_ids() {
+                weights[id.index()] = act.switching(id);
+            }
+            weights
+        });
+        let Some((divisor, saving)) = best(net, weights.as_deref()) else {
             break;
         };
-        if saving <= 1e-12 {
+        // Weighted savings are fractional: below 1e-12 they are noise.
+        let floor = if weights.is_some() { 1e-12 } else { 0.0 };
+        if saving <= floor {
             break;
         }
         apply_divisor(net, &divisor);
         report.divisors_created += 1;
-        report.literals_saved += saving.round() as usize;
-        rounds += 1;
+        report.literals_saved += if weights.is_some() {
+            saving.round() as usize
+        } else {
+            saving as usize
+        };
     }
     net.sweep_dangling();
     report
 }
 
-/// Find the best candidate divisor and its total (possibly weighted)
-/// literal saving. `weights` maps arena index → per-literal weight (None =
-/// unweighted).
-fn best_divisor(net: &Network, weights: Option<&[f64]>) -> Option<(Vec<GCube>, f64)> {
-    let ids: Vec<NodeId> = net.logic_ids().collect();
-    let gcovers: HashMap<NodeId, Vec<GCube>> =
-        ids.iter().map(|&id| (id, to_gcubes(net, id))).collect();
-
-    // BTreeMap, not HashMap: the scoring loop below keeps the first-seen
+/// Every candidate divisor of one round, in the deterministic order the
+/// scoring loop visits them: kernels of the covers in `ids` and literal
+/// pairs that occur in at least two cubes.
+pub(crate) fn candidate_divisors(
+    net: &Network,
+    ids: &[NodeId],
+    gcovers: &[Vec<GCube>],
+) -> Vec<Vec<GCube>> {
+    // BTreeSet, not HashSet: the scoring loop keeps the first-seen
     // candidate on ties, so the iteration order must not depend on the
     // process's hash seeds.
-    let mut candidates: BTreeMap<Vec<GCube>, usize> = BTreeMap::new();
+    let mut candidates: BTreeSet<Vec<GCube>> = BTreeSet::new();
 
     // Kernel candidates.
-    for &id in &ids {
+    for &id in ids {
         let node = net.node(id);
         let sop = node.sop().expect("logic node");
         if sop.cube_count() < 2 || sop.cube_count() > 20 {
@@ -233,13 +229,13 @@ fn best_divisor(net: &Network, weights: Option<&[f64]>) -> Option<(Vec<GCube>, f
                     v
                 })
                 .collect();
-            candidates.entry(divisor_key(&gk)).or_insert(0);
+            candidates.insert(divisor_key(&gk));
         }
     }
 
     // Literal-pair (common cube) candidates.
     let mut pair_count: HashMap<(GLit, GLit), usize> = HashMap::new();
-    for cubes in gcovers.values() {
+    for cubes in gcovers {
         for c in cubes {
             for i in 0..c.len() {
                 for j in i + 1..c.len() {
@@ -250,41 +246,77 @@ fn best_divisor(net: &Network, weights: Option<&[f64]>) -> Option<(Vec<GCube>, f
     }
     for (&(a, b), &count) in &pair_count {
         if count >= 2 {
-            candidates.entry(vec![vec![a, b]]).or_insert(0);
+            candidates.insert(vec![vec![a, b]]);
+        }
+    }
+    candidates.into_iter().collect()
+}
+
+/// Scoring weights of one candidate divisor: the weight of each literal
+/// reference to the new node, and the cost of the divisor's own literals.
+pub(crate) fn divisor_weights(div: &[GCube], weights: Option<&[f64]>) -> (f64, f64) {
+    // Estimate the new node's own activity for the weighted case: the
+    // divisor output probability over independent literal probabilities
+    // is unknown here, so use the mean weight of its literals as a
+    // conservative stand-in (exact activities are recomputed after the
+    // divisor is materialized).
+    let div_lits: Vec<f64> = div
+        .iter()
+        .flat_map(|c| c.iter().map(|&(n, _)| weight_of(weights, n)))
+        .collect();
+    let divisor_weight = if weights.is_some() {
+        div_lits.iter().copied().sum::<f64>() / div_lits.len().max(1) as f64
+    } else {
+        1.0
+    };
+    (divisor_weight, div_lits.iter().sum())
+}
+
+/// Per-literal weight of signal `n` (1 when unweighted).
+pub(crate) fn weight_of(weights: Option<&[f64]>, n: NodeId) -> f64 {
+    weights.map_or(1.0, |w| w[n.index()])
+}
+
+/// Find the best candidate divisor and its total (possibly weighted)
+/// literal saving. `weights` maps arena index → per-literal weight (None =
+/// unweighted).
+fn best_divisor(net: &Network, weights: Option<&[f64]>) -> Option<(Vec<GCube>, f64)> {
+    let ids: Vec<NodeId> = net.logic_ids().collect();
+    let gcovers: Vec<Vec<GCube>> = ids.iter().map(|&id| to_gcubes(net, id)).collect();
+    let candidates = candidate_divisors(net, &ids, &gcovers);
+    // Each node's cover over the signals it uses, built once per round, and
+    // the nodes using each signal, as positions in `ids` (so in node order).
+    let covers: Vec<(Vec<NodeId>, Sop)> = gcovers.iter().map(|c| from_gcubes(c)).collect();
+    let mut users: Vec<Vec<usize>> = vec![Vec::new(); net.arena_len()];
+    for (k, (fanins, _)) in covers.iter().enumerate() {
+        for f in fanins {
+            users[f.index()].push(k);
         }
     }
 
     // Score every candidate by total saving across nodes, minus the cost of
     // instantiating the divisor node itself.
-    let weight_of = |n: NodeId| -> f64 {
-        match weights {
-            Some(w) => w[n.index()],
-            None => 1.0,
-        }
-    };
+    let weight = |n: NodeId| weight_of(weights, n);
     let mut best: Option<(Vec<GCube>, f64)> = None;
-    for (div, _) in candidates {
-        // Estimate the new node's own activity for the weighted case: the
-        // divisor output probability over independent literal probabilities
-        // is unknown here, so use the mean weight of its literals as a
-        // conservative stand-in (exact activities are recomputed after the
-        // divisor is materialized).
-        let div_lits: Vec<f64> = div
+    for div in candidates {
+        let (divisor_weight, div_cost) = divisor_weights(&div, weights);
+        // Only a node that uses every signal of `div` can be divided by it;
+        // every other node saves exactly 0.0. So the users of its rarest
+        // signal give the same sum, still added in node order: float
+        // addition is not associative, and another order would let
+        // rounding perturb the candidate ranking.
+        let Some(scored) = div
             .iter()
-            .flat_map(|c| c.iter().map(|&(n, _)| weight_of(n)))
-            .collect();
-        let divisor_weight = if weights.is_some() {
-            div_lits.iter().copied().sum::<f64>() / div_lits.len().max(1) as f64
-        } else {
-            1.0
+            .flatten()
+            .map(|&(n, _)| &users[n.index()])
+            .min_by_key(|u| u.len())
+        else {
+            continue; // no literal: divides nothing
         };
-        let div_cost: f64 = div_lits.iter().sum();
+        obs::counter!("logicopt.extract.divisions", scored.len() as u64);
         let mut saving_total = 0.0;
-        // Sum in node order: float addition is not associative, and hash
-        // order would let rounding perturb the candidate ranking.
-        for &id in &ids {
-            saving_total +=
-                division_saving_weighted(&gcovers[&id], &div, &weight_of, divisor_weight);
+        for &k in scored {
+            saving_total += division_saving_weighted(&covers[k], &div, &weight, divisor_weight);
         }
         let net_saving = saving_total - div_cost;
         if net_saving > 0.0 && best.as_ref().is_none_or(|(_, s)| net_saving > *s) {
@@ -295,7 +327,7 @@ fn best_divisor(net: &Network, weights: Option<&[f64]>) -> Option<(Vec<GCube>, f
 }
 
 /// Materialize the divisor as a node and rewrite all covers through it.
-fn apply_divisor(net: &mut Network, divisor: &[GCube]) {
+pub(crate) fn apply_divisor(net: &mut Network, divisor: &[GCube]) {
     let (d_fanins, d_sop) = from_gcubes(divisor);
     let name = net.fresh_name("ext_");
     let d_id = net
@@ -304,12 +336,11 @@ fn apply_divisor(net: &mut Network, divisor: &[GCube]) {
 
     let ids: Vec<NodeId> = net.logic_ids().filter(|&id| id != d_id).collect();
     for id in ids {
-        let cubes = to_gcubes(net, id);
-        let saving = division_saving(&cubes, divisor);
-        if saving == 0 {
+        let cover = from_gcubes(&to_gcubes(net, id));
+        if division_saving_weighted(&cover, divisor, &|_| 1.0, 1.0) as usize == 0 {
             continue;
         }
-        let (fanins, f) = from_gcubes(&cubes);
+        let (fanins, f) = cover;
         let width = fanins.len();
         let mut dcubes = Vec::new();
         let mut ok = true;

@@ -23,6 +23,8 @@ pub mod division;
 pub mod eliminate;
 pub mod extract;
 pub mod kernels;
+#[cfg(test)]
+mod reference;
 pub mod script;
 pub mod simplify;
 pub mod sweep;

@@ -32,24 +32,21 @@ pub fn rugged_like(net: &mut Network) -> ScriptReport {
 /// are `"round.pass"` (e.g. `"1.sweep"`, `"2.extract"`), unique within one
 /// script run so QoR ledgers can attribute each pass's delta. The script
 /// itself is unchanged — [`rugged_like`] delegates here with a no-op hook.
+///
+/// Each pass runs in an obs span named after it (`sweep`, `simplify`,
+/// `eliminate`, `extract`, `resimplify`, `resweep`), closed before the hook
+/// runs, so the hook's own work is not charged to the pass.
 pub fn rugged_like_with(net: &mut Network, hook: &mut dyn FnMut(&str, &Network)) -> ScriptReport {
     let literals_before = net.literal_count();
     let nodes_before = net.logic_count();
-    for round in 0..2 {
-        let _round = obs::span!("rugged.round", "{}", round + 1);
-        let r = round + 1;
-        sweep(net);
-        hook(&format!("{r}.sweep"), net);
-        simplify_network(net);
-        hook(&format!("{r}.simplify"), net);
-        eliminate(net, -1);
-        hook(&format!("{r}.eliminate"), net);
-        extract(net, 0);
-        hook(&format!("{r}.extract"), net);
-        simplify_network(net);
-        hook(&format!("{r}.resimplify"), net);
-        sweep(net);
-        hook(&format!("{r}.resweep"), net);
+    for r in 1..=2 {
+        let _round = obs::span!("rugged.round", "{r}");
+        pass(r, "sweep", net, hook, sweep);
+        pass(r, "simplify", net, hook, simplify_network);
+        pass(r, "eliminate", net, hook, |n| eliminate(n, -1));
+        pass(r, "extract", net, hook, |n| extract(n, 0));
+        pass(r, "resimplify", net, hook, simplify_network);
+        pass(r, "resweep", net, hook, sweep);
     }
     ScriptReport {
         literals_before,
@@ -57,6 +54,21 @@ pub fn rugged_like_with(net: &mut Network, hook: &mut dyn FnMut(&str, &Network))
         nodes_before,
         nodes_after: net.logic_count(),
     }
+}
+
+/// Run pass `name` of round `r` in a span of that name, then `hook`.
+fn pass<R>(
+    r: usize,
+    name: &'static str,
+    net: &mut Network,
+    hook: &mut dyn FnMut(&str, &Network),
+    run: impl FnOnce(&mut Network) -> R,
+) {
+    {
+        let _span = obs::span!(name);
+        run(net);
+    }
+    hook(&format!("{r}.{name}"), net);
 }
 
 #[cfg(test)]

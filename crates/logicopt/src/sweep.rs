@@ -59,7 +59,7 @@ pub fn sweep(net: &mut Network) -> SweepReport {
             })
             .collect();
         for (id, src, positive) in simple {
-            if !net.node_ids().any(|x| x == id) {
+            if net.try_node(id).is_none() {
                 continue; // removed by an earlier rewrite this round
             }
             if positive {

@@ -451,6 +451,12 @@ impl Network {
             !self.outputs.iter().any(|(_, o)| *o == id),
             "node is a primary output"
         );
+        self.unlink_node(id);
+    }
+
+    /// [`Network::remove_node`] without its checks, for a caller that knows
+    /// the node has no fanouts and is no output.
+    fn unlink_node(&mut self, id: NodeId) {
         let fanins = std::mem::take(&mut self.nodes[id.index()].fanins);
         self.nodes[id.index()].alive = false;
         let name = self.nodes[id.index()].name.clone();
@@ -464,20 +470,21 @@ impl Network {
     /// Remove all logic nodes not reachable from any primary output.
     /// Returns the number of nodes removed. Primary inputs are kept.
     pub fn sweep_dangling(&mut self) -> usize {
+        let mut is_output = vec![false; self.nodes.len()];
+        for (_, o) in &self.outputs {
+            is_output[o.index()] = true;
+        }
         let mut removed = 0;
         loop {
             let dead: Vec<NodeId> = self
                 .logic_ids()
-                .filter(|&id| {
-                    self.node(id).fanouts().is_empty()
-                        && !self.outputs.iter().any(|(_, o)| *o == id)
-                })
+                .filter(|&id| self.node(id).fanouts().is_empty() && !is_output[id.index()])
                 .collect();
             if dead.is_empty() {
                 return removed;
             }
             for id in dead {
-                self.remove_node(id);
+                self.unlink_node(id);
                 removed += 1;
             }
         }
