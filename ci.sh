@@ -64,6 +64,10 @@ cargo run --release --quiet -- explain --blif examples/blif/mux4.blif --method V
     > "$TMP/cli.txt"
 cmp "$TMP/cli.txt" results/cli/mux4.explain-V.txt
 
+echo "==> map_benchmark byte-identity (the example's six methods on x2 vs results/cli/)"
+cargo run --release --quiet --example map_benchmark -- x2 > "$TMP/map_benchmark.txt"
+cmp "$TMP/map_benchmark.txt" results/cli/map_benchmark.x2.txt
+
 echo "==> CLI option gate (a subcommand rejects options it does not read)"
 for args in "report --blif examples/blif/mux4.blif --qor" \
     "decomp --blif examples/blif/mux4.blif --verify"; do

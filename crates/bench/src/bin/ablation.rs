@@ -17,7 +17,7 @@
 //! the per-variant wall times is identical at any thread count.
 
 use genlib::builtin::lib2_like;
-use lowpower::flow::{decompose, optimize, FlowConfig};
+use lowpower::flow::{decompose, optimize, shared_required_time, FlowConfig};
 use lowpower_bench::{args_or_exit, Takes};
 use lowpower_core::decomp::DecompStyle;
 use lowpower_core::map::{map_network, MapOptions, PowerMethod};
@@ -86,10 +86,7 @@ fn run_circuit(name: &str, lib: &genlib::Library) -> String {
     let net = benchgen::suite_circuit(name);
     let optimized = optimize(&net);
     let cfg = FlowConfig::default();
-    // The timing target: method I's fastest + 10 %, without its power runs.
-    let probe = decompose(&optimized, lib, DecompStyle::Conventional, &cfg).expect("probe");
-    let probe = map_network(probe.subject(), lib, &MapOptions::area()).expect("probe");
-    let required = probe.estimated_fastest * 1.10;
+    let required = shared_required_time(&optimized, lib).expect("probe");
 
     let d = decompose(&optimized, lib, DecompStyle::MinPower, &cfg).expect("decomposition");
     let pi_probs = vec![0.5; optimized.inputs().len()];

@@ -11,8 +11,9 @@
 //!   cargo run --release -p lowpower-bench --bin tables23 [-- options]
 //! Options:
 //!   --circuits a,b,c     subset of suite circuits
-//!   --threads N          worker threads for the (circuit × style) and
-//!                        (circuit × method) cells
+//!   --threads N          worker threads for the circuits' optimization
+//!                        and for `flow::run_methods`' (circuit × style)
+//!                        and (circuit × method) cells
 //!                        (default: PAR_THREADS or the machine's cores);
 //!                        the output is byte-identical at any setting
 //!
@@ -21,9 +22,8 @@
 
 use benchgen::{paper_suite, suite_circuit};
 use genlib::builtin::lib2_like;
-use lowpower::flow::{decompose, map, optimize, Decomposition, FlowConfig, Method};
+use lowpower::flow::{optimize, run_methods, FlowConfig, Method};
 use lowpower_bench::{args_or_exit, summarize, SuiteRow, Takes};
-use lowpower_core::decomp::DecompStyle;
 
 fn main() {
     let args = args_or_exit(
@@ -40,48 +40,22 @@ fn main() {
 
     // Stage 1: the optimized network is shared by all six methods of a
     // circuit, so optimize each circuit once, concurrently.
-    let nets: Vec<netlist::Network> = selected.iter().map(|n| suite_circuit(n)).collect();
-    let optimized: Vec<netlist::Network> = par::scope_map(threads, &nets, |_, net| optimize(net));
+    let optimized = par::scope_map(threads, &selected, |_, n| optimize(&suite_circuit(n)));
 
-    // Stage 2: the decomposition does not depend on the mapping objective,
-    // so every (circuit, style) cell is decomposed once, concurrently.
-    let styles: Vec<(usize, DecompStyle)> = (0..selected.len())
-        .flat_map(|ci| DecompStyle::ALL.map(|style| (ci, style)))
-        .collect();
-    let decomps: Vec<Decomposition> = par::scope_map(threads, &styles, |_, &(ci, style)| {
-        decompose(&optimized[ci], &lib, style, &cfg)
-            .unwrap_or_else(|e| panic!("{style:?} decomposition failed on {}: {e}", selected[ci]))
-    });
-    let by_circuit: Vec<&[Decomposition]> = decomps.chunks(DecompStyle::ALL.len()).collect();
-
-    // Stage 3: every (circuit, method) cell maps its style's decomposition
-    // under its objective; fan the flat cell list over the workers and
-    // reassemble rows in order, so the tables are byte-identical at any
-    // thread count.
-    let cells: Vec<(usize, Method)> = (0..selected.len())
-        .flat_map(|ci| Method::ALL.into_iter().map(move |m| (ci, m)))
-        .collect();
-    let results: Vec<(f64, f64, f64)> = par::scope_map(threads, &cells, |_, &(ci, m)| {
-        let name = selected[ci];
-        let d = by_circuit[ci]
-            .iter()
-            .find(|d| d.style() == m.decomp_style());
-        let r = map(
-            d.expect("every style is decomposed"),
-            &lib,
-            m.map_objective(),
-        )
-        .unwrap_or_else(|e| panic!("method {m} failed on {name}: {e}"));
-        (r.report.area, r.report.delay, r.glitch_power_uw)
-    });
+    // Stage 2: each circuit's three decompositions and six mappings, in
+    // (circuit, method) order at any thread count.
+    let results = run_methods(&optimized, &lib, &cfg, threads).unwrap_or_else(|e| panic!("{e}"));
     let rows: Vec<SuiteRow> = selected
         .iter()
-        .enumerate()
-        .map(|(ci, name)| {
+        .zip(results.chunks(Method::ALL.len()))
+        .map(|(name, results)| {
             obs::note!("done: {name}");
             SuiteRow {
                 name: name.to_string(),
-                methods: results[ci * Method::ALL.len()..(ci + 1) * Method::ALL.len()].to_vec(),
+                methods: results
+                    .iter()
+                    .map(|r| (r.report.area, r.report.delay, r.glitch_power_uw))
+                    .collect(),
             }
         })
         .collect();

@@ -47,7 +47,6 @@ fn geo_mean_ratio_pct(pairs: &[(f64, f64)]) -> f64 {
 /// # Panics
 /// Panics if any row has fewer than six method entries.
 pub fn summarize(rows: &[SuiteRow]) -> Summary {
-    let get = |r: &SuiteRow, m: usize| r.methods[m];
     let mut mp_power = Vec::new();
     let mut bh_power = Vec::new();
     let mut bh_delay = Vec::new();
@@ -56,31 +55,22 @@ pub fn summarize(rows: &[SuiteRow]) -> Summary {
     let mut pd_delay = Vec::new();
     for r in rows {
         assert!(r.methods.len() >= 6, "need all six methods");
-        let (a1, d1, p1) = get(r, 0);
-        let (a2, d2, p2) = get(r, 1);
-        let (_a3, d3, p3) = get(r, 2);
-        let (a4, d4, p4) = get(r, 3);
-        let (a5, d5, p5) = get(r, 4);
-        let (a6, d6, p6) = get(r, 5);
+        let m = &r.methods;
         // minpower decomp effect: II vs I, V vs IV
-        mp_power.push((p2, p1));
-        mp_power.push((p5, p4));
+        for (num, den) in [(1, 0), (4, 3)] {
+            mp_power.push((m[num].2, m[den].2));
+        }
         // bounded-height effect: III vs II, VI vs V
-        bh_power.push((p3, p2));
-        bh_power.push((p6, p5));
-        bh_delay.push((d3, d2));
-        bh_delay.push((d6, d5));
+        for (num, den) in [(2, 1), (5, 4)] {
+            bh_power.push((m[num].2, m[den].2));
+            bh_delay.push((m[num].1, m[den].1));
+        }
         // pd-map effect: IV vs I, V vs II, VI vs III
-        pd_power.push((p4, p1));
-        pd_power.push((p5, p2));
-        pd_power.push((p6, p3));
-        pd_area.push((a4, a1));
-        pd_area.push((a5, a2));
-        pd_area.push((a6, get(r, 2).0));
-        pd_delay.push((d4, d1));
-        pd_delay.push((d5, d2));
-        pd_delay.push((d6, d3));
-        let _ = (a2, a5, a6, d1, d4);
+        for (num, den) in [(3, 0), (4, 1), (5, 2)] {
+            pd_power.push((m[num].2, m[den].2));
+            pd_area.push((m[num].0, m[den].0));
+            pd_delay.push((m[num].1, m[den].1));
+        }
     }
     Summary {
         minpower_decomp_power_pct: geo_mean_ratio_pct(&mp_power),

@@ -6,7 +6,7 @@
 //! (default circuit: `alu2`; any name from the paper suite works.)
 
 use genlib::builtin::lib2_like;
-use lowpower::flow::{optimize, run_method, FlowConfig, Method};
+use lowpower::flow::{optimize, run_methods, shared_required_time, FlowConfig, Method};
 use std::collections::BTreeMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -30,19 +30,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         optimized.literal_count()
     );
 
-    // Common timing target (see the tables23 harness).
-    let probe = run_method(&optimized, &lib, Method::I, &FlowConfig::default())?;
     let cfg = FlowConfig {
-        required_time: Some(probe.mapped.estimated_fastest * 1.10),
+        required_time: Some(shared_required_time(&optimized, &lib)?),
         ..FlowConfig::default()
     };
+    let results = run_methods(&[optimized], &lib, &cfg, par::thread_count(None))?;
 
     println!(
         "{:<7} {:>8} {:>8} {:>10} {:>12}   gate mix",
         "method", "area", "delay", "power µW", "decomp SR"
     );
-    for m in Method::ALL {
-        let r = run_method(&optimized, &lib, m, &cfg)?;
+    for (m, r) in Method::ALL.into_iter().zip(&results) {
         let mut mix: BTreeMap<&str, usize> = BTreeMap::new();
         for inst in &r.mapped.instances {
             *mix.entry(lib.gates()[inst.gate].name()).or_insert(0) += 1;

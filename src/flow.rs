@@ -10,6 +10,8 @@
 //! decomposition does not depend on the objective: [`decompose`] runs the
 //! stages a style's methods share and [`map`] finishes one method from
 //! them, so a caller running both objectives decomposes once.
+//! [`run_methods`] runs all six methods of many circuits that way, and
+//! [`shared_required_time`] is their common timing target.
 
 use activity::{ActivityMap, NetworkBdds, PowerEnv, TransitionModel};
 use genlib::Library;
@@ -767,7 +769,10 @@ fn decompose_stages<'c>(
     };
     let (decomposed, bdds) = {
         let _s = obs::span!("decompose");
-        let mut bdds = NetworkBdds::build(optimized, &pi_probs);
+        let mut bdds = {
+            let _s = obs::span!("bdd.build");
+            NetworkBdds::build(optimized, &pi_probs)
+        };
         let d = decompose_network_with(optimized, &dopts, &mut bdds);
         checks.snapshot_network("decompose", &d.network);
         (d, bdds)
@@ -866,6 +871,83 @@ pub fn map(
     })
 }
 
+/// The first failed cell of [`run_methods`], with its circuit's name.
+#[derive(Debug)]
+pub enum CellError {
+    /// The decomposition of a style failed.
+    Decompose(String, DecompStyle, FlowError),
+    /// The mapping of a method from its style's decomposition failed.
+    Map(String, Method, FlowError),
+}
+
+impl fmt::Display for CellError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CellError::Decompose(circuit, style, e) => {
+                write!(f, "{circuit}: {style:?} decomposition: {e}")
+            }
+            CellError::Map(circuit, method, e) => write!(f, "{circuit}: method {method}: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for CellError {}
+
+/// Run all six methods on every **already optimized** network, as Tables 2
+/// and 3 do: each (circuit, style) cell is decomposed once, then each
+/// (circuit, method) cell maps its style's decomposition, both stages on
+/// `threads` workers. The results come in (circuit, [`Method::ALL`])
+/// order, each equal to that method's [`run_method`] result, and are
+/// identical at any thread count.
+///
+/// # Errors
+/// Returns the first failed decomposition in (circuit, style) order, else
+/// the first failed mapping in (circuit, method) order.
+pub fn run_methods(
+    optimized: &[Network],
+    lib: &Library,
+    cfg: &FlowConfig,
+    threads: usize,
+) -> Result<Vec<MethodResult>, CellError> {
+    let name = |ci: usize| optimized[ci].name().to_string();
+    let styles: Vec<(usize, DecompStyle)> = (0..optimized.len())
+        .flat_map(|ci| DecompStyle::ALL.map(|style| (ci, style)))
+        .collect();
+    let decomps = par::scope_map(threads, &styles, |_, &(ci, style)| {
+        decompose(&optimized[ci], lib, style, cfg)
+            .map_err(|e| CellError::Decompose(name(ci), style, e))
+    });
+    let decomps = decomps.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let cells: Vec<(usize, Method)> = (0..optimized.len())
+        .flat_map(|ci| Method::ALL.map(|m| (ci, m)))
+        .collect();
+    par::scope_map(threads, &cells, |_, &(ci, m)| {
+        // Circuit `ci`'s decompositions start at this offset.
+        let d = decomps[ci * DecompStyle::ALL.len()..]
+            .iter()
+            .find(|d| d.style() == m.decomp_style())
+            .expect("every style is decomposed");
+        map(d, lib, m.map_objective()).map_err(|e| CellError::Map(name(ci), m, e))
+    })
+    .into_iter()
+    .collect()
+}
+
+/// The timing target the methods share under the paper's "given timing
+/// constraints": 1.10 × method I's fastest estimated arrival on
+/// `optimized`. It maps the conventional decomposition under
+/// [`MapOptions::area`], as method I maps it at the default
+/// configuration, without the evaluation and glitch simulation of a whole
+/// method run.
+///
+/// # Errors
+/// Returns [`FlowError`] when the decomposition or the mapping fails.
+pub fn shared_required_time(optimized: &Network, lib: &Library) -> Result<f64, FlowError> {
+    let cfg = FlowConfig::default();
+    let d = decompose(optimized, lib, DecompStyle::Conventional, &cfg)?;
+    Ok(map_network(d.subject(), lib, &MapOptions::area())?.estimated_fastest * 1.10)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -877,11 +959,7 @@ mod tests {
     fn assert_carried_activity_exact(net: &Network, use_correlations: bool) {
         let model = TransitionModel::StaticCmos;
         let probs = vec![0.5; net.inputs().len()];
-        for style in [
-            DecompStyle::Conventional,
-            DecompStyle::MinPower,
-            DecompStyle::BoundedMinPower,
-        ] {
+        for style in DecompStyle::ALL {
             let dopts = DecompOptions {
                 pi_probs: Some(probs.clone()),
                 use_correlations,
@@ -928,19 +1006,13 @@ mod tests {
                 let counters = r.obs.unwrap().metrics.counters;
                 assert_eq!(counters["activity.bdd.builds"], 1, "method {method}");
             }
-            // The six methods as `tables23` runs them: one decomposition
-            // per style, each mapped under both objectives.
+            // `run_methods` decomposes each style once and maps it under
+            // both objectives.
             let session = obs::Session::start();
-            let decomps = par::scope_map(2, &DecompStyle::ALL, |_, &style| {
-                decompose(&net, &lib, style, &cfg).unwrap()
-            });
-            par::scope_map(2, &Method::ALL, |_, &method| {
-                let d = decomps.iter().find(|d| d.style() == method.decomp_style());
-                map(d.unwrap(), &lib, method.map_objective()).unwrap()
-            });
+            run_methods(&[net.clone(), net.clone()], &lib, &cfg, 2).unwrap();
             let counters = session.finish().metrics.counters;
-            assert_eq!(counters["activity.bdd.builds"], 3);
-            assert_eq!(counters["flow.methods"], 6);
+            assert_eq!(counters["activity.bdd.builds"], 3 * 2);
+            assert_eq!(counters["flow.methods"], 6 * 2);
         }
     }
 
@@ -985,22 +1057,41 @@ mod tests {
                     qor: true,
                     ..FlowConfig::default()
                 };
-                for style in DecompStyle::ALL {
-                    let d = decompose(net, &lib, style, &cfg).unwrap();
-                    for objective in [MapObjective::Area, MapObjective::Power] {
-                        let method = Method::new(style, objective);
-                        let shared = map(&d, &lib, objective).unwrap();
-                        let alone = run_method(net, &lib, method, &cfg).unwrap();
-                        assert!(alone.qor.is_some());
-                        assert_eq!(
-                            fingerprint(&shared, &lib),
-                            fingerprint(&alone, &lib),
-                            "{} method {method}, correlations {use_correlations}",
-                            net.name()
-                        );
-                    }
+                let alone: Vec<_> = Method::ALL
+                    .into_iter()
+                    .map(|method| {
+                        let r = run_method(net, &lib, method, &cfg).unwrap();
+                        assert!(r.qor.is_some());
+                        fingerprint(&r, &lib)
+                    })
+                    .collect();
+                // `run_methods` decomposes each style once and maps it under
+                // both objectives.
+                for threads in [1, 2] {
+                    let all = run_methods(std::slice::from_ref(net), &lib, &cfg, threads).unwrap();
+                    let all: Vec<_> = all.iter().map(|r| fingerprint(r, &lib)).collect();
+                    assert_eq!(
+                        all,
+                        alone,
+                        "{}, correlations {use_correlations}, {threads} threads",
+                        net.name()
+                    );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn the_shared_target_is_method_i_fastest_plus_ten_percent() {
+        let lib = genlib::builtin::lib2_like();
+        for name in ["cm42a", "x2"] {
+            let net = optimize(&benchgen::suite_circuit(name));
+            let i = run_method(&net, &lib, Method::I, &FlowConfig::default()).unwrap();
+            assert_eq!(
+                shared_required_time(&net, &lib).unwrap().to_bits(),
+                (i.mapped.estimated_fastest * 1.10).to_bits(),
+                "{name}"
+            );
         }
     }
 
@@ -1027,6 +1118,12 @@ mod tests {
                     other => panic!("outputs `{outputs}`, method {method}: got {other:?}"),
                 }
             }
+            // Every style fails; `run_methods` reports the first in table order.
+            let e = run_methods(&[net], &lib, &cfg, 2).unwrap_err().to_string();
+            assert!(
+                e.starts_with("k: Conventional decomposition: mapping failed"),
+                "{e}"
+            );
         }
     }
 

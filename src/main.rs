@@ -50,10 +50,9 @@
 
 use genlib::{builtin::lib2_like, Library};
 use lowpower::core::decomp::DecompStyle;
-use lowpower::core::map::{map_network, MapObjective, MapOptions};
 use lowpower::flow::{
-    decompose, map, optimize, optimize_checked, run_flow, Decomposition, FlowConfig, Method,
-    StageLint,
+    decompose, map, optimize, optimize_checked, run_flow, run_methods, shared_required_time,
+    FlowConfig, Method, StageLint,
 };
 use lowpower::lint::LintLevel;
 use lowpower::obs::ObsMode;
@@ -187,6 +186,20 @@ impl Opts {
     /// `--method`, VI by default.
     fn method(&self) -> Method {
         self.method.unwrap_or(Method::VI)
+    }
+
+    /// The flow configuration the options ask for. [`parse_opts`] rejects
+    /// any option a subcommand does not read, so the fields it does not
+    /// read keep their defaults.
+    fn flow_config(&self) -> FlowConfig {
+        FlowConfig {
+            required_time: self.required,
+            use_correlations: self.correlations,
+            verify: self.verify,
+            lint: self.lint,
+            qor: self.qor,
+            ..FlowConfig::default()
+        }
     }
 }
 
@@ -370,14 +383,7 @@ fn print_findings(o: &Opts, findings: &[StageLint], json: bool) {
 
 fn synth(o: &Opts) -> Result<(), String> {
     let (net, lib) = load_inputs(o)?;
-    let cfg = FlowConfig {
-        required_time: o.required,
-        use_correlations: o.correlations,
-        verify: o.verify,
-        lint: o.lint,
-        qor: o.qor,
-        ..FlowConfig::default()
-    };
+    let cfg = o.flow_config();
     let r = run_flow(&net, &lib, o.method(), &cfg).map_err(|e| e.to_string())?;
     if let Some(ledger) = &r.qor {
         eprint!("{}", ledger.render_text());
@@ -416,22 +422,15 @@ fn synth(o: &Opts) -> Result<(), String> {
 
 fn report(o: &Opts) -> Result<(), String> {
     let (net, lib) = load_inputs(o)?;
-    let mut cfg = FlowConfig {
-        use_correlations: o.correlations,
-        verify: o.verify,
-        lint: o.lint,
-        ..FlowConfig::default()
-    };
+    let mut cfg = o.flow_config();
     let (optimized, findings) = optimize_checked(&net, &cfg).map_err(|e| e.to_string())?;
     print_findings(o, &findings, false);
-    // Shared timing target: the conventional ad-map flow's fastest + 10 %,
-    // mapped as method I maps it at the default configuration.
-    let probe_cfg = FlowConfig::default();
-    let fastest = decompose(&optimized, &lib, DecompStyle::Conventional, &probe_cfg)
-        .and_then(|d| Ok(map_network(d.subject(), &lib, &MapOptions::area())?))
-        .map_err(|e| e.to_string())?
-        .estimated_fastest;
-    cfg.required_time = Some(o.required.unwrap_or(fastest * 1.10));
+    if cfg.required_time.is_none() {
+        let target = shared_required_time(&optimized, &lib).map_err(|e| e.to_string())?;
+        cfg.required_time = Some(target);
+    }
+    let results =
+        run_methods(std::slice::from_ref(&optimized), &lib, &cfg, 1).map_err(|e| e.to_string())?;
     say!(
         o,
         "{:<7} {:>8} {:>9} {:>12} {:>12}",
@@ -441,19 +440,7 @@ fn report(o: &Opts) -> Result<(), String> {
         "power µW",
         "glitch µW"
     );
-    // Each style is decomposed once, by the first method that needs it.
-    let mut decomps: Vec<Decomposition> = Vec::new();
-    for m in Method::ALL {
-        let style = m.decomp_style();
-        if !decomps.iter().any(|d| d.style() == style) {
-            let d = decompose(&optimized, &lib, style, &cfg).map_err(|e| e.to_string())?;
-            decomps.push(d);
-        }
-        let d = decomps
-            .iter()
-            .find(|d| d.style() == style)
-            .expect("decomposed");
-        let r = map(d, &lib, m.map_objective()).map_err(|e| e.to_string())?;
+    for (m, r) in Method::ALL.into_iter().zip(&results) {
         print_findings(o, &r.lint_findings, false);
         say!(
             o,
@@ -476,10 +463,7 @@ fn decomp(o: &Opts) -> Result<(), String> {
         "bounded" => DecompStyle::BoundedMinPower,
         other => return Err(format!("unknown style `{other}`")),
     };
-    let cfg = FlowConfig {
-        use_correlations: o.correlations,
-        ..FlowConfig::default()
-    };
+    let cfg = o.flow_config();
     let d = decompose(&optimize(&net), &lib, style, &cfg).map_err(|e| e.to_string())?;
     let decomposed = d.network();
     println!("style            : {style:?}");
@@ -508,9 +492,8 @@ fn lint_cmd(o: &Opts) -> Result<(), String> {
     const STAGES: usize = 6;
     let (net, lib) = load_inputs(o)?;
     let cfg = FlowConfig {
-        use_correlations: o.correlations,
         lint: LintLevel::Check,
-        ..FlowConfig::default()
+        ..o.flow_config()
     };
     let mut findings = Vec::new();
     let input = lint_network(&net, &LintConfig::new());
@@ -546,26 +529,16 @@ fn qor_baseline(o: &Opts) -> Result<(), String> {
         return Err("--blif is required (repeat it for several circuits)".to_string());
     }
     let lib = load_lib(o)?;
-    let cfg = FlowConfig {
-        required_time: o.required,
-        use_correlations: o.correlations,
-        ..FlowConfig::default()
-    };
+    let cfg = o.flow_config();
     let ctx = cfg.qor_ctx();
+    let optimized = o.blifs.iter().map(|path| Ok(optimize(&load_blif(path)?)));
+    let optimized: Vec<netlist::Network> = optimized.collect::<Result<_, String>>()?;
+    let results = run_methods(&optimized, &lib, &cfg, 1).map_err(|e| e.to_string())?;
     let mut baseline = Baseline::new();
-    for path in &o.blifs {
-        let net = load_blif(path)?;
-        let optimized = optimize(&net);
-        for style in DecompStyle::ALL {
-            let d = decompose(&optimized, &lib, style, &cfg)
-                .map_err(|e| format!("{}: {style:?} decomposition: {e}", net.name()))?;
-            for objective in [MapObjective::Area, MapObjective::Power] {
-                let m = Method::new(style, objective);
-                let r = map(&d, &lib, objective)
-                    .map_err(|e| format!("{}: method {m}: {e}", net.name()))?;
-                let metrics = lowpower::qor::measure_mapped(&r.mapped, &lib, &ctx);
-                baseline.insert(net.name(), &m.to_string(), metrics);
-            }
+    for (net, results) in optimized.iter().zip(results.chunks(Method::ALL.len())) {
+        for (m, r) in Method::ALL.into_iter().zip(results) {
+            let metrics = lowpower::qor::measure_mapped(&r.mapped, &lib, &ctx);
+            baseline.insert(net.name(), &m.to_string(), metrics);
         }
         eprintln!("measured {} (6 methods)", net.name());
     }
@@ -599,11 +572,7 @@ fn qor_diff(o: &Opts) -> Result<(), String> {
 fn explain(o: &Opts) -> Result<(), String> {
     let node = o.node.as_deref().ok_or("--node is required")?;
     let (net, lib) = load_inputs(o)?;
-    let cfg = FlowConfig {
-        required_time: o.required,
-        use_correlations: o.correlations,
-        ..FlowConfig::default()
-    };
+    let cfg = o.flow_config();
     let optimized = optimize(&net);
     let Some(id) = optimized.find(node) else {
         return Err(format!(

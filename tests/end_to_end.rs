@@ -4,9 +4,10 @@
 //! methods the way the paper's comparisons require.
 
 use genlib::builtin::lib2_like;
-use lowpower::core::decomp::DecompStyle;
-use lowpower::core::map::{map_network, MapOptions};
-use lowpower::flow::{decompose, optimize, run_method, strip_constant_outputs, FlowConfig, Method};
+use lowpower::flow::{
+    optimize, run_method, run_methods, shared_required_time, strip_constant_outputs, FlowConfig,
+    Method,
+};
 use netlist::Network;
 use rand::{Rng, SeedableRng};
 
@@ -50,14 +51,14 @@ fn run_all_methods(net: &Network) {
         ..FlowConfig::default()
     };
     let optimized = optimize(net);
-    for m in Method::ALL {
-        let r = run_method(&optimized, &lib, m, &cfg)
-            .unwrap_or_else(|e| panic!("method {m} failed: {e}"));
+    let results = run_methods(std::slice::from_ref(&optimized), &lib, &cfg, 1)
+        .unwrap_or_else(|e| panic!("{e}"));
+    for (m, r) in Method::ALL.into_iter().zip(&results) {
         assert!(r.report.area > 0.0, "method {m}: empty mapping");
         assert!(r.report.delay > 0.0);
         assert!(r.report.power_uw >= 0.0);
         assert!(r.glitch_power_uw >= 0.0);
-        check_equivalence(&optimized, &r);
+        check_equivalence(&optimized, r);
     }
 }
 
@@ -127,16 +128,8 @@ fn pd_map_power_not_worse_within_suite_geomean() {
     for name in ["cm42a", "x2", "s208", "alu2"] {
         let net = benchgen::suite_circuit(name);
         let optimized = optimize(&net);
-        // Timing target: method I's fastest arrival + 10 %, probed without
-        // its glitch simulation.
-        let probe_cfg = FlowConfig::default();
-        let conventional =
-            decompose(&optimized, &lib, DecompStyle::Conventional, &probe_cfg).unwrap();
-        let fastest = map_network(conventional.subject(), &lib, &MapOptions::area())
-            .unwrap()
-            .estimated_fastest;
         let cfg = FlowConfig {
-            required_time: Some(fastest * 1.10),
+            required_time: Some(shared_required_time(&optimized, &lib).unwrap()),
             sim_vectors: 400,
             ..FlowConfig::default()
         };

@@ -2,11 +2,12 @@
 //! circuit of the benchmark suite, must come through the flow's lint
 //! checkpoints with zero Error-severity findings at [`LintLevel::Deny`].
 //! (Deny turns any Error finding into a hard `FlowError::Lint`, so merely
-//! completing `run_method` proves the gate; we additionally assert that the
-//! surviving warn-level findings really carry no errors.)
+//! completing `optimize_checked` and `run_methods` proves the gate; we
+//! additionally assert that the surviving warn-level findings of the
+//! methods really carry no errors.)
 
 use genlib::builtin::lib2_like;
-use lowpower::flow::{optimize, run_method, FlowConfig, Method};
+use lowpower::flow::{optimize_checked, run_methods, FlowConfig, Method};
 use lowpower::lint::{lint_network, LintConfig, LintLevel};
 
 fn lint_all_methods(net: &netlist::Network) {
@@ -16,25 +17,17 @@ fn lint_all_methods(net: &netlist::Network) {
         lint: LintLevel::Deny,
         ..FlowConfig::default()
     };
-    let lint_cfg = LintConfig::new();
-    let raw = lint_network(net, &lint_cfg);
+    let raw = lint_network(net, &LintConfig::new());
     assert!(
         !raw.has_errors(),
         "{}: parsed network fails lint:\n{}",
         net.name(),
         raw.render_text()
     );
-    let optimized = optimize(net);
-    let opt = lint_network(&optimized, &lint_cfg);
-    assert!(
-        !opt.has_errors(),
-        "{}: optimized network fails lint:\n{}",
-        net.name(),
-        opt.render_text()
-    );
-    for m in Method::ALL {
-        let r = run_method(&optimized, &lib, m, &cfg)
-            .unwrap_or_else(|e| panic!("{} method {m}: {e}", net.name()));
+    let (optimized, _) =
+        optimize_checked(net, &cfg).unwrap_or_else(|e| panic!("{}: {e}", net.name()));
+    let results = run_methods(&[optimized], &lib, &cfg, 1).unwrap_or_else(|e| panic!("{e}"));
+    for (m, r) in Method::ALL.into_iter().zip(&results) {
         for f in &r.lint_findings {
             assert_eq!(
                 f.report.error_count(),

@@ -10,7 +10,7 @@
 
 use genlib::builtin::lib2_like;
 use lowpower::core::decomp::{decompose_network, DecompOptions, DecompStyle};
-use lowpower::flow::{optimize, run_method, FlowConfig, Method};
+use lowpower::flow::{optimize, run_methods, FlowConfig};
 use lowpower::lint::{lint_decomposed, lint_network, LintConfig, LintLevel};
 use proptest::prelude::*;
 
@@ -106,13 +106,10 @@ proptest! {
             lint: LintLevel::Deny,
             ..FlowConfig::default()
         };
-        let optimized = optimize(&net);
-        for m in Method::ALL {
-            let r = run_method(&optimized, &lib, m, &cfg)
-                .unwrap_or_else(|e| panic!("seed {seed} method {m}: {e}"));
-            for f in &r.lint_findings {
-                prop_assert_eq!(f.report.error_count(), 0);
-            }
+        let results = run_methods(&[optimize(&net)], &lib, &cfg, 1)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        for f in results.iter().flat_map(|r| &r.lint_findings) {
+            prop_assert_eq!(f.report.error_count(), 0);
         }
     }
 }

@@ -10,7 +10,7 @@
 //! say so in the change description.
 
 use genlib::builtin::lib2_like;
-use lowpower::flow::{optimize, run_method, FlowConfig, Method};
+use lowpower::flow::{optimize, run_methods, FlowConfig, Method, MethodResult};
 
 /// 64-bit FNV-1a.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -20,6 +20,17 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// Every method's result on each named suite circuit, in (circuit,
+/// `Method::ALL`) order.
+fn run_all(names: &[&str]) -> Vec<MethodResult> {
+    let optimized: Vec<_> = names
+        .iter()
+        .map(|name| optimize(&benchgen::suite_circuit(name)))
+        .collect();
+    run_methods(&optimized, &lib2_like(), &FlowConfig::default(), 2)
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// `(circuit, [digest per method in `Method::ALL` order])`.
@@ -62,20 +73,17 @@ const GOLDEN: [(&str, [u64; 6]); 3] = [
 #[test]
 fn mapped_blif_digests_are_pinned() {
     let lib = lib2_like();
-    let cfg = FlowConfig::default();
-    let mut actual = Vec::new();
-    for (name, _) in GOLDEN {
-        let optimized = optimize(&benchgen::suite_circuit(name));
-        let digests: Vec<u64> = Method::ALL
-            .iter()
-            .map(|&m| {
-                let r = run_method(&optimized, &lib, m, &cfg)
-                    .unwrap_or_else(|e| panic!("method {m} failed on {name}: {e}"));
-                fnv1a(r.mapped.to_blif(&lib, &format!("{name}_mapped")).as_bytes())
-            })
-            .collect();
-        actual.push((name, digests));
-    }
+    let names = GOLDEN.map(|(name, _)| name);
+    let results = run_all(&names);
+    let actual: Vec<(&str, Vec<u64>)> = names
+        .into_iter()
+        .zip(results.chunks(Method::ALL.len()))
+        .map(|(name, results)| {
+            let blif = |r: &MethodResult| r.mapped.to_blif(&lib, &format!("{name}_mapped"));
+            let digest = |r| fnv1a(blif(r).as_bytes());
+            (name, results.iter().map(digest).collect())
+        })
+        .collect();
     let table: String = actual
         .iter()
         .map(|(name, d)| {
@@ -102,17 +110,10 @@ const GLITCH_GOLDEN: u64 = 0xafd1ea567de780de;
 
 #[test]
 fn glitch_power_digest_is_pinned() {
-    let lib = lib2_like();
-    let cfg = FlowConfig::default();
-    let mut bytes = Vec::new();
-    for name in ["cm42a", "x2", "s344"] {
-        let optimized = optimize(&benchgen::suite_circuit(name));
-        for m in Method::ALL {
-            let r = run_method(&optimized, &lib, m, &cfg)
-                .unwrap_or_else(|e| panic!("method {m} failed on {name}: {e}"));
-            bytes.extend_from_slice(&r.glitch_power_uw.to_bits().to_le_bytes());
-        }
-    }
+    let bytes: Vec<u8> = run_all(&["cm42a", "x2", "s344"])
+        .iter()
+        .flat_map(|r| r.glitch_power_uw.to_bits().to_le_bytes())
+        .collect();
     let digest = fnv1a(&bytes);
     assert_eq!(
         digest, GLITCH_GOLDEN,

@@ -5,7 +5,8 @@
 //! the scheduling of chunks. These tests pin that contract end to end:
 //!
 //! * full six-method flow runs on suite circuits render byte-identical
-//!   reports at `sim_threads = 1` and `sim_threads = 4`;
+//!   reports serially and with 2 `run_methods` workers at
+//!   `sim_threads = 4`;
 //! * the chunked seeded activity simulation matches an independently
 //!   written serial reference exactly, for arbitrary vector counts
 //!   (including non-multiples of 64) at any thread count;
@@ -14,7 +15,7 @@
 
 use activity::sim::bernoulli_word;
 use genlib::builtin::lib2_like;
-use lowpower::flow::{optimize, run_method, FlowConfig, Method, MethodResult};
+use lowpower::flow::{optimize, run_methods, FlowConfig, Method, MethodResult};
 use lowpower::verify::{check_equiv, Verdict, VerifyLevel, VerifyOptions};
 use netlist::{parse_blif, Network};
 use proptest::prelude::*;
@@ -38,29 +39,24 @@ fn render(r: &MethodResult, lib: &genlib::Library) -> String {
 #[test]
 fn six_methods_thread_invariant_on_suite_circuits() {
     let lib = lib2_like();
-    for name in ["s208", "cm42a", "x2"] {
-        let net = benchgen::suite_circuit(name);
-        let optimized = optimize(&net);
-        for m in Method::ALL {
-            let serial = FlowConfig {
-                sim_vectors: 256,
-                sim_threads: 1,
-                ..FlowConfig::default()
-            };
-            let parallel = FlowConfig {
-                sim_threads: 4,
-                ..serial.clone()
-            };
-            let a = run_method(&optimized, &lib, m, &serial)
-                .unwrap_or_else(|e| panic!("method {m} failed on {name}: {e}"));
-            let b = run_method(&optimized, &lib, m, &parallel)
-                .unwrap_or_else(|e| panic!("method {m} failed on {name}: {e}"));
-            assert_eq!(
-                render(&a, &lib),
-                render(&b, &lib),
-                "{name} method {m}: 1-thread and 4-thread runs diverged"
-            );
-        }
+    let names = ["s208", "cm42a", "x2"];
+    let optimized: Vec<Network> = names
+        .iter()
+        .map(|name| optimize(&benchgen::suite_circuit(name)))
+        .collect();
+    let renders = |sim_threads, threads| -> Vec<String> {
+        let cfg = FlowConfig {
+            sim_vectors: 256,
+            sim_threads,
+            ..FlowConfig::default()
+        };
+        let results = run_methods(&optimized, &lib, &cfg, threads);
+        let results = results.unwrap_or_else(|e| panic!("{e}"));
+        results.iter().map(|r| render(r, &lib)).collect()
+    };
+    let cells = names.iter().flat_map(|name| Method::ALL.map(|m| (name, m)));
+    for ((a, b), (name, m)) in renders(1, 1).iter().zip(renders(4, 2)).zip(cells) {
+        assert_eq!(a, &b, "{name} method {m}: serial and parallel differ");
     }
 }
 

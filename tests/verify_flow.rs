@@ -5,8 +5,8 @@
 //! fallback) function-preserving.
 
 use genlib::builtin::lib2_like;
-use lowpower::flow::{optimize, run_method, FlowConfig, Method};
-use lowpower::verify::{check_equiv, VerifyLevel, VerifyOptions};
+use lowpower::flow::{optimize_checked, run_methods, FlowConfig};
+use lowpower::verify::VerifyLevel;
 
 fn verify_all_methods(net: &netlist::Network) {
     let lib = lib2_like();
@@ -15,18 +15,9 @@ fn verify_all_methods(net: &netlist::Network) {
         verify: VerifyLevel::Full,
         ..FlowConfig::default()
     };
-    let optimized = optimize(net);
-    let v = check_equiv(net, &optimized, &VerifyOptions::default())
-        .unwrap_or_else(|e| panic!("{}: optimize not comparable: {e}", net.name()));
-    assert!(
-        v.is_ok(),
-        "{}: optimize broke the function: {v:?}",
-        net.name()
-    );
-    for m in Method::ALL {
-        run_method(&optimized, &lib, m, &cfg)
-            .unwrap_or_else(|e| panic!("{} method {m}: {e}", net.name()));
-    }
+    let (optimized, _) =
+        optimize_checked(net, &cfg).unwrap_or_else(|e| panic!("{}: {e}", net.name()));
+    run_methods(&[optimized], &lib, &cfg, 1).unwrap_or_else(|e| panic!("{e}"));
 }
 
 macro_rules! suite_verified {
