@@ -135,5 +135,9 @@ echo "==> qor ledger gate (the ledger lines riding the obs stream parse strictly
 cargo run --release --quiet -- synth --blif examples/blif/mux4.blif --method V \
     --qor --obs=json --obs-out "$TMP/qor.jsonl" > /dev/null 2>&1
 cargo run --release --quiet -- obs-check --file "$TMP/qor.jsonl"
+# Its stripped snapshot pins the `qor` span counts and `qor.snapshots`.
+cargo run --release --quiet -- obs-check --file "$TMP/qor.jsonl" --strip \
+    > "$TMP/qor.stripped"
+cmp "$TMP/qor.stripped" results/cli/mux4.qor.obs.json
 
 echo "CI OK"

@@ -48,15 +48,12 @@ fn main() {
     let rows: Vec<SuiteRow> = selected
         .iter()
         .zip(results.chunks(Method::ALL.len()))
-        .map(|(name, results)| {
-            obs::note!("done: {name}");
-            SuiteRow {
-                name: name.to_string(),
-                methods: results
-                    .iter()
-                    .map(|r| (r.report.area, r.report.delay, r.glitch_power_uw))
-                    .collect(),
-            }
+        .map(|(name, results)| SuiteRow {
+            name: name.to_string(),
+            methods: results
+                .iter()
+                .map(|r| (r.report.area, r.report.delay, r.glitch_power_uw))
+                .collect(),
         })
         .collect();
 

@@ -82,17 +82,10 @@ impl Method {
     }
 }
 
+/// The method's numeral, as the tables print it.
 impl fmt::Display for Method {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Method::I => "I",
-            Method::II => "II",
-            Method::III => "III",
-            Method::IV => "IV",
-            Method::V => "V",
-            Method::VI => "VI",
-        };
-        write!(f, "{s}")
+        fmt::Debug::fmt(self, f)
     }
 }
 
@@ -139,14 +132,18 @@ pub struct FlowConfig {
     /// [`run_flow`] start a recording session (unless the caller already
     /// has one live on this thread, in which case events flow into it)
     /// and attach the finished [`obs::Report`] to
-    /// [`MethodResult::obs`]. The mode value itself selects the sink used
-    /// by CLI drivers; the flow records identically for all three.
+    /// [`MethodResult::obs`]. They are the only entry points that start
+    /// one: [`run_methods`], [`decompose`], [`map`] and
+    /// [`optimize_checked`] record into the caller's session, if any,
+    /// whatever this field says. The mode value itself selects the sink
+    /// used by CLI drivers; the flow records identically for all three.
     pub obs: obs::ObsMode,
     /// Record a QoR ledger for the run: [`run_flow`] / [`run_method`] open
     /// a [`qor::LedgerReport`] with a snapshot of their input and append a
     /// deterministic snapshot after every stage — each rugged-script pass,
-    /// the decomposition, the constant-output strip, and the mapping. The
-    /// run owns the ledger and returns it in [`MethodResult::qor`].
+    /// the decomposition, the constant-output strip, and the mapping —
+    /// each under a `qor` span labelled with its ledger stage. The run
+    /// owns the ledger and returns it in [`MethodResult::qor`].
     pub qor: bool,
 }
 
@@ -294,88 +291,79 @@ pub struct StageLint {
 /// the given options.
 type EquivCheck<'a> = &'a dyn Fn(&VerifyOptions) -> Result<Verdict, verify::VerifyError>;
 
-/// The QoR snapshots of a run taken before its method is known. They are
-/// recorded into a ledger under the method's label by
-/// [`Checkpoints::ledger`].
-#[derive(Debug, Clone)]
-struct Snapshots {
-    ctx: qor::Ctx,
-    circuit: String,
-    taken: Vec<qor::Snapshot>,
-}
-
-/// The cross-cutting checks of one run, applied the same way after every
-/// stage, plus what the run records along the way: the lint findings and,
-/// when [`FlowConfig::qor`] is set, the QoR snapshots with their
-/// measurement context.
+/// The checkpoints of one run — verify, lint and the QoR snapshot, each
+/// under a span of its name labelled with its stage — and what they
+/// record: the lint findings and, when the run keeps a QoR ledger, its
+/// measurement context, circuit and snapshots.
 #[derive(Debug, Clone)]
 struct Checkpoints<'c> {
     cfg: &'c FlowConfig,
     findings: Vec<StageLint>,
-    snapshots: Option<Snapshots>,
+    qor: Option<(qor::Ctx, String)>,
+    snapshots: Vec<qor::Snapshot>,
 }
 
 impl<'c> Checkpoints<'c> {
-    fn new(cfg: &'c FlowConfig) -> Self {
-        Checkpoints {
-            cfg,
-            findings: Vec::new(),
-            snapshots: None,
-        }
-    }
-
-    /// The checkpoints of a run on `input` with `lib`, after the library
-    /// checkpoint. When [`FlowConfig::qor`] is set, the snapshots open
-    /// with one of `input` labelled `opening`.
+    /// Open a run on `input`: check `cfg` against it, and in a debug build
+    /// panic if `input` already breaks a lint invariant, which the first
+    /// checkpoint would blame on its stage. A run that maps passes its
+    /// opening snapshot's label, taken under [`FlowConfig::qor`], and its
+    /// library, whose checkpoint follows.
     fn open(
         cfg: &'c FlowConfig,
-        lib: &Library,
         input: &Network,
-        opening: &str,
+        mapping: Option<(&str, &Library)>,
     ) -> Result<Self, FlowError> {
-        assert_clean_input(input);
-        let mut checks = Checkpoints::new(cfg);
-        if cfg.qor {
-            checks.snapshots = Some(Snapshots {
-                ctx: cfg.qor_ctx(),
-                circuit: input.name().to_string(),
-                taken: Vec::new(),
-            });
-            checks.snapshot_network(opening, input);
+        cfg.check(input.inputs().len())?;
+        if cfg!(debug_assertions) {
+            let report = lint_network(input, &LintConfig::new());
+            assert!(
+                !report.has_errors(),
+                "lint: the input network already violates invariants\n{}",
+                report.render_text()
+            );
         }
-        checks.check("library", None, |c| lint_library(lib, c))?;
+        let mut checks = Checkpoints {
+            cfg,
+            findings: Vec::new(),
+            qor: (cfg.qor && mapping.is_some()).then(|| (cfg.qor_ctx(), input.name().to_string())),
+            snapshots: Vec::new(),
+        };
+        if let Some((opening, lib)) = mapping {
+            checks.snapshot(opening, qor::SnapKind::Network, |ctx| {
+                qor::measure_network(input, ctx)
+            });
+            checks.check("library", None, |c| lint_library(lib, c))?;
+        }
         Ok(checks)
     }
 
-    /// Take the QoR snapshot after `stage` when the run keeps a ledger.
+    /// The QoR snapshot after `stage`, under a `qor` span, when the run
+    /// keeps a ledger.
     fn snapshot(
         &mut self,
         stage: &str,
         kind: qor::SnapKind,
         measure: impl FnOnce(&qor::Ctx) -> qor::Metrics,
     ) {
-        if let Some(s) = &mut self.snapshots {
-            s.taken.push(qor::Snapshot {
+        if let Some((ctx, _)) = &self.qor {
+            let _span = obs::span!("qor", "{stage}");
+            let metrics = measure(ctx);
+            self.snapshots.push(qor::Snapshot {
                 stage: stage.to_string(),
                 kind,
-                metrics: measure(&s.ctx),
+                metrics,
             });
         }
-    }
-
-    fn snapshot_network(&mut self, stage: &str, net: &Network) {
-        self.snapshot(stage, qor::SnapKind::Network, |ctx| {
-            qor::measure_network(net, ctx)
-        });
     }
 
     /// The run's QoR ledger under `method`'s label: its snapshots passed
     /// to [`qor::LedgerReport::record`] in the order they were taken, which
     /// counts them and emits their obs notes.
     fn ledger(&self, method: Method) -> Option<qor::LedgerReport> {
-        let s = self.snapshots.as_ref()?;
-        let mut ledger = qor::LedgerReport::new(&s.circuit, &method.to_string());
-        for snap in &s.taken {
+        let (_, circuit) = self.qor.as_ref()?;
+        let mut ledger = qor::LedgerReport::new(circuit, &method.to_string());
+        for snap in &self.snapshots {
             ledger.record(&snap.stage, snap.kind, snap.metrics);
         }
         Some(ledger)
@@ -440,32 +428,26 @@ impl<'c> Checkpoints<'c> {
         Ok(())
     }
 
-    /// The optimize stage, with a ledger snapshot after every pass, and its
-    /// checkpoint.
+    /// The optimize stage, with a QoR snapshot after every pass of the
+    /// rugged-like script (labels `optimize.<round>.<pass>`, see
+    /// [`logicopt::rugged_like_with`]), and its checkpoint.
     fn optimize(&mut self, net: &Network) -> Result<Network, FlowError> {
-        let optimized = optimize_with(net, &mut |label, after| {
-            self.snapshot_network(&format!("optimize.{label}"), after);
-        });
+        let optimized = {
+            let _span = obs::span!("optimize");
+            let mut n = net.clone();
+            logicopt::rugged_like_with(&mut n, &mut |pass, after| {
+                self.snapshot(&format!("optimize.{pass}"), qor::SnapKind::Network, |ctx| {
+                    qor::measure_network(after, ctx)
+                });
+            });
+            n
+        };
         self.check(
             "optimize",
             Some(&|o| check_equiv(net, &optimized, o)),
             |c| lint_network(&optimized, c),
         )?;
         Ok(optimized)
-    }
-}
-
-/// In a debug build, panic when `input`, the network a run starts from,
-/// already carries an `Error`-severity lint finding: the first checkpoint
-/// would otherwise blame its stage for the caller's corrupt network.
-fn assert_clean_input(input: &Network) {
-    if cfg!(debug_assertions) {
-        let report = lint_network(input, &LintConfig::new());
-        assert!(
-            !report.has_errors(),
-            "lint: the input network already violates invariants\n{}",
-            report.render_text()
-        );
     }
 }
 
@@ -480,28 +462,19 @@ pub fn optimize(net: &Network) -> Network {
     optimized
 }
 
-/// The rugged-like script with `hook(label, net)` run after every pass
-/// (labels `<round>.<pass>`, see [`logicopt::rugged_like_with`]).
-fn optimize_with(net: &Network, hook: &mut dyn FnMut(&str, &Network)) -> Network {
-    let _span = obs::span!("optimize");
-    let mut n = net.clone();
-    logicopt::rugged_like_with(&mut n, hook);
-    n
-}
-
 /// [`optimize`] followed by the flow's optimize checkpoint: verification
 /// against `net` and lint at the levels of `cfg`. Returns the optimized
 /// network and the checkpoint's lint findings, so a caller running several
 /// methods on one optimized network checks it once.
 ///
 /// # Errors
-/// Returns [`FlowError`] when the checkpoint fails.
+/// Returns [`FlowError::Config`] when `cfg` cannot be used for `net`, and
+/// another [`FlowError`] when the checkpoint fails.
 pub fn optimize_checked(
     net: &Network,
     cfg: &FlowConfig,
 ) -> Result<(Network, Vec<StageLint>), FlowError> {
-    assert_clean_input(net);
-    let mut checks = Checkpoints::new(cfg);
+    let mut checks = Checkpoints::open(cfg, net, None)?;
     let optimized = checks.optimize(net)?;
     Ok((optimized, checks.findings))
 }
@@ -619,7 +592,9 @@ pub struct MethodResult {
     /// Observability report of the run, when [`FlowConfig::obs`] is not
     /// [`obs::ObsMode::Off`] **and** the flow owned the recording session.
     /// `None` when a caller-owned session was already live (the caller
-    /// finishes it and holds the report) or when observability is off.
+    /// finishes it and holds the report), when observability is off, and
+    /// for every result of [`map`] and [`run_methods`], which start no
+    /// session.
     pub obs: Option<obs::Report>,
     /// QoR ledger of the run, when [`FlowConfig::qor`] is set: the opening
     /// snapshot (`initial` from [`run_flow`], `optimized` from
@@ -632,12 +607,12 @@ pub struct MethodResult {
 /// the methods of that style share, ready to be mapped under either
 /// objective by [`map`].
 ///
-/// It keeps the [`FlowConfig`] it was built under, so every mapping of it
-/// runs under that configuration, and the lint findings and QoR snapshots
-/// of its stages, which [`map`] replays into each method's result.
+/// Its checkpoints keep the [`FlowConfig`] it was built under, so every
+/// mapping of it runs under that configuration, and the lint findings and
+/// QoR snapshots of its stages, which [`map`] replays into each method's
+/// result.
 #[derive(Debug)]
 pub struct Decomposition<'c> {
-    cfg: &'c FlowConfig,
     style: DecompStyle,
     pi_probs: Vec<f64>,
     decomposed: DecomposedNetwork,
@@ -685,8 +660,7 @@ pub fn decompose<'c>(
     style: DecompStyle,
     cfg: &'c FlowConfig,
 ) -> Result<Decomposition<'c>, FlowError> {
-    cfg.check(optimized.inputs().len())?;
-    let checks = Checkpoints::open(cfg, lib, optimized, "optimized")?;
+    let checks = Checkpoints::open(cfg, optimized, Some(("optimized", lib)))?;
     decompose_stages(optimized, style, checks)
 }
 
@@ -722,9 +696,8 @@ pub fn run_flow(
     method: Method,
     cfg: &FlowConfig,
 ) -> Result<MethodResult, FlowError> {
-    cfg.check(net.inputs().len())?;
     with_obs(cfg, || {
-        let mut checks = Checkpoints::open(cfg, lib, net, "initial")?;
+        let mut checks = Checkpoints::open(cfg, net, Some(("initial", lib)))?;
         let optimized = checks.optimize(net)?;
         let _method_span = obs::span!("method", "{method}");
         let d = decompose_stages(&optimized, method.decomp_style(), checks)?;
@@ -773,10 +746,11 @@ fn decompose_stages<'c>(
             let _s = obs::span!("bdd.build");
             NetworkBdds::build(optimized, &pi_probs)
         };
-        let d = decompose_network_with(optimized, &dopts, &mut bdds);
-        checks.snapshot_network("decompose", &d.network);
-        (d, bdds)
+        (decompose_network_with(optimized, &dopts, &mut bdds), bdds)
     };
+    checks.snapshot("decompose", qor::SnapKind::Network, |ctx| {
+        qor::measure_network(&decomposed.network, ctx)
+    });
     checks.check(
         "decompose",
         Some(&|o| check_equiv(optimized, &decomposed.network, o)),
@@ -794,7 +768,6 @@ fn decompose_stages<'c>(
     let switching = act.total_switching(mappable.logic_ids());
     let subject = SubjectAig::from_network(&mappable, &act)?;
     Ok(Decomposition {
-        cfg,
         style,
         pi_probs,
         decomposed,
@@ -818,7 +791,7 @@ pub fn map(
     objective: MapObjective,
 ) -> Result<MethodResult, FlowError> {
     let mut checks = d.checks.clone();
-    let cfg = d.cfg;
+    let cfg = d.checks.cfg;
     obs::counter!("flow.methods");
     let mopts = MapOptions {
         objective,
@@ -898,7 +871,9 @@ impl std::error::Error for CellError {}
 /// (circuit, method) cell maps its style's decomposition, both stages on
 /// `threads` workers. The results come in (circuit, [`Method::ALL`])
 /// order, each equal to that method's [`run_method`] result, and are
-/// identical at any thread count.
+/// identical at any thread count. It starts no obs session, whatever
+/// [`FlowConfig::obs`] says: its workers record into the caller's, if any,
+/// and every [`MethodResult::obs`] is `None`.
 ///
 /// # Errors
 /// Returns the first failed decomposition in (circuit, style) order, else
@@ -1141,8 +1116,9 @@ mod tests {
         };
         for (cfg, want) in [(too_few_vectors, "sim_vectors"), (short_probs, "pi_probs")] {
             for result in [
-                run_flow(&net, &lib, Method::V, &cfg),
-                run_method(&net, &lib, Method::V, &cfg),
+                run_flow(&net, &lib, Method::V, &cfg).map(drop),
+                run_method(&net, &lib, Method::V, &cfg).map(drop),
+                optimize_checked(&net, &cfg).map(drop),
             ] {
                 match result {
                     Err(FlowError::Config { field, .. }) => assert_eq!(field, want),
@@ -1186,7 +1162,8 @@ mod tests {
     fn an_error_finding_panics_at_lint_off_in_debug_builds() {
         let cfg = FlowConfig::default();
         let net = corrupt_network();
-        let _ = Checkpoints::new(&cfg).check("optimize", None, |c| lint_network(&net, c));
+        let mut checks = Checkpoints::open(&cfg, &clash_network(), None).unwrap();
+        let _ = checks.check("optimize", None, |c| lint_network(&net, c));
     }
 
     #[test]

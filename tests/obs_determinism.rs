@@ -17,8 +17,9 @@
 //!   stream, progress notes included, and names the line of a tampered
 //!   ledger note;
 //! * `run_flow` and `run_method` record exactly one `verify` span per
-//!   transforming stage and one `lint` span per stage, in stage order, and
-//!   none when both checks are off;
+//!   transforming stage, one `lint` span per stage and, with the QoR
+//!   ledger on, one `qor` span per ledger snapshot, in stage order, and
+//!   none when those checks are off;
 //! * spans opened inside `par::scope_map` workers always splice back into
 //!   a well-formed tree under the span open at the fork point, for
 //!   arbitrary item counts and thread counts (proptest).
@@ -199,14 +200,18 @@ fn a_tampered_ledger_note_fails_naming_its_line() {
     }
 }
 
-/// `(name, label)` of every `verify` and `lint` span, in preorder.
-fn checkpoint_spans(nodes: &[SpanNode], out: &mut Vec<(String, String)>) {
+/// `(name, label)` of every `verify`, `lint` and `qor` span under
+/// `parent`, in preorder. A `qor` span sits outside every stage and pass
+/// span.
+fn checkpoint_spans(nodes: &[SpanNode], parent: &str, out: &mut Vec<(String, String)>) {
     for n in nodes {
-        if n.name == "verify" || n.name == "lint" {
+        if n.name == "verify" || n.name == "lint" || n.name == "qor" {
+            let outside = ["", "rugged.round", "method"].contains(&parent);
+            assert!(n.name != "qor" || outside, "a `qor` span in `{parent}`");
             let label = n.label.clone().unwrap_or_default();
             out.push((n.name.to_string(), label));
         }
-        checkpoint_spans(&n.children, out);
+        checkpoint_spans(&n.children, n.name, out);
     }
 }
 
@@ -215,12 +220,13 @@ fn checkpoints_are_uniform_across_stages() {
     let lib = lib2_like();
     let net = benchgen::suite_circuit("cm42a");
     let optimized = optimize(&net);
-    let spans = |from_raw: bool, verify: VerifyLevel, lint: LintLevel| {
+    let spans = |from_raw: bool, verify: VerifyLevel, lint: LintLevel, qor: bool| {
         let cfg = FlowConfig {
             sim_vectors: 64,
             verify,
             lint,
             obs: ObsMode::Summary,
+            qor,
             ..FlowConfig::default()
         };
         let r = if from_raw {
@@ -228,12 +234,12 @@ fn checkpoints_are_uniform_across_stages() {
         } else {
             run_method(&optimized, &lib, Method::VI, &cfg)
         };
-        let report = r
-            .expect("flow runs")
-            .obs
-            .expect("the flow owns the session");
+        let r = r.expect("flow runs");
+        let report = r.obs.expect("the flow owns the session");
         let mut out = Vec::new();
-        checkpoint_spans(&report.tree().expect("balanced spans"), &mut out);
+        checkpoint_spans(&report.tree().expect("balanced spans"), "", &mut out);
+        let snapshots = r.qor.map_or(0, |ledger| ledger.snapshots.len());
+        assert_eq!(out.iter().filter(|(n, _)| n == "qor").count(), snapshots);
         out
     };
     let pairs = |want: &[(&str, &str)]| -> Vec<(String, String)> {
@@ -242,10 +248,10 @@ fn checkpoints_are_uniform_across_stages() {
             .collect()
     };
     for from_raw in [true, false] {
-        assert_eq!(spans(from_raw, VerifyLevel::Off, LintLevel::Off), []);
+        assert_eq!(spans(from_raw, VerifyLevel::Off, LintLevel::Off, false), []);
     }
     assert_eq!(
-        spans(true, VerifyLevel::Full, LintLevel::Check),
+        spans(true, VerifyLevel::Full, LintLevel::Check, false),
         pairs(&[
             ("lint", "library"),
             ("verify", "optimize"),
@@ -258,7 +264,7 @@ fn checkpoints_are_uniform_across_stages() {
         ])
     );
     assert_eq!(
-        spans(false, VerifyLevel::Full, LintLevel::Check),
+        spans(false, VerifyLevel::Full, LintLevel::Check, false),
         pairs(&[
             ("lint", "library"),
             ("verify", "decompose"),
@@ -268,6 +274,20 @@ fn checkpoints_are_uniform_across_stages() {
             ("lint", "map"),
         ])
     );
+    // One `qor` span per ledger snapshot: of the input, of every pass
+    // (`run_flow` only) and of the later stages.
+    let passes = "sweep simplify eliminate extract resimplify resweep";
+    let stages = pairs(&[("qor", "decompose"), ("qor", "strip_const"), ("qor", "map")]);
+    let mut flow = pairs(&[("qor", "initial")]);
+    for r in 1..=2 {
+        for p in passes.split(' ') {
+            flow.push(("qor".into(), format!("optimize.{r}.{p}")));
+        }
+    }
+    flow.extend(stages.clone());
+    let method = [pairs(&[("qor", "optimized")]), stages].concat();
+    assert_eq!(spans(true, VerifyLevel::Off, LintLevel::Off, true), flow);
+    assert_eq!(spans(false, VerifyLevel::Off, LintLevel::Off, true), method);
 }
 
 fn count_spans(nodes: &[SpanNode], name: &str) -> usize {
