@@ -2,9 +2,13 @@
 //!
 //! Implements the paper's power model (Section 1.2–1.4):
 //!
-//! * signal probabilities by global-BDD traversal (eq. 2),
-//! * zero-delay transition probabilities for static CMOS (eqs. 3–4, 10–11)
-//!   and domino dynamic CMOS (eqs. 5–6),
+//! * signal probabilities by global-BDD traversal (eq. 2), built from
+//!   each node's cover by [`sop_bdd`], the workspace's one SOP→BDD kernel
+//!   (the equivalence checker compiles networks through it too),
+//! * zero-delay switching activity as one function of the exact signal
+//!   probability, [`TransitionModel::switching`]: static CMOS (eqs. 3–4,
+//!   and eqs. 10–11 evaluated at a gate's exact output probability) and
+//!   domino dynamic CMOS (eqs. 5–6),
 //! * pairwise correlation bookkeeping for correlated inputs (eqs. 7–9),
 //! * a Monte-Carlo logic simulator used to cross-validate the analytic
 //!   numbers, and
@@ -36,6 +40,6 @@ pub mod transition;
 
 pub use correlation::CorrelationMatrix;
 pub use env::PowerEnv;
-pub use prob::{analyze, ActivityMap, NetworkBdds};
+pub use prob::{analyze, sop_bdd, ActivityMap, NetworkBdds};
 pub use sim::{simulate_activity_seeded, SimActivity};
-pub use transition::{TransProbs, TransitionModel};
+pub use transition::TransitionModel;

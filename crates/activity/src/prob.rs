@@ -2,7 +2,7 @@
 
 use crate::transition::TransitionModel;
 use bdd::{Bdd, BddManager};
-use netlist::{Network, NodeId};
+use netlist::{Lit, Network, NodeId, Sop};
 
 /// Global BDDs for every node of a network, over the primary inputs.
 ///
@@ -88,21 +88,9 @@ impl NetworkBdds {
             if cfg!(not(debug_assertions)) && node_bdd[id.index()].is_some() {
                 continue;
             }
-            let mut f = Bdd::ZERO;
-            for cube in sop.cubes() {
-                let mut c = Bdd::ONE;
-                for (pos, lit) in cube.bound_lits() {
-                    let v =
-                        node_bdd[node.fanins()[pos].index()].expect("fanin processed before node");
-                    let v = match lit {
-                        netlist::Lit::Pos => v,
-                        netlist::Lit::Neg => self.manager.not(v),
-                        netlist::Lit::Free => unreachable!(),
-                    };
-                    c = self.manager.and(c, v);
-                }
-                f = self.manager.or(f, c);
-            }
+            let f = sop_bdd(&mut self.manager, sop, |pos| {
+                node_bdd[node.fanins()[pos].index()].expect("fanin processed before node")
+            });
             let slot = &mut node_bdd[id.index()];
             debug_assert!(
                 slot.is_none_or(|g| g == f),
@@ -165,6 +153,29 @@ impl NetworkBdds {
     pub fn manager(&self) -> &BddManager {
         &self.manager
     }
+}
+
+/// The BDD of a sum-of-products cover, `fanin(pos)` giving the BDD of the
+/// cover's `pos`-th input: each cube is the `and` of its literals in
+/// position order (a negative literal through `not`), and the cover is the
+/// `or` of its cubes in cover order. [`NetworkBdds`] and the equivalence
+/// checker's BDD backend both compile covers through it, so they issue the
+/// same manager calls for the same node.
+pub fn sop_bdd(manager: &mut BddManager, sop: &Sop, mut fanin: impl FnMut(usize) -> Bdd) -> Bdd {
+    let mut f = Bdd::ZERO;
+    for cube in sop.cubes() {
+        let mut c = Bdd::ONE;
+        for (pos, lit) in cube.bound_lits() {
+            let v = match lit {
+                Lit::Pos => fanin(pos),
+                Lit::Neg => manager.not(fanin(pos)),
+                Lit::Free => unreachable!("bound_lits skips free positions"),
+            };
+            c = manager.and(c, v);
+        }
+        f = manager.or(f, c);
+    }
+    f
 }
 
 /// Per-node signal probability and switching activity under a given

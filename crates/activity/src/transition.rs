@@ -6,6 +6,8 @@
 pub enum TransitionModel {
     /// Static CMOS: the output switches on both edges; with temporal
     /// independence `E = 2·p·(1−p)` (eq. 3 applied to both directions).
+    /// Eqs. 10–11, the 0→1 and 1→0 probabilities of a 2-input gate, sum
+    /// to this at the gate's exact output probability.
     #[default]
     StaticCmos,
     /// Domino p-block: outputs precharge to 0 and switch when the function
@@ -27,76 +29,6 @@ impl TransitionModel {
     }
 }
 
-/// Two-cycle joint transition probabilities of a signal,
-/// `(p00, p01, p10, p11)` with `pxy = P(prev = x, cur = y)`.
-///
-/// Under the paper's temporal-independence assumption (§1.4) all four values
-/// follow from the static probability, e.g. `p01 = (1−p)·p` (eq. 3).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TransProbs {
-    /// P(0 → 0).
-    pub p00: f64,
-    /// P(0 → 1).
-    pub p01: f64,
-    /// P(1 → 0).
-    pub p10: f64,
-    /// P(1 → 1).
-    pub p11: f64,
-}
-
-impl TransProbs {
-    /// Derive from a static probability with temporal independence.
-    pub fn from_p_one(p: f64) -> TransProbs {
-        let q = 1.0 - p;
-        TransProbs {
-            p00: q * q,
-            p01: q * p,
-            p10: p * q,
-            p11: p * p,
-        }
-    }
-
-    /// Static 1-probability implied by the tuple (`p01 + p11`).
-    pub fn p_one(&self) -> f64 {
-        self.p01 + self.p11
-    }
-
-    /// Expected transitions per cycle (`p01 + p10`).
-    pub fn switching(&self) -> f64 {
-        self.p01 + self.p10
-    }
-
-    /// Output transition probabilities of a 2-input AND gate whose inputs
-    /// are mutually independent. Implements eqs. (10)–(11) (and their
-    /// complements) of the paper.
-    pub fn and(&self, other: &TransProbs) -> TransProbs {
-        let p11 = self.p11 * other.p11;
-        // eq. (10): 0→1 requires the pair to be (not both 1, then both 1).
-        let p01 = self.p01 * other.p01 + self.p11 * other.p01 + self.p01 * other.p11;
-        // eq. (11): 1→0 requires (both 1, then not both 1).
-        let p10 = self.p11 * other.p10 + self.p10 * other.p11 + self.p10 * other.p10;
-        let p00 = (1.0 - p01 - p10 - p11).max(0.0);
-        TransProbs { p00, p01, p10, p11 }
-    }
-
-    /// Output transition probabilities of a 2-input OR gate (dual of
-    /// [`TransProbs::and`] by De Morgan).
-    pub fn or(&self, other: &TransProbs) -> TransProbs {
-        self.complement().and(&other.complement()).complement()
-    }
-
-    /// Transition probabilities of the complemented signal (swap the roles
-    /// of the 0 and 1 states).
-    pub fn complement(&self) -> TransProbs {
-        TransProbs {
-            p00: self.p11,
-            p01: self.p10,
-            p10: self.p01,
-            p11: self.p00,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,71 +42,18 @@ mod tests {
     }
 
     #[test]
-    fn from_p_one_is_consistent() {
-        let t = TransProbs::from_p_one(0.3);
-        assert!((t.p00 + t.p01 + t.p10 + t.p11 - 1.0).abs() < 1e-12);
-        assert!((t.p_one() - 0.3).abs() < 1e-12);
-        assert!((t.switching() - 2.0 * 0.3 * 0.7).abs() < 1e-12);
-    }
-
-    #[test]
-    fn and_matches_product_probability() {
-        // AND of temporally independent inputs is itself temporally
-        // independent with p = pa·pb, so the tuple must equal
-        // from_p_one(pa·pb).
-        let a = TransProbs::from_p_one(0.3);
-        let b = TransProbs::from_p_one(0.4);
-        let o = a.and(&b);
-        let expect = TransProbs::from_p_one(0.12);
-        assert!((o.p01 - expect.p01).abs() < 1e-12);
-        assert!((o.p10 - expect.p10).abs() < 1e-12);
-        assert!((o.p11 - expect.p11).abs() < 1e-12);
-        assert!((o.p00 - expect.p00).abs() < 1e-12);
-    }
-
-    #[test]
-    fn or_matches_de_morgan() {
-        let a = TransProbs::from_p_one(0.3);
-        let b = TransProbs::from_p_one(0.4);
-        let o = a.or(&b);
-        let p = 0.3 + 0.4 - 0.12;
-        let expect = TransProbs::from_p_one(p);
-        assert!((o.switching() - expect.switching()).abs() < 1e-12);
-        assert!((o.p_one() - p).abs() < 1e-12);
-    }
-
-    #[test]
-    fn complement_swaps_edges() {
-        let t = TransProbs::from_p_one(0.2);
-        let c = t.complement();
-        assert!((c.p_one() - 0.8).abs() < 1e-12);
-        assert!((c.switching() - t.switching()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn and_by_exhaustive_two_cycle_enumeration() {
-        // Verify eqs (10)-(11) against direct enumeration of the 16 joint
-        // two-cycle input states.
-        let pa = 0.37;
-        let pb = 0.81;
-        let a = TransProbs::from_p_one(pa);
-        let b = TransProbs::from_p_one(pb);
-        let got = a.and(&b);
-        let a_states = [a.p00, a.p01, a.p10, a.p11];
-        let b_states = [b.p00, b.p01, b.p10, b.p11];
-        let mut expect = [0.0f64; 4]; // indexed by (prev<<1)|cur of output
-        for (ia, &wa) in a_states.iter().enumerate() {
-            for (ib, &wb) in b_states.iter().enumerate() {
-                let (ap, ac) = (ia >> 1 & 1, ia & 1);
-                let (bp, bc) = (ib >> 1 & 1, ib & 1);
-                let op = ap & bp;
-                let oc = ac & bc;
-                expect[(op << 1) | oc] += wa * wb;
+    fn static_cmos_matches_two_cycle_enumeration_of_and() {
+        // Eqs. (10)–(11) by direct enumeration of the 16 two-cycle states
+        // of two temporally and mutually independent AND inputs.
+        let (pa, pb) = (0.37, 0.81);
+        let p = |bit: usize, p_one: f64| if bit == 1 { p_one } else { 1.0 - p_one };
+        let mut toggles = 0.0;
+        for s in 0..16usize {
+            let (ap, ac, bp, bc) = (s >> 3 & 1, s >> 2 & 1, s >> 1 & 1, s & 1);
+            if ap & bp != ac & bc {
+                toggles += p(ap, pa) * p(ac, pa) * p(bp, pb) * p(bc, pb);
             }
         }
-        assert!((got.p00 - expect[0]).abs() < 1e-12);
-        assert!((got.p01 - expect[1]).abs() < 1e-12);
-        assert!((got.p10 - expect[2]).abs() < 1e-12);
-        assert!((got.p11 - expect[3]).abs() < 1e-12);
+        assert!((toggles - TransitionModel::StaticCmos.switching(pa * pb)).abs() < 1e-12);
     }
 }

@@ -9,24 +9,13 @@
 use crate::decomp::objective::DecompObjective;
 use crate::decomp::tree::DecompTree;
 
-/// Return `(optimal internal cost, an optimal tree)`.
+/// Return `(optimal internal cost, an optimal tree)`: the search of
+/// [`exhaustive_bounded_minpower`] with no height bound.
 ///
 /// # Panics
 /// Panics if `probs` is empty or `probs.len() > 10` (enumeration explodes).
 pub fn exhaustive_minpower(probs: &[f64], obj: DecompObjective) -> (f64, DecompTree) {
-    assert!(!probs.is_empty(), "need at least one leaf");
-    assert!(
-        probs.len() <= 10,
-        "exhaustive enumeration capped at 10 leaves"
-    );
-    let items: Vec<DecompTree> = probs
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| DecompTree::leaf(i, p))
-        .collect();
-    let mut best: Option<(f64, DecompTree)> = None;
-    search(items, 0.0, obj, &mut best);
-    best.expect("at least one tree")
+    exhaustive_bounded_minpower(probs, obj, usize::MAX).expect("an unbounded tree always fits")
 }
 
 /// Exact optimum among trees whose height does not exceed `height_bound` —
@@ -48,43 +37,11 @@ pub fn exhaustive_bounded_minpower(
         .map(|(i, &p)| DecompTree::leaf(i, p))
         .collect();
     let mut best: Option<(f64, DecompTree)> = None;
-    search_bounded(items, 0.0, obj, height_bound, &mut best);
+    search(items, 0.0, obj, height_bound, &mut best);
     best
 }
 
 fn search(
-    items: Vec<DecompTree>,
-    cost_so_far: f64,
-    obj: DecompObjective,
-    best: &mut Option<(f64, DecompTree)>,
-) {
-    if items.len() == 1 {
-        let tree = items.into_iter().next().expect("one item");
-        if best.as_ref().is_none_or(|(c, _)| cost_so_far < *c) {
-            *best = Some((cost_so_far, tree));
-        }
-        return;
-    }
-    if best.as_ref().is_some_and(|(c, _)| cost_so_far >= *c) {
-        return; // branch and bound: costs only grow
-    }
-    for i in 0..items.len() {
-        for j in i + 1..items.len() {
-            let mut next: Vec<DecompTree> = Vec::with_capacity(items.len() - 1);
-            for (k, t) in items.iter().enumerate() {
-                if k != i && k != j {
-                    next.push(t.clone());
-                }
-            }
-            let merged = DecompTree::merge(items[i].clone(), items[j].clone(), obj);
-            let step = obj.cost(merged.p_root());
-            next.push(merged);
-            search(next, cost_so_far + step, obj, best);
-        }
-    }
-}
-
-fn search_bounded(
     items: Vec<DecompTree>,
     cost_so_far: f64,
     obj: DecompObjective,
@@ -118,7 +75,7 @@ fn search_bounded(
             let merged = DecompTree::merge(items[i].clone(), items[j].clone(), obj);
             let step = obj.cost(merged.p_root());
             next.push(merged);
-            search_bounded(next, cost_so_far + step, obj, bound, best);
+            search(next, cost_so_far + step, obj, bound, best);
         }
     }
 }

@@ -22,7 +22,7 @@
 //! same per-node budget without exact timing — see DESIGN.md §5), and the
 //! surplus values are still reported per source node ([`SourceNode`]).
 //!
-//! A decomposition is first a [`Plan`]: the gates to create, in creation
+//! A decomposition is first a `Plan`: the gates to create, in creation
 //! order, with their fanins and levels, and no names. The §2.3 loop runs
 //! on the plan — a round rebuilds only the trees its new bound reaches and
 //! re-times the plan's gates — and every style emits its network once.

@@ -70,28 +70,6 @@ impl BindingRange {
     }
 }
 
-/// One violation of the finalized-curve invariant, reported by
-/// [`Curve::invariant_defects`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CurveDefect {
-    /// A point carries a NaN or infinite arrival, cost or drive.
-    NonFinite {
-        /// Index of the offending point.
-        point: usize,
-    },
-    /// The point's arrival is not strictly greater than its predecessor's.
-    ArrivalNotIncreasing {
-        /// Index of the offending point.
-        point: usize,
-    },
-    /// The point's cost is not strictly smaller than its predecessor's —
-    /// the point is dominated.
-    CostNotDecreasing {
-        /// Index of the offending point.
-        point: usize,
-    },
-}
-
 /// A monotone non-increasing curve of non-inferior `(arrival, cost)` points,
 /// sorted by increasing arrival and strictly decreasing cost.
 #[derive(Debug, Clone, Default)]
@@ -170,13 +148,6 @@ impl Curve {
         }
     }
 
-    /// Append a point verbatim, bypassing the dominance pruning of
-    /// [`Curve::push`]. Exists so lint tests can materialize curves that
-    /// violate the invariant; never call it from mapping code.
-    pub fn push_unpruned_for_test(&mut self, p: Point) {
-        self.points.push(p);
-    }
-
     /// Insert a point at its sorted arrival position, **exempt from
     /// dominance pruning** — the point stays even when an existing point
     /// dominates it, and no existing point is removed. The pruning
@@ -247,50 +218,35 @@ impl Curve {
         );
     }
 
-    /// All violations of the non-inferiority invariant that must hold after
-    /// [`Curve::finalize`]: every field finite, arrivals strictly
-    /// increasing, costs strictly decreasing (so no point dominates
-    /// another). `point` indexes the offending entry of [`Curve::points`].
-    /// Shared by the `finalize` debug assertion and the `CRV*` lint rules.
-    pub fn invariant_defects(&self) -> Vec<CurveDefect> {
-        let mut defects = Vec::new();
-        for (i, p) in self.points.iter().enumerate() {
-            if !p.arrival.is_finite() || !p.cost.is_finite() || !p.drive.is_finite() {
-                defects.push(CurveDefect::NonFinite { point: i });
-            }
+    /// The first violation of the non-inferiority invariant that must
+    /// hold after [`Curve::finalize`], as text: every field finite,
+    /// arrivals strictly increasing, costs strictly decreasing (so no
+    /// point dominates another). `None` when the curve is well-formed.
+    fn invariant_violation(&self) -> Option<String> {
+        if let Some((i, p)) =
+            self.points.iter().enumerate().find(|(_, p)| {
+                !p.arrival.is_finite() || !p.cost.is_finite() || !p.drive.is_finite()
+            })
+        {
+            return Some(format!(
+                "point {i} has a non-finite field (arrival {}, cost {}, drive {})",
+                p.arrival, p.cost, p.drive
+            ));
         }
-        for (i, w) in self.points.windows(2).enumerate() {
+        self.points.windows(2).zip(1..).find_map(|(w, i)| {
             if w[1].arrival <= w[0].arrival {
-                defects.push(CurveDefect::ArrivalNotIncreasing { point: i + 1 });
+                Some(format!(
+                    "arrivals not strictly increasing at point {i}: {} after {}",
+                    w[1].arrival, w[0].arrival
+                ))
+            } else if w[1].cost >= w[0].cost {
+                Some(format!(
+                    "costs not strictly decreasing at point {i}: {} after {} (point is dominated)",
+                    w[1].cost, w[0].cost
+                ))
+            } else {
+                None
             }
-            if w[1].cost >= w[0].cost {
-                defects.push(CurveDefect::CostNotDecreasing { point: i + 1 });
-            }
-        }
-        defects
-    }
-
-    /// First invariant defect rendered as text; `None` when the curve is
-    /// well-formed. Convenience wrapper over [`Curve::invariant_defects`].
-    pub fn invariant_violation(&self) -> Option<String> {
-        self.invariant_defects().first().map(|d| match *d {
-            CurveDefect::NonFinite { point } => {
-                let p = &self.points[point];
-                format!(
-                    "point {point} has a non-finite field (arrival {}, cost {}, drive {})",
-                    p.arrival, p.cost, p.drive
-                )
-            }
-            CurveDefect::ArrivalNotIncreasing { point } => format!(
-                "arrivals not strictly increasing at point {point}: {} after {}",
-                self.points[point].arrival,
-                self.points[point - 1].arrival
-            ),
-            CurveDefect::CostNotDecreasing { point } => format!(
-                "costs not strictly decreasing at point {point}: {} after {} (point is dominated)",
-                self.points[point].cost,
-                self.points[point - 1].cost
-            ),
         })
     }
 
@@ -468,25 +424,13 @@ mod tests {
         good.push(pt(2.0, 5.0));
         assert!(good.invariant_violation().is_none());
 
-        let mut dominated = Curve::new();
-        dominated.push_unpruned_for_test(pt(1.0, 10.0));
-        dominated.push_unpruned_for_test(pt(2.0, 10.0)); // slower, not cheaper
-        assert!(dominated
-            .invariant_violation()
-            .unwrap()
-            .contains("dominated"));
-
-        let mut unsorted = Curve::new();
-        unsorted.push_unpruned_for_test(pt(2.0, 5.0));
-        unsorted.push_unpruned_for_test(pt(1.0, 10.0));
-        assert!(unsorted
-            .invariant_violation()
-            .unwrap()
-            .contains("strictly increasing"));
-
-        let mut nan = Curve::new();
-        nan.push_unpruned_for_test(pt(f64::NAN, 1.0));
-        assert!(nan.invariant_violation().unwrap().contains("non-finite"));
+        // Bad curves are built directly: `push` would prune them.
+        let violation = |points: Vec<Point>| Curve { points }.invariant_violation().unwrap();
+        // slower, not cheaper
+        assert!(violation(vec![pt(1.0, 10.0), pt(2.0, 10.0)]).contains("dominated"));
+        assert!(violation(vec![pt(2.0, 5.0), pt(1.0, 10.0)]).contains("strictly increasing"));
+        assert!(violation(vec![pt(2.0, 5.0), pt(2.0, 3.0)]).contains("strictly increasing"));
+        assert!(violation(vec![pt(f64::NAN, 1.0)]).contains("non-finite"));
     }
 
     /// The pre-insertion-pruning `finalize`: sort, batch Pareto prune,

@@ -29,7 +29,7 @@ pub mod output;
 pub mod pattern;
 pub mod subject;
 
-pub use curve::{BindingRange, Curve, CurveDefect, Point};
+pub use curve::{BindingRange, Curve, Point};
 pub use mapper::{map_network, MapObjective, MapOptions, MappedNetwork, PowerMethod};
 pub use matcher::{Match, Matcher};
 pub use pattern::PatternSet;

@@ -41,10 +41,6 @@ pub fn evaluate(
     let n_pi = m.pi_names.len();
     let n_inst = m.instances.len();
     // loads[0..n_pi] = PI nets, loads[n_pi..] = instance output nets.
-    let slot = |r: &NetRef| match r {
-        NetRef::Pi(i) => *i,
-        NetRef::Inst(i) => n_pi + *i,
-    };
     let load = net_loads(m, lib, po_load);
 
     // Static timing: instances are in topological order.
@@ -55,14 +51,14 @@ pub fn evaluate(
         let mut t = 0.0f64;
         for (pin_idx, r) in inst.inputs.iter().enumerate() {
             let pin = gate.pin(pin_idx);
-            t = t.max(arrival[slot(r)] + pin.intrinsic + pin.drive * out_load);
+            t = t.max(arrival[net_index(n_pi, r)] + pin.intrinsic + pin.drive * out_load);
         }
         arrival[n_pi + i] = t;
     }
     let delay = m
         .outputs
         .iter()
-        .map(|(_, r)| arrival[slot(r)])
+        .map(|(_, r)| arrival[net_index(n_pi, r)])
         .fold(0.0, f64::max);
 
     // Power: every gate-output net switches its load (eq. 1). Primary-input
@@ -102,6 +98,15 @@ pub fn per_instance_power(
     instance_powers(m, &net_loads(m, lib, po_load), env, model)
 }
 
+/// Index of a net among a netlist's `n_pi` primary-input nets followed by
+/// its instance output nets, the layout of every per-net vector here.
+fn net_index(n_pi: usize, r: &NetRef) -> usize {
+    match r {
+        NetRef::Pi(i) => *i,
+        NetRef::Inst(i) => n_pi + *i,
+    }
+}
+
 /// Capacitive load per net, primary-input nets first and then one net per
 /// instance output: every reading pin's input capacitance in instance then
 /// pin order, then `po_load` once per primary output. Evaluation, per-gate
@@ -109,19 +114,15 @@ pub fn per_instance_power(
 /// their figures agree bit for bit.
 fn net_loads(m: &MappedNetwork, lib: &Library, po_load: f64) -> Vec<f64> {
     let n_pi = m.pi_names.len();
-    let slot = |r: &NetRef| match r {
-        NetRef::Pi(i) => *i,
-        NetRef::Inst(i) => n_pi + *i,
-    };
     let mut load = vec![0.0f64; n_pi + m.instances.len()];
     for inst in &m.instances {
         let gate = &lib.gates()[inst.gate];
         for (pin_idx, r) in inst.inputs.iter().enumerate() {
-            load[slot(r)] += gate.pin(pin_idx).input_cap;
+            load[net_index(n_pi, r)] += gate.pin(pin_idx).input_cap;
         }
     }
     for (_, r) in &m.outputs {
-        load[slot(r)] += po_load;
+        load[net_index(n_pi, r)] += po_load;
     }
     load
 }
@@ -231,10 +232,6 @@ impl<'a> GlitchSim<'a> {
     ) -> Self {
         let n_pi = m.pi_names.len();
         let n_net = n_pi + m.instances.len();
-        let slot = |r: &NetRef| match r {
-            NetRef::Pi(i) => *i,
-            NetRef::Inst(i) => n_pi + *i,
-        };
         let mut fanin_start = Vec::with_capacity(m.instances.len() + 1);
         let mut fanins = Vec::new();
         let mut table_at = vec![None; lib.gates().len()];
@@ -248,7 +245,7 @@ impl<'a> GlitchSim<'a> {
             assert_eq!(inst.inputs.len(), k, "gate input width mismatch");
             fanin_start.push(fanins.len());
             for (pin_idx, r) in inst.inputs.iter().enumerate() {
-                let s = slot(r);
+                let s = net_index(n_pi, r);
                 reads[s].push((ii, pin_idx));
                 fanins.push(s);
             }

@@ -1,5 +1,6 @@
 //! Diagnostics: severities, provenance, and report rendering.
 
+use obs::json::Json;
 use std::fmt;
 
 /// How serious a finding is.
@@ -33,8 +34,8 @@ impl fmt::Display for Severity {
 ///
 /// All fields are optional: a library finding has no node, a whole-network
 /// finding has no slot. `id` is the arena index ([`netlist::NodeId::index`]
-/// for networks, the instance index for mapped netlists, the point index
-/// for curves, the gate index for libraries).
+/// for networks, the instance index for mapped netlists, the gate index
+/// for libraries).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Provenance {
     /// Name of the node / instance / gate the finding is about.
@@ -191,70 +192,41 @@ impl LintReport {
         out
     }
 
-    /// Render as a JSON object (hand-rolled; the workspace carries no JSON
-    /// dependency): `{"subject": …, "errors": n, "warnings": n,
+    /// Render as a JSON object through [`obs::json::Json`]:
+    /// `{"subject": …, "errors": n, "warnings": n,
     /// "diagnostics": [{rule, severity, message, node?, id?, slot?}…]}`.
     pub fn render_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"subject\":{},\"errors\":{},\"warnings\":{},\"diagnostics\":[",
-            json_string(&self.subject),
-            self.error_count(),
-            self.warn_count()
-        );
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"rule\":{},\"severity\":{},\"message\":{}",
-                json_string(d.rule),
-                json_string(&d.severity.to_string()),
-                json_string(&d.message)
-            );
-            if let Some(node) = &d.provenance.node {
-                let _ = write!(out, ",\"node\":{}", json_string(node));
-            }
-            if let Some(id) = d.provenance.id {
-                let _ = write!(out, ",\"id\":{id}");
-            }
-            if let Some(slot) = d.provenance.slot {
-                let _ = write!(out, ",\"slot\":{slot}");
-            }
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        let text = |s: &str| Json::Str(s.to_string());
+        let num = |n: usize| Json::Num(n.to_string());
+        let diagnostics = self.diagnostics.iter().map(|d| {
+            let mut members = vec![
+                ("rule".to_string(), text(d.rule)),
+                ("severity".to_string(), text(&d.severity.to_string())),
+                ("message".to_string(), text(&d.message)),
+            ];
+            let p = &d.provenance;
+            members.extend(p.node.as_deref().map(|n| ("node".to_string(), text(n))));
+            members.extend(p.id.map(|id| ("id".to_string(), num(id))));
+            members.extend(p.slot.map(|slot| ("slot".to_string(), num(slot))));
+            Json::Obj(members)
+        });
+        Json::Obj(vec![
+            ("subject".to_string(), text(&self.subject)),
+            ("errors".to_string(), num(self.error_count())),
+            ("warnings".to_string(), num(self.warn_count())),
+            ("diagnostics".to_string(), Json::Arr(diagnostics.collect())),
+        ])
+        .render()
     }
-}
-
-/// Escape a string as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `render_json` of the report in `json_rendering_is_pinned`, byte
+    /// for byte.
+    const GOLDEN: &str = r#"{"subject":"network `t\"1`","errors":1,"warnings":2,"diagnostics":[{"rule":"NET003","severity":"error","message":"duplicate fanin \"a\"\tat\\pin\n\u0001end","node":"f","id":3,"slot":1},{"rule":"NET004","severity":"warn","message":"dangling","node":"g","id":7},{"rule":"LIB003","severity":"warn","message":"no inverter"}]}"#;
 
     #[test]
     fn text_rendering_includes_provenance() {
@@ -274,19 +246,25 @@ mod tests {
     }
 
     #[test]
-    fn json_rendering_escapes() {
-        let mut r = LintReport::new("net \"q\"");
+    fn json_rendering_is_pinned() {
+        let mut r = LintReport::new("network `t\"1`");
         r.push(
-            "NET001",
-            Severity::Warn,
-            Provenance::none(),
-            "path a\\b\nnext",
+            "NET003",
+            Severity::Error,
+            Provenance::slot("f", 3, 1),
+            "duplicate fanin \"a\"\tat\\pin\n\u{1}end",
         );
+        r.push(
+            "NET004",
+            Severity::Warn,
+            Provenance::node("g", 7),
+            "dangling",
+        );
+        r.push("LIB003", Severity::Warn, Provenance::none(), "no inverter");
         let json = r.render_json();
-        assert!(json.contains("\"subject\":\"net \\\"q\\\"\""));
-        assert!(json.contains("\\\\b\\n"));
-        assert!(json.contains("\"errors\":0"));
-        assert!(json.contains("\"warnings\":1"));
+        assert_eq!(json, GOLDEN, "rendered:\n{json}");
+        let parsed = obs::json::parse_json(&json).expect("render_json emits valid JSON");
+        assert_eq!(parsed.render(), json);
     }
 
     #[test]

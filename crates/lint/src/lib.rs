@@ -3,10 +3,10 @@
 //! PR 1's equivalence checker catches functional corruption only after the
 //! fact, by simulation or BDDs. Most of the bug class it was built for —
 //! duplicate fanin pins resurrecting contradictory cubes, dangling fanout
-//! links, dominated points on a power-delay curve — is detectable
-//! *structurally*, in linear time, with no reference network. This crate
-//! is that detector: a registry of rules with stable ids and severities,
-//! one analysis entry point per IR:
+//! links, gate pin-arity mismatches — is detectable *structurally*, in
+//! linear time, with no reference network. This crate is that detector: a
+//! registry of 22 rules with stable ids and severities, one analysis entry
+//! point per IR:
 //!
 //! * [`lint_network`] — [`netlist::Network`]: acyclicity (with the cycle
 //!   path named), fanin/fanout link symmetry, duplicate fanin pins,
@@ -19,10 +19,6 @@
 //!   2-input gate arity, height bounds honored when bounded decomposition
 //!   was requested (paper §2.3), recorded depth consistency — plus all
 //!   network rules on the underlying network.
-//! * [`lint_curve`] — [`lowpower_core::map::Curve`]: the §3.1
-//!   non-inferiority invariant (arrivals strictly increasing, costs
-//!   strictly decreasing, finite), shared with `Curve::finalize`'s debug
-//!   assertion.
 //! * [`lint_library`] — [`genlib::Library`]: expression/pin arity,
 //!   non-negative electrical values, inverter availability.
 //! * [`lint_activity`] — [`activity::ActivityMap`]: probabilities in
@@ -30,21 +26,20 @@
 //!   0 ≤ E ≤ 2p(1−p) for static CMOS (paper eqs. 10–11).
 //!
 //! The crate only analyses: the flow's checkpoints decide when each IR is
-//! linted and what a finding does to the run.
+//! linted and what a finding does to the run. Reports render as text or
+//! as JSON through [`obs::json::Json`].
 
 #![warn(missing_docs)]
 
 pub mod diag;
 
 mod activity_rules;
-mod curve_rules;
 mod decomp_rules;
 mod library_rules;
 mod mapped_rules;
 mod network_rules;
 
 pub use activity_rules::{lint_activity, lint_activity_slices};
-pub use curve_rules::lint_curve;
 pub use decomp_rules::lint_decomposed;
 pub use diag::{Diagnostic, LintReport, Provenance, Severity};
 pub use library_rules::lint_library;
@@ -73,9 +68,6 @@ const SEVERITIES: &[(&str, Severity)] = &[
     ("DEC001", Severity::Error),
     ("DEC002", Severity::Warn),
     ("DEC003", Severity::Error),
-    ("CRV001", Severity::Error),
-    ("CRV002", Severity::Error),
-    ("CRV003", Severity::Error),
     ("LIB001", Severity::Error),
     ("LIB002", Severity::Error),
     ("LIB003", Severity::Warn),

@@ -6,7 +6,8 @@
 
 use crate::network::Network;
 
-/// Unit-delay arrival times, indexed by [`NodeId::index`].
+/// Unit-delay arrival times, indexed by
+/// [`NodeId::index`](crate::NodeId::index).
 ///
 /// `pi_arrival` gives arrival times in [`Network::inputs`] order (commonly
 /// all zeros). Each logic node adds one unit.
@@ -35,7 +36,8 @@ pub fn unit_arrival_times(net: &Network, pi_arrival: &[i64]) -> Vec<i64> {
     arr
 }
 
-/// Unit-delay required times, indexed by [`NodeId::index`].
+/// Unit-delay required times, indexed by
+/// [`NodeId::index`](crate::NodeId::index).
 ///
 /// `po_required` gives required times in [`Network::outputs`] order. Nodes
 /// that reach no output get `i64::MAX`.

@@ -194,7 +194,7 @@ mod tests {
             counter!("t.check.events", 5);
             let _b = span!("kernel");
         }
-        crate::note_line("progress".to_string());
+        crate::note_event("progress".to_string());
         s.finish()
     }
 

@@ -47,8 +47,10 @@
 //! ([`Report::render_summary`]), a JSONL event stream ending in an
 //! aggregate metrics snapshot ([`Report::render_jsonl`]), and Chrome
 //! trace-event JSON loadable in `chrome://tracing` or Perfetto
-//! ([`Report::render_chrome`]). The [`check`] module holds a strict
-//! hand-rolled JSON parser plus validators for both machine formats.
+//! ([`Report::render_chrome`]). The [`json`] module holds the strict
+//! hand-rolled JSON value, parser and canonical writer, which `lint`'s
+//! JSON reports also render through, and [`check`] holds validators for
+//! both machine formats.
 
 #![warn(missing_docs)]
 
@@ -336,19 +338,10 @@ pub fn hist_record(name: &'static str, v: u64) {
     });
 }
 
-/// Emit a progress note: always printed to **stderr** (the default text
-/// sink, never stdout — `--obs=json` keeps stdout machine-clean), and
-/// additionally recorded as an instant event when the thread is recording.
-/// Prefer the [`note!`] macro.
-pub fn note_line(line: String) {
-    eprintln!("{line}");
-    note_event(line);
-}
-
-/// Record an instant note event **without** printing anywhere: used by
-/// structured emitters (the QoR ledger) whose lines ride the JSONL sink
-/// but must stay silent in ordinary text output. A no-op when the current
-/// thread is not recording. Prefer the [`note_event!`] macro.
+/// Record an instant note event, printed nowhere: used by structured
+/// emitters (the QoR ledger) whose lines ride the JSONL sink but stay
+/// silent in ordinary text output. A no-op when the current thread is not
+/// recording. Prefer the [`note_event!`] macro.
 pub fn note_event(line: String) {
     if !enabled() {
         return;
@@ -554,16 +547,6 @@ macro_rules! gauge {
 macro_rules! hist {
     ($name:expr, $v:expr) => {
         $crate::hist_record($name, $v)
-    };
-}
-
-/// Progress note: prints to stderr (never stdout) and records an instant
-/// event when a session is live. Replaces ad-hoc `eprintln!` progress
-/// output so `--obs=json` runs keep stdout machine-clean.
-#[macro_export]
-macro_rules! note {
-    ($($arg:tt)+) => {
-        $crate::note_line(::std::format!($($arg)+))
     };
 }
 

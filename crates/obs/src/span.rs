@@ -20,7 +20,7 @@ pub(crate) enum Event {
     },
     /// The innermost open span of this thread closed.
     End { t_ns: u64 },
-    /// An instant progress note.
+    /// An instant note event.
     Note { text: Box<str>, t_ns: u64 },
     /// Worker buffers merged here, in spawn order.
     Splice { children: Vec<ThreadEvents> },

@@ -111,7 +111,7 @@ pub fn measure_network_with(net: &Network, act: &ActivityMap, ctx: &Ctx) -> Metr
 }
 
 /// Measure a mapped netlist: the numbers of
-/// [`evaluate`](lowpower_core::power::evaluate) (zero-delay power, cell
+/// [`evaluate`] (zero-delay power, cell
 /// area, library-model delay, gate count) in fixed-point [`Metrics`]
 /// units; `literals` counts total gate input pins.
 pub fn measure_mapped(m: &MappedNetwork, lib: &Library, ctx: &Ctx) -> Metrics {

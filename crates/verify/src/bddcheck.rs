@@ -13,7 +13,7 @@
 use crate::align;
 use crate::{cex, sim, Backend, EquivReport, Verdict, VerifyError, VerifyOptions};
 use bdd::{Bdd, BddManager};
-use netlist::{Network, NodeId};
+use netlist::Network;
 
 pub(crate) fn check(
     a: &Network,
@@ -81,8 +81,9 @@ fn union_var_order(a: &Network, b: &Network, al: &align::Alignment) -> Vec<usize
 }
 
 /// Compile every output of `net` to a BDD, mapping the network's `i`-th
-/// input to manager variable `var_of_input[i]`. Returns `None` if the
-/// manager exceeds `budget` nodes part-way through.
+/// input to manager variable `var_of_input[i]` and each node's cover
+/// through [`activity::sop_bdd`]. Returns `None` if the manager exceeds
+/// `budget` nodes part-way through.
 fn compile(
     manager: &mut BddManager,
     net: &Network,
@@ -101,27 +102,7 @@ fn compile(
         let node = net.node(id);
         let f = match node.sop() {
             None => manager.var(var_of_input[input_index[id.index()]]),
-            Some(sop) => {
-                let fanins: Vec<Bdd> = node
-                    .fanins()
-                    .iter()
-                    .map(|&fid: &NodeId| values[fid.index()])
-                    .collect();
-                let mut acc = Bdd::ZERO;
-                for cube in sop.cubes() {
-                    let mut product = Bdd::ONE;
-                    for (pos, lit) in cube.bound_lits() {
-                        let v = if lit == netlist::Lit::Pos {
-                            fanins[pos]
-                        } else {
-                            manager.not(fanins[pos])
-                        };
-                        product = manager.and(product, v);
-                    }
-                    acc = manager.or(acc, product);
-                }
-                acc
-            }
+            Some(sop) => activity::sop_bdd(manager, sop, |pos| values[node.fanins()[pos].index()]),
         };
         values[id.index()] = f;
         if manager.node_count() > budget {

@@ -5,10 +5,11 @@
 //! same outputs, with two independent backends:
 //!
 //! * **BDD** ([`VerifyLevel::Full`]) — build canonical ROBDDs for both
-//!   networks over a shared variable order and compare output handles.
-//!   Handle equality is function equality, so agreement is a proof. If the
-//!   manager exceeds a node budget the check transparently falls back to
-//!   simulation (reported via [`EquivReport::bdd_fallback`]).
+//!   networks over a shared variable order, each node's cover through
+//!   `activity`'s SOP→BDD kernel [`activity::sop_bdd`], and compare output
+//!   handles. Handle equality is function equality, so agreement is a
+//!   proof. If the manager exceeds a node budget the check transparently
+//!   falls back to simulation (reported via [`EquivReport::bdd_fallback`]).
 //! * **Random simulation** ([`VerifyLevel::Sim`]) — bit-parallel evaluation
 //!   of seeded random vectors, 64 per word, reusing the same kernel as
 //!   `activity`'s Monte-Carlo estimator. Cheap and effective at exposing

@@ -530,14 +530,14 @@ fn qor_baseline(o: &Opts) -> Result<(), String> {
     }
     let lib = load_lib(o)?;
     let cfg = o.flow_config();
-    let ctx = cfg.qor_ctx();
     let optimized = o.blifs.iter().map(|path| Ok(optimize(&load_blif(path)?)));
     let optimized: Vec<netlist::Network> = optimized.collect::<Result<_, String>>()?;
     let results = run_methods(&optimized, &lib, &cfg, 1).map_err(|e| e.to_string())?;
     let mut baseline = Baseline::new();
     for (net, results) in optimized.iter().zip(results.chunks(Method::ALL.len())) {
         for (m, r) in Method::ALL.into_iter().zip(results) {
-            let metrics = lowpower::qor::measure_mapped(&r.mapped, &lib, &ctx);
+            // `r.report` is the flow's evaluation under `cfg.qor_ctx()`.
+            let metrics = lowpower::qor::mapped_metrics(&r.mapped, &r.report);
             baseline.insert(net.name(), &m.to_string(), metrics);
         }
         eprintln!("measured {} (6 methods)", net.name());

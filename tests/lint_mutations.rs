@@ -8,12 +8,11 @@
 use activity::TransitionModel;
 use genlib::{Expr, Gate, Library, Pin};
 use lint::{
-    lint_activity_slices, lint_curve, lint_decomposed, lint_library, lint_mapped, lint_network,
-    LintConfig, LintReport,
+    lint_activity_slices, lint_decomposed, lint_library, lint_mapped, lint_network, LintConfig,
+    LintReport,
 };
 use lowpower::core::decomp::{DecomposedNetwork, SourceNode};
 use lowpower::core::map::mapper::{MappedInstance, MappedNetwork, NetRef};
-use lowpower::core::map::{BindingRange, Curve, Point};
 use netlist::{parse_blif, Network, Sop};
 
 fn cfg() -> LintConfig {
@@ -345,56 +344,6 @@ fn dec003_fires_on_stale_depth() {
     d.depth += 7;
     let report = lint_decomposed(&d, &cfg());
     assert_fires(&report, "DEC003");
-    assert!(report.has_errors());
-}
-
-// ---------------------------------------------------------------- curves
-
-fn point(arrival: f64, cost: f64) -> Point {
-    Point {
-        arrival,
-        cost,
-        drive: 0.1,
-        gate: None,
-        inputs: BindingRange::EMPTY,
-    }
-}
-
-#[test]
-fn clean_curve_baseline_is_clean() {
-    let mut c = Curve::new();
-    c.push(point(1.0, 5.0));
-    c.push(point(2.0, 3.0));
-    let report = lint_curve(&c, &cfg());
-    assert!(report.is_clean(), "{}", report.render_text());
-}
-
-#[test]
-fn crv001_fires_on_non_increasing_arrival() {
-    let mut c = Curve::new(); // bypass push()'s dominance pruning
-    c.push_unpruned_for_test(point(2.0, 5.0));
-    c.push_unpruned_for_test(point(2.0, 3.0));
-    let report = lint_curve(&c, &cfg());
-    assert_fires(&report, "CRV001");
-    assert!(report.has_errors());
-}
-
-#[test]
-fn crv002_fires_on_dominated_point() {
-    let mut c = Curve::new();
-    c.push_unpruned_for_test(point(1.0, 5.0));
-    c.push_unpruned_for_test(point(2.0, 5.0)); // slower and no cheaper: dominated
-    let report = lint_curve(&c, &cfg());
-    assert_fires(&report, "CRV002");
-    assert!(report.has_errors());
-}
-
-#[test]
-fn crv003_fires_on_non_finite_point() {
-    let mut c = Curve::new();
-    c.push_unpruned_for_test(point(f64::NAN, 5.0));
-    let report = lint_curve(&c, &cfg());
-    assert_fires(&report, "CRV003");
     assert!(report.has_errors());
 }
 

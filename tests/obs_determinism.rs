@@ -120,7 +120,7 @@ fn ledger_stream(progress: bool) -> (String, usize) {
         ..FlowConfig::default()
     };
     let session = progress.then(obs::Session::start);
-    obs::note!("start: {}", net.name());
+    obs::note_event!("start: {}", net.name());
     let r = run_flow(&net, &lib2_like(), Method::V, &cfg).expect("flow runs");
     obs::note_event!("{{\"type\":\"progress\",\"done\":1}}");
     let report = session.map_or_else(|| r.obs.expect("flow-owned session"), |s| s.finish());
