@@ -6,7 +6,7 @@ use crate::map::matcher::Matcher;
 use crate::map::pattern::PatternSet;
 use crate::map::subject::{AigNode, MapError, Signal, SubjectAig};
 use activity::{PowerEnv, TransitionModel};
-use genlib::Library;
+use genlib::{Gate, Library};
 use std::collections::HashMap;
 
 /// What the mapper minimizes.
@@ -489,10 +489,8 @@ struct PinSweep {
     load_delay: f64,
     /// Pin delay at the default output load, `intrinsic + drive · c_def`.
     delay: f64,
-    /// §3.3 fanout divisor of the fanin's accumulated cost.
-    div: f64,
-    /// Power of the pin's input net (Power objective only).
-    load_pw: f64,
+    /// How the pin prices its fanin points.
+    price: PinPrice,
     /// Merge cursor: position in `index` of the pin's next candidate.
     next: usize,
     /// The candidate at `next`; infinite once the pin is exhausted.
@@ -508,11 +506,52 @@ struct PinSweep {
     term: f64,
 }
 
-impl PinSweep {
+/// The cost of a match before its pins' terms: the gate's area, or under
+/// Method 2 the power of its own output net, of probability `p_out`, at
+/// the default load `c_def`.
+fn gate_cost(opts: &MapOptions, gate: &Gate, c_def: f64, p_out: f64) -> f64 {
+    match opts.objective {
+        MapObjective::Area => gate.area(),
+        MapObjective::Power => match opts.power_method {
+            PowerMethod::InputLoads => 0.0,
+            PowerMethod::OutputLoad => opts
+                .env
+                .average_power_uw(c_def, opts.model.switching(p_out)),
+        },
+    }
+}
+
+/// How one gate pin prices the fanin points of the signal it consumes.
+#[derive(Debug, Default, Clone, Copy)]
+struct PinPrice {
+    /// §3.3 fanout divisor of the fanin's accumulated cost.
+    div: f64,
+    /// Power of the pin's input net (Power objective only).
+    load_pw: f64,
+}
+
+impl PinPrice {
+    /// The price of a pin of input capacitance `input_cap` driven by `s`.
+    fn new(opts: &MapOptions, aig: &SubjectAig, s: Signal, input_cap: f64) -> PinPrice {
+        let div = if opts.dag_fanout_division {
+            aig.fanout_count(s.node).max(1) as f64
+        } else {
+            1.0
+        };
+        let load_pw = match opts.objective {
+            MapObjective::Area => 0.0,
+            MapObjective::Power => {
+                let e_in = opts.model.switching(aig.p_signal(s));
+                opts.env.average_power_uw(input_cap, e_in)
+            }
+        };
+        PinPrice { div, load_pw }
+    }
+
     /// The cost this pin adds when its fanin point costs `point_cost`.
     /// Non-decreasing in `point_cost`: each form only adds to it or
     /// divides it by a positive divisor, and rounding keeps the order.
-    fn cost_term(&self, opts: &MapOptions, point_cost: f64) -> f64 {
+    fn term(&self, opts: &MapOptions, point_cost: f64) -> f64 {
         match opts.objective {
             MapObjective::Area => point_cost / self.div,
             MapObjective::Power => match opts.power_method {
@@ -525,7 +564,9 @@ impl PinSweep {
             },
         }
     }
+}
 
+impl PinSweep {
     /// The output arrival through this pin from a fanin point arriving
     /// at `arrival_at_load` at the pin. Non-decreasing in its argument:
     /// adding a constant is monotone under rounding.
@@ -589,18 +630,7 @@ fn add_match_points(
         return;
     }
     let drive = gate.pins().iter().map(|p| p.drive).fold(0.0, f64::max);
-    let base = match opts.objective {
-        MapObjective::Area => gate.area(),
-        MapObjective::Power => match opts.power_method {
-            PowerMethod::InputLoads => 0.0,
-            PowerMethod::OutputLoad => {
-                // Method 2: charge own output at default load.
-                let p_out = aig.p_one(node);
-                opts.env
-                    .average_power_uw(c_def, opts.model.switching(p_out))
-            }
-        },
-    };
+    let base = gate_cost(opts, gate, c_def, aig.p_one(node));
     if scratch.pins.len() < bindings.len() {
         scratch.pins.resize_with(bindings.len(), PinSweep::default);
     }
@@ -616,20 +646,9 @@ fn add_match_points(
         ps.intrinsic = pin.intrinsic;
         ps.load_delay = pin.drive * c_def;
         ps.delay = ps.intrinsic + ps.load_delay;
-        ps.div = if opts.dag_fanout_division {
-            aig.fanout_count(s.node).max(1) as f64
-        } else {
-            1.0
-        };
-        ps.load_pw = match opts.objective {
-            MapObjective::Area => 0.0,
-            MapObjective::Power => {
-                let e_in = opts.model.switching(aig.p_signal(*s));
-                opts.env.average_power_uw(pin.input_cap, e_in)
-            }
-        };
+        ps.price = PinPrice::new(opts, aig, *s, pin.input_cap);
         let (_, cheapest) = curve.cheapest().expect("non-empty");
-        c_min += ps.cost_term(opts, cheapest.cost);
+        c_min += ps.price.term(opts, cheapest.cost);
         let (_, fastest) = curve.fastest(pin.input_cap, c_def).expect("non-empty");
         a_lo = a_lo.max(ps.out_arrival(fastest.arrival_at_load(pin.input_cap, c_def)));
     }
@@ -712,7 +731,7 @@ fn add_match_points(
                     let p = &pin_curve(s).points()[i];
                     ps.out_t =
                         ps.out_arrival(p.arrival_at_load(gate.pin(pin_idx).input_cap, c_def));
-                    ps.term = ps.cost_term(opts, p.cost);
+                    ps.term = ps.price.term(opts, p.cost);
                 }
             }
             ok &= sel.is_some();
@@ -794,28 +813,15 @@ fn phase_aug_points(
         compl: !source_is_pos,
     };
     let inputs = BindingRange::append(arena, &[in_sig]);
-    let div = if opts.dag_fanout_division {
-        aig.fanout_count(node).max(1) as f64
-    } else {
-        1.0
-    };
-    let e_in = opts.model.switching(aig.p_signal(in_sig));
-    let out_pw = opts
-        .env
-        .average_power_uw(c_def, opts.model.switching(aig.p_signal(in_sig.not())));
+    let p_out = aig.p_signal(in_sig.not());
     for &gi in inverters {
         let gate = &lib.gates()[gi];
         let pin = gate.pin(0);
-        let load_pw = opts.env.average_power_uw(pin.input_cap, e_in);
+        let base = gate_cost(opts, gate, c_def, p_out);
+        let price = PinPrice::new(opts, aig, in_sig, pin.input_cap);
         for p in source.points() {
             let arr = p.arrival_at_load(pin.input_cap, c_def) + pin.intrinsic + pin.drive * c_def;
-            let cost = match opts.objective {
-                MapObjective::Area => gate.area() + p.cost / div,
-                MapObjective::Power => match opts.power_method {
-                    PowerMethod::InputLoads => load_pw + p.cost / div,
-                    PowerMethod::OutputLoad => out_pw + (load_pw + p.cost) / div,
-                },
-            };
+            let cost = base + price.term(opts, p.cost);
             out.push(Point {
                 arrival: arr,
                 cost,

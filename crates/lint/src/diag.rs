@@ -192,31 +192,28 @@ impl LintReport {
         out
     }
 
-    /// Render as a JSON object through [`obs::json::Json`]:
+    /// The report as a JSON value (render it with [`Json::render`]):
     /// `{"subject": …, "errors": n, "warnings": n,
     /// "diagnostics": [{rule, severity, message, node?, id?, slot?}…]}`.
-    pub fn render_json(&self) -> String {
-        let text = |s: &str| Json::Str(s.to_string());
-        let num = |n: usize| Json::Num(n.to_string());
+    pub fn to_json(&self) -> Json {
         let diagnostics = self.diagnostics.iter().map(|d| {
             let mut members = vec![
-                ("rule".to_string(), text(d.rule)),
-                ("severity".to_string(), text(&d.severity.to_string())),
-                ("message".to_string(), text(&d.message)),
+                ("rule", Json::str(d.rule)),
+                ("severity", Json::str(d.severity.to_string())),
+                ("message", Json::str(&d.message)),
             ];
             let p = &d.provenance;
-            members.extend(p.node.as_deref().map(|n| ("node".to_string(), text(n))));
-            members.extend(p.id.map(|id| ("id".to_string(), num(id))));
-            members.extend(p.slot.map(|slot| ("slot".to_string(), num(slot))));
-            Json::Obj(members)
+            members.extend(p.node.as_deref().map(|n| ("node", Json::str(n))));
+            members.extend(p.id.map(|id| ("id", Json::num(id))));
+            members.extend(p.slot.map(|slot| ("slot", Json::num(slot))));
+            Json::obj(members)
         });
-        Json::Obj(vec![
-            ("subject".to_string(), text(&self.subject)),
-            ("errors".to_string(), num(self.error_count())),
-            ("warnings".to_string(), num(self.warn_count())),
-            ("diagnostics".to_string(), Json::Arr(diagnostics.collect())),
+        Json::obj([
+            ("subject", Json::str(&self.subject)),
+            ("errors", Json::num(self.error_count())),
+            ("warnings", Json::num(self.warn_count())),
+            ("diagnostics", Json::Arr(diagnostics.collect())),
         ])
-        .render()
     }
 }
 
@@ -224,7 +221,7 @@ impl LintReport {
 mod tests {
     use super::*;
 
-    /// `render_json` of the report in `json_rendering_is_pinned`, byte
+    /// The rendered `to_json` of the report in `json_rendering_is_pinned`, byte
     /// for byte.
     const GOLDEN: &str = r#"{"subject":"network `t\"1`","errors":1,"warnings":2,"diagnostics":[{"rule":"NET003","severity":"error","message":"duplicate fanin \"a\"\tat\\pin\n\u0001end","node":"f","id":3,"slot":1},{"rule":"NET004","severity":"warn","message":"dangling","node":"g","id":7},{"rule":"LIB003","severity":"warn","message":"no inverter"}]}"#;
 
@@ -261,9 +258,9 @@ mod tests {
             "dangling",
         );
         r.push("LIB003", Severity::Warn, Provenance::none(), "no inverter");
-        let json = r.render_json();
+        let json = r.to_json().render();
         assert_eq!(json, GOLDEN, "rendered:\n{json}");
-        let parsed = obs::json::parse_json(&json).expect("render_json emits valid JSON");
+        let parsed = obs::json::parse_json(&json).expect("to_json renders valid JSON");
         assert_eq!(parsed.render(), json);
     }
 

@@ -18,13 +18,17 @@ pub(crate) type GCube = Vec<GLit>;
 
 pub(crate) fn to_gcubes(net: &Network, id: NodeId) -> Vec<GCube> {
     let node = net.node(id);
-    let sop = node.sop().expect("logic node");
+    sop_gcubes(node.sop().expect("logic node"), node.fanins())
+}
+
+/// The cubes of `sop` over the global literals of `fanins`.
+fn sop_gcubes(sop: &Sop, fanins: &[NodeId]) -> Vec<GCube> {
     sop.cubes()
         .iter()
         .map(|c| {
             let mut v: GCube = c
                 .bound_lits()
-                .map(|(i, l)| (node.fanins()[i], l == Lit::Pos))
+                .map(|(i, l)| (fanins[i], l == Lit::Pos))
                 .collect();
             v.sort();
             v
@@ -67,6 +71,23 @@ fn divisor_key(cubes: &[GCube]) -> Vec<GCube> {
     k
 }
 
+/// Divide a cover built by [`from_gcubes`] by divisor `d`, expressed over
+/// the cover's fanins: the quotient and remainder, or `None` when `d` uses
+/// another signal or does not divide the cover.
+fn divide_cover((fanins, f): (&[NodeId], &Sop), d: &[GCube]) -> Option<(Sop, Sop)> {
+    let mut dcubes = Vec::with_capacity(d.len());
+    for c in d {
+        let mut cube = Cube::tautology(fanins.len());
+        for &(n, phase) in c {
+            let pos = fanins.binary_search(&n).ok()?;
+            cube.set_lit(pos, if phase { Lit::Pos } else { Lit::Neg });
+        }
+        dcubes.push(cube);
+    }
+    let (q, r) = divide(f, &Sop::from_cubes(fanins.len(), dcubes));
+    (!q.is_zero()).then_some((q, r))
+}
+
 /// Weighted literal savings of rewriting a cover built by [`from_gcubes`]
 /// through divisor `d` (multi-cube case, via algebraic division in the
 /// global-literal space): each removed literal of signal `s` saves
@@ -79,24 +100,19 @@ pub(crate) fn division_saving_weighted(
     weight: &dyn Fn(NodeId) -> f64,
     divisor_weight: f64,
 ) -> f64 {
-    // Express divisor over the same fanins; bail out if it uses others.
-    let width = fanins.len();
-    let mut dcubes = Vec::new();
-    for c in d {
-        let mut cube = Cube::tautology(width);
-        for &(n, phase) in c {
-            match fanins.binary_search(&n) {
-                Ok(pos) => cube.set_lit(pos, if phase { Lit::Pos } else { Lit::Neg }),
-                Err(_) => return 0.0,
-            }
-        }
-        dcubes.push(cube);
-    }
-    let dsop = Sop::from_cubes(width, dcubes);
-    let (q, r) = divide(f, &dsop);
-    if q.is_zero() {
-        return 0.0;
-    }
+    divide_cover((fanins, f), d).map_or(0.0, |qr| {
+        quotient_saving((fanins, f), &qr, weight, divisor_weight)
+    })
+}
+
+/// Weighted literal savings of rewriting cover `(fanins, f)` as `q·d + r`
+/// (see [`division_saving_weighted`]).
+fn quotient_saving(
+    (fanins, f): (&[NodeId], &Sop),
+    (q, r): &(Sop, Sop),
+    weight: &dyn Fn(NodeId) -> f64,
+    divisor_weight: f64,
+) -> f64 {
     let lits_weight = |s: &Sop| -> f64 {
         s.cubes()
             .iter()
@@ -104,7 +120,7 @@ pub(crate) fn division_saving_weighted(
             .sum()
     };
     let old = lits_weight(f);
-    let new = lits_weight(&q) + q.cube_count() as f64 * divisor_weight + lits_weight(&r);
+    let new = lits_weight(q) + q.cube_count() as f64 * divisor_weight + lits_weight(r);
     (old - new).max(0.0)
 }
 
@@ -216,20 +232,7 @@ pub(crate) fn candidate_divisors(
             if k.kernel.cube_count() < 2 {
                 continue;
             }
-            let gk: Vec<GCube> = k
-                .kernel
-                .cubes()
-                .iter()
-                .map(|c| {
-                    let mut v: GCube = c
-                        .bound_lits()
-                        .map(|(i, l)| (node.fanins()[i], l == Lit::Pos))
-                        .collect();
-                    v.sort();
-                    v
-                })
-                .collect();
-            candidates.insert(divisor_key(&gk));
+            candidates.insert(divisor_key(&sop_gcubes(&k.kernel, node.fanins())));
         }
     }
 
@@ -334,42 +337,25 @@ pub(crate) fn apply_divisor(net: &mut Network, divisor: &[GCube]) {
         .add_logic(name, d_fanins, d_sop)
         .expect("fresh divisor name is unique");
 
-    let ids: Vec<NodeId> = net.logic_ids().filter(|&id| id != d_id).collect();
+    // Only a node that uses every signal of the divisor can be divided by
+    // it, so the fanouts of its rarest signal are the only candidates; the
+    // divisor node itself is among them.
+    let signals = divisor.iter().flatten().map(|&(n, _)| n);
+    let rarest = signals.min_by_key(|&n| net.node(n).fanouts().len());
+    let mut ids: Vec<NodeId> = rarest.map_or_else(Vec::new, |n| net.node(n).fanouts().to_vec());
+    ids.retain(|&id| id != d_id);
+    ids.sort();
     for id in ids {
-        let cover = from_gcubes(&to_gcubes(net, id));
-        if division_saving_weighted(&cover, divisor, &|_| 1.0, 1.0) as usize == 0 {
+        let (fanins, f) = from_gcubes(&to_gcubes(net, id));
+        let Some(qr) = divide_cover((&fanins, &f), divisor) else {
+            continue;
+        };
+        if quotient_saving((&fanins, &f), &qr, &|_| 1.0, 1.0) as usize == 0 {
             continue;
         }
-        let (fanins, f) = cover;
-        let width = fanins.len();
-        let mut dcubes = Vec::new();
-        let mut ok = true;
-        for c in divisor {
-            let mut cube = Cube::tautology(width);
-            for &(n, phase) in c {
-                match fanins.binary_search(&n) {
-                    Ok(pos) => cube.set_lit(pos, if phase { Lit::Pos } else { Lit::Neg }),
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if !ok {
-                break;
-            }
-            dcubes.push(cube);
-        }
-        if !ok {
-            continue;
-        }
-        let dsop = Sop::from_cubes(width, dcubes);
-        let (q, r) = divide(&f, &dsop);
-        if q.is_zero() {
-            continue;
-        }
+        let (q, r) = qr;
         // new cover = q·x + r over fanins + [d_id]
-        let mut new_fanins = fanins.clone();
+        let mut new_fanins = fanins;
         new_fanins.push(d_id);
         let nw = new_fanins.len();
         let mut new_cubes: Vec<Cube> = Vec::new();

@@ -1,5 +1,7 @@
-//! Strict hand-rolled JSON: escaping, a full parser, canonical
-//! re-rendering, and timing-field stripping.
+//! Strict hand-rolled JSON: a value type, a full parser, the canonical
+//! writer every JSON output of the workspace renders through (the obs
+//! sinks and `lint` reports build [`Json`] values), and timing-field
+//! stripping.
 //!
 //! No serde offline, and the point of the checkers is to be *strict* —
 //! trailing commas, bare words, unterminated strings, or stray non-JSON
@@ -10,7 +12,7 @@
 use std::fmt::Write as _;
 
 /// Escape a string for embedding in a JSON string literal.
-pub(crate) fn escape_json(s: &str) -> String {
+fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -47,6 +49,21 @@ pub enum Json {
 }
 
 impl Json {
+    /// A number, rendered as `v` displays.
+    pub fn num(v: impl std::fmt::Display) -> Json {
+        Json::Num(v.to_string())
+    }
+
+    /// A string value.
+    pub fn str(s: impl Into<String>) -> Json {
+        Json::Str(s.into())
+    }
+
+    /// An object with `members` in the given order.
+    pub fn obj<K: Into<String>>(members: impl IntoIterator<Item = (K, Json)>) -> Json {
+        Json::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
     /// Object member lookup (first match).
     pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
@@ -71,9 +88,9 @@ impl Json {
         }
     }
 
-    /// Render canonically (same escaping rules the sinks use, members in
-    /// stored order, numbers verbatim). Parse→render of sink output is
-    /// byte-stable.
+    /// Render canonically (members in stored order, numbers verbatim, no
+    /// whitespace). Every JSON the workspace writes goes through here, so
+    /// parse→render of sink output is byte-stable.
     pub fn render(&self) -> String {
         let mut s = String::new();
         self.render_into(&mut s);

@@ -48,9 +48,11 @@
 //! aggregate metrics snapshot ([`Report::render_jsonl`]), and Chrome
 //! trace-event JSON loadable in `chrome://tracing` or Perfetto
 //! ([`Report::render_chrome`]). The [`json`] module holds the strict
-//! hand-rolled JSON value, parser and canonical writer, which `lint`'s
-//! JSON reports also render through, and [`check`] holds validators for
-//! both machine formats.
+//! hand-rolled JSON value, parser and canonical writer: both machine
+//! sinks build [`json::Json`] values and render them through
+//! [`json::Json::render`], as `lint`'s JSON reports do, so the workspace
+//! has one JSON writer. [`check`] holds validators for both machine
+//! formats.
 
 #![warn(missing_docs)]
 

@@ -11,9 +11,11 @@
 //!
 //! [`Report::snapshot_json`] renders the metrics snapshot alone; with
 //! `with_timing = false` every wall-time field is omitted and the
-//! remaining bytes are a pure function of the session's inputs.
+//! remaining bytes are a pure function of the session's inputs. The
+//! machine sinks build [`Json`] values and render them with
+//! [`Json::render`].
 
-use crate::json::escape_json;
+use crate::json::Json;
 use crate::metrics::Metrics;
 use crate::span::{build_forest, flatten, Event, SpanNode, ThreadEvents};
 use std::collections::BTreeMap;
@@ -77,62 +79,43 @@ impl Report {
     /// output is byte-identical across thread counts and repeated runs
     /// (the determinism contract enforced by `tests/obs_determinism.rs`).
     pub fn snapshot_json(&self, with_timing: bool) -> String {
-        let mut s = String::from("{\"type\":\"snapshot\",\"counters\":{");
-        for (i, (name, v)) in self.metrics.counters.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{}\":{v}", escape_json(name));
-        }
-        s.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.metrics.gauges.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "\"{}\":{v}", escape_json(name));
-        }
-        s.push_str("},\"hists\":{");
-        for (i, (name, h)) in self.metrics.hists.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "\"{}\":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[",
-                escape_json(name),
-                h.count,
-                h.sum,
-                h.min_or_zero(),
-                h.max
-            );
-            for (j, (bucket, count)) in h.nonzero_buckets().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "[{bucket},{count}]");
-            }
-            s.push_str("]}");
-        }
-        s.push_str("},\"spans\":{");
+        let m = &self.metrics;
+        let values =
+            |map: &BTreeMap<String, u64>| Json::obj(map.iter().map(|(k, v)| (k, Json::num(v))));
+        let hists = m.hists.iter().map(|(name, h)| {
+            let buckets = h
+                .nonzero_buckets()
+                .map(|(bucket, count)| Json::Arr(vec![Json::num(bucket), Json::num(count)]));
+            let hist = Json::obj([
+                ("count", Json::num(h.count)),
+                ("sum", Json::num(h.sum)),
+                ("min", Json::num(h.min_or_zero())),
+                ("max", Json::num(h.max)),
+                ("buckets", Json::Arr(buckets.collect())),
+            ]);
+            (name, hist)
+        });
+        let mut members = vec![
+            ("type", Json::str("snapshot")),
+            ("counters", values(&m.counters)),
+            ("gauges", values(&m.gauges)),
+            ("hists", Json::obj(hists)),
+        ];
         match self.span_aggregates() {
             Ok(agg) => {
-                for (i, (path, a)) in agg.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    let _ = write!(s, "\"{}\":{{\"count\":{}", escape_json(path), a.count);
-                    if with_timing {
-                        let _ = write!(s, ",\"total_ns\":{}", a.total_ns);
-                    }
-                    s.push('}');
-                }
-                s.push_str("}}");
+                let spans = agg.iter().map(|(path, a)| {
+                    let mut span = vec![("count", Json::num(a.count))];
+                    span.extend(with_timing.then(|| ("total_ns", Json::num(a.total_ns))));
+                    (path, Json::obj(span))
+                });
+                members.push(("spans", Json::obj(spans)));
             }
             Err(e) => {
-                let _ = write!(s, "}},\"span_tree_error\":\"{}\"}}", escape_json(&e));
+                members.push(("spans", Json::Obj(Vec::new())));
+                members.push(("span_tree_error", Json::str(e)));
             }
         }
-        s
+        Json::obj(members).render()
     }
 
     /// JSONL sink: one JSON object per line per event, closed by exactly
@@ -140,25 +123,22 @@ impl Report {
     /// [`crate::check::strip_timing`] for determinism diffs).
     pub fn render_jsonl(&self) -> String {
         let mut s = String::new();
-        flatten(&self.root, &mut |tid, event| match event {
-            Event::Begin { name, label, t_ns } => {
-                let _ = write!(s, "{{\"type\":\"B\",\"name\":\"{}\"", escape_json(name));
-                if let Some(label) = label {
-                    let _ = write!(s, ",\"label\":\"{}\"", escape_json(label));
+        flatten(&self.root, &mut |tid, event| {
+            let (kind, mut members, t_ns) = match event {
+                Event::Begin { name, label, t_ns } => {
+                    let mut m = vec![("name", Json::str(*name))];
+                    m.extend(label.as_deref().map(|l| ("label", Json::str(l))));
+                    ("B", m, t_ns)
                 }
-                let _ = writeln!(s, ",\"tid\":{tid},\"ts_ns\":{t_ns}}}");
-            }
-            Event::End { t_ns } => {
-                let _ = writeln!(s, "{{\"type\":\"E\",\"tid\":{tid},\"ts_ns\":{t_ns}}}");
-            }
-            Event::Note { text, t_ns } => {
-                let _ = writeln!(
-                    s,
-                    "{{\"type\":\"note\",\"text\":\"{}\",\"tid\":{tid},\"ts_ns\":{t_ns}}}",
-                    escape_json(text)
-                );
-            }
-            Event::Splice { .. } => unreachable!("flatten expands splices"),
+                Event::End { t_ns } => ("E", vec![], t_ns),
+                Event::Note { text, t_ns } => ("note", vec![("text", Json::str(&**text))], t_ns),
+                Event::Splice { .. } => unreachable!("flatten expands splices"),
+            };
+            members.insert(0, ("type", Json::str(kind)));
+            members.push(("tid", Json::num(tid)));
+            members.push(("ts_ns", Json::num(t_ns)));
+            s.push_str(&Json::obj(members).render());
+            s.push('\n');
         });
         s.push_str(&self.snapshot_json(true));
         s.push('\n');
@@ -167,46 +147,44 @@ impl Report {
 
     /// Chrome trace-event sink. `ts` is microseconds (with fractional
     /// nanoseconds); every span becomes a `B`/`E` pair on its thread's
-    /// `tid`, so worker activity shows as parallel tracks.
+    /// `tid`, so worker activity shows as parallel tracks. Events sit one
+    /// per line.
     pub fn render_chrome(&self) -> String {
-        fn us(ns: u64) -> String {
-            format!("{}.{:03}", ns / 1000, ns % 1000)
+        fn event(node: &SpanNode, ph: &str, ns: u64) -> Json {
+            let ts = format!("{}.{:03}", ns / 1000, ns % 1000);
+            let mut members = vec![
+                ("name", Json::str(node.name)),
+                ("cat", Json::str("obs")),
+                ("ph", Json::str(ph)),
+                ("ts", Json::Num(ts)),
+                ("pid", Json::num(1)),
+                ("tid", Json::num(node.tid)),
+            ];
+            if ph == "B" {
+                let label = node.label.as_deref();
+                let args = label.map(|l| ("args", Json::obj([("label", Json::str(l))])));
+                members.extend(args);
+            }
+            Json::obj(members)
         }
-        fn emit(s: &mut String, first: &mut bool, node: &SpanNode) {
-            let sep = if *first { "" } else { ",\n" };
-            *first = false;
-            let _ = write!(
-                s,
-                "{sep}{{\"name\":\"{}\",\"cat\":\"obs\",\"ph\":\"B\",\"ts\":{},\"pid\":1,\"tid\":{}",
-                escape_json(node.name),
-                us(node.start_ns),
-                node.tid
-            );
-            if let Some(label) = &node.label {
-                let _ = write!(s, ",\"args\":{{\"label\":\"{}\"}}", escape_json(label));
-            }
-            s.push('}');
+        fn emit(events: &mut Vec<String>, node: &SpanNode) {
+            events.push(event(node, "B", node.start_ns).render());
             for child in &node.children {
-                emit(s, first, child);
+                emit(events, child);
             }
-            let _ = write!(
-                s,
-                ",\n{{\"name\":\"{}\",\"cat\":\"obs\",\"ph\":\"E\",\"ts\":{},\"pid\":1,\"tid\":{}}}",
-                escape_json(node.name),
-                us(node.end_ns),
-                node.tid
-            );
+            events.push(event(node, "E", node.end_ns).render());
         }
         let forest = self
             .tree()
             .expect("span buffers are balanced by construction");
-        let mut s = String::from("{\"traceEvents\":[\n");
-        let mut first = true;
+        let mut events = Vec::new();
         for node in &forest {
-            emit(&mut s, &mut first, node);
+            emit(&mut events, node);
         }
-        s.push_str("\n],\"displayTimeUnit\":\"ms\"}\n");
-        s
+        format!(
+            "{{\"traceEvents\":[\n{}\n],\"displayTimeUnit\":\"ms\"}}\n",
+            events.join(",\n")
+        )
     }
 
     /// Human text summary: the span tree with sibling spans merged by
@@ -293,5 +271,121 @@ fn render_level_refs(s: &mut String, nodes: &[&SpanNode], depth: usize) {
         if !all_children.is_empty() && depth < 8 {
             render_level_refs(s, &all_children, depth + 1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every escape the JSON writer handles: quote, backslash, newline,
+    /// carriage return, tab and a bare control character.
+    const NASTY: &str = "q\"b\\n\nr\rt\tc\u{1}é";
+
+    fn begin(name: &'static str, label: Option<&str>, t_ns: u64) -> Event {
+        Event::Begin {
+            name,
+            label: label.map(Into::into),
+            t_ns,
+        }
+    }
+
+    /// A hand-built session: a labelled root span holding a note and a
+    /// `map` span into which two worker buffers were spliced, plus one
+    /// counter, gauge and histogram each.
+    fn sample() -> Report {
+        let worker = |tid, t_ns| ThreadEvents {
+            tid,
+            events: vec![
+                begin("cell", Some("w"), t_ns),
+                Event::Note {
+                    text: "worker".into(),
+                    t_ns: t_ns + 50,
+                },
+                Event::End { t_ns: t_ns + 700 },
+            ],
+        };
+        let root = ThreadEvents {
+            tid: 0,
+            events: vec![
+                begin("flow", Some(NASTY), 1_000),
+                Event::Note {
+                    text: NASTY.into(),
+                    t_ns: 1_500,
+                },
+                begin("sp\"an", None, 2_000),
+                Event::Splice {
+                    children: vec![worker(1, 2_100), worker(2, 2_200)],
+                },
+                Event::End { t_ns: 3_500 },
+                Event::End { t_ns: 1_234_567 },
+            ],
+        };
+        let mut metrics = Metrics::default();
+        metrics.counters.insert("a.count".into(), 3);
+        metrics.counters.insert("b\"q".into(), 1);
+        metrics.gauges.insert("g".into(), 7);
+        let mut h = crate::metrics::Hist::default();
+        for v in [0, 5, 1000] {
+            h.record(v);
+        }
+        metrics.hists.insert("h".into(), h);
+        Report::new(root, metrics)
+    }
+
+    /// Every sink's exact bytes, escapes and layout included.
+    #[test]
+    fn sinks_are_pinned() {
+        let r = sample();
+        assert_eq!(
+            r.render_jsonl(),
+            r#"{"type":"B","name":"flow","label":"q\"b\\n\nr\rt\tc\u0001é","tid":0,"ts_ns":1000}
+{"type":"note","text":"q\"b\\n\nr\rt\tc\u0001é","tid":0,"ts_ns":1500}
+{"type":"B","name":"sp\"an","tid":0,"ts_ns":2000}
+{"type":"B","name":"cell","label":"w","tid":1,"ts_ns":2100}
+{"type":"note","text":"worker","tid":1,"ts_ns":2150}
+{"type":"E","tid":1,"ts_ns":2800}
+{"type":"B","name":"cell","label":"w","tid":2,"ts_ns":2200}
+{"type":"note","text":"worker","tid":2,"ts_ns":2250}
+{"type":"E","tid":2,"ts_ns":2900}
+{"type":"E","tid":0,"ts_ns":3500}
+{"type":"E","tid":0,"ts_ns":1234567}
+{"type":"snapshot","counters":{"a.count":3,"b\"q":1},"gauges":{"g":7},"hists":{"h":{"count":3,"sum":1005,"min":0,"max":1000,"buckets":[[0,1],[3,1],[10,1]]}},"spans":{"flow":{"count":1,"total_ns":1233567},"flow/sp\"an":{"count":1,"total_ns":1500},"flow/sp\"an/cell":{"count":2,"total_ns":1400}}}
+"#
+        );
+        assert_eq!(
+            r.render_chrome(),
+            r#"{"traceEvents":[
+{"name":"flow","cat":"obs","ph":"B","ts":1.000,"pid":1,"tid":0,"args":{"label":"q\"b\\n\nr\rt\tc\u0001é"}},
+{"name":"sp\"an","cat":"obs","ph":"B","ts":2.000,"pid":1,"tid":0},
+{"name":"cell","cat":"obs","ph":"B","ts":2.100,"pid":1,"tid":1,"args":{"label":"w"}},
+{"name":"cell","cat":"obs","ph":"E","ts":2.800,"pid":1,"tid":1},
+{"name":"cell","cat":"obs","ph":"B","ts":2.200,"pid":1,"tid":2,"args":{"label":"w"}},
+{"name":"cell","cat":"obs","ph":"E","ts":2.900,"pid":1,"tid":2},
+{"name":"sp\"an","cat":"obs","ph":"E","ts":3.500,"pid":1,"tid":0},
+{"name":"flow","cat":"obs","ph":"E","ts":1234.567,"pid":1,"tid":0}
+],"displayTimeUnit":"ms"}
+"#
+        );
+        assert_eq!(
+            r.snapshot_json(true),
+            r#"{"type":"snapshot","counters":{"a.count":3,"b\"q":1},"gauges":{"g":7},"hists":{"h":{"count":3,"sum":1005,"min":0,"max":1000,"buckets":[[0,1],[3,1],[10,1]]}},"spans":{"flow":{"count":1,"total_ns":1233567},"flow/sp\"an":{"count":1,"total_ns":1500},"flow/sp\"an/cell":{"count":2,"total_ns":1400}}}"#
+        );
+        assert_eq!(
+            r.snapshot_json(false),
+            r#"{"type":"snapshot","counters":{"a.count":3,"b\"q":1},"gauges":{"g":7},"hists":{"h":{"count":3,"sum":1005,"min":0,"max":1000,"buckets":[[0,1],[3,1],[10,1]]}},"spans":{"flow":{"count":1},"flow/sp\"an":{"count":1},"flow/sp\"an/cell":{"count":2}}}"#
+        );
+        // An unclosed span takes the `span_tree_error` branch.
+        let unbalanced = Report::new(
+            ThreadEvents {
+                tid: 0,
+                events: vec![begin("open", None, 10)],
+            },
+            Metrics::default(),
+        );
+        assert_eq!(
+            unbalanced.snapshot_json(true),
+            r#"{"type":"snapshot","counters":{},"gauges":{},"hists":{},"spans":{},"span_tree_error":"tid 0: 1 span(s) never closed"}"#
+        );
     }
 }

@@ -918,6 +918,7 @@ pub fn run_methods(
 /// # Errors
 /// Returns [`FlowError`] when the decomposition or the mapping fails.
 pub fn shared_required_time(optimized: &Network, lib: &Library) -> Result<f64, FlowError> {
+    let _probe = obs::span!("probe");
     let cfg = FlowConfig::default();
     let d = decompose(optimized, lib, DecompStyle::Conventional, &cfg)?;
     Ok(map_network(d.subject(), lib, &MapOptions::area())?.estimated_fastest * 1.10)
@@ -1068,6 +1069,25 @@ mod tests {
                 "{name}"
             );
         }
+    }
+
+    #[test]
+    fn the_timing_probe_runs_under_its_own_span() {
+        let lib = genlib::builtin::lib2_like();
+        let net = optimize(&benchgen::suite_circuit("cm42a"));
+        let session = obs::Session::start();
+        shared_required_time(&net, &lib).unwrap();
+        let forest = session.finish().tree().unwrap();
+        let names = |nodes: &[obs::SpanNode]| nodes.iter().map(|n| n.name).collect::<Vec<_>>();
+        assert_eq!(names(&forest), ["probe"]);
+        let stages = [
+            "decompose",
+            "activity",
+            "map.postorder",
+            "map.preorder",
+            "map.build",
+        ];
+        assert_eq!(names(&forest[0].children), stages);
     }
 
     #[test]

@@ -55,6 +55,7 @@ use lowpower::flow::{
     FlowConfig, Method, StageLint,
 };
 use lowpower::lint::LintLevel;
+use lowpower::obs::json::Json;
 use lowpower::obs::ObsMode;
 use lowpower::verify::VerifyLevel;
 use std::process::ExitCode;
@@ -369,12 +370,11 @@ fn obs_check(o: &Opts) -> Result<(), String> {
 fn print_findings(o: &Opts, findings: &[StageLint], json: bool) {
     for f in findings {
         if json {
-            say!(
-                o,
-                "{{\"stage\":\"{}\",\"report\":{}}}",
-                f.stage,
-                f.report.render_json()
-            );
+            let line = Json::obj([
+                ("stage", Json::str(f.stage)),
+                ("report", f.report.to_json()),
+            ]);
+            say!(o, "{}", line.render());
         } else {
             eprintln!("[lint:{}] {}", f.stage, f.report.render_text().trim_end());
         }
@@ -540,7 +540,6 @@ fn qor_baseline(o: &Opts) -> Result<(), String> {
             let metrics = lowpower::qor::mapped_metrics(&r.mapped, &r.report);
             baseline.insert(net.name(), &m.to_string(), metrics);
         }
-        eprintln!("measured {} (6 methods)", net.name());
     }
     let out = o.out.as_deref().unwrap_or("results/qor_baseline.json");
     std::fs::write(out, baseline.render_json()).map_err(|e| format!("writing {out}: {e}"))?;

@@ -120,3 +120,47 @@ fn glitch_power_digest_is_pinned() {
         "glitch powers changed; current digest: 0x{digest:016x}"
     );
 }
+
+/// Digest of the mapped BLIF of cm42a, x2 and s208 under the two pricing
+/// variants no method uses (ablation's Method 2 and its undivided DAG
+/// costs), each pd-mapped from the MinPower decomposition at the shared
+/// timing target.
+const VARIANT_GOLDEN: u64 = 0x6acd9f33a5317f00;
+
+#[test]
+fn pricing_variant_digest_is_pinned() {
+    use lowpower::flow::{decompose, shared_required_time};
+    use lowpower_core::decomp::DecompStyle;
+    use lowpower_core::map::{map_network, MapOptions, PowerMethod};
+    let lib = lib2_like();
+    let cfg = FlowConfig::default();
+    let variants = [
+        MapOptions {
+            power_method: PowerMethod::OutputLoad,
+            ..MapOptions::power()
+        },
+        MapOptions {
+            dag_fanout_division: false,
+            ..MapOptions::power()
+        },
+    ];
+    let mut blif = String::new();
+    for name in ["cm42a", "x2", "s208"] {
+        let optimized = optimize(&benchgen::suite_circuit(name));
+        let required = shared_required_time(&optimized, &lib).expect("probe");
+        let d = decompose(&optimized, &lib, DecompStyle::MinPower, &cfg).expect("decomposition");
+        for opts in &variants {
+            let opts = MapOptions {
+                required_time: Some(required),
+                ..opts.clone()
+            };
+            let mapped = map_network(d.subject(), &lib, &opts).expect("mapping");
+            blif.push_str(&mapped.to_blif(&lib, &format!("{name}_mapped")));
+        }
+    }
+    let digest = fnv1a(blif.as_bytes());
+    assert_eq!(
+        digest, VARIANT_GOLDEN,
+        "pricing-variant mappings changed; current digest: 0x{digest:016x}"
+    );
+}
